@@ -8,8 +8,14 @@ split into the finest fragments its own structure justifies.
 import itertools
 
 from fdsolve import (AllDifferent, Linear, Neq, build_constraint_graph,
-                     components, new_problem, try_decompose)
+                     components, decompose_analysis, new_problem)
 from fdsolve.propagators import EQ
+
+
+def linked(state):
+    """Constraint-bearing components; two or more make a decomposition."""
+    return [sorted(c) for c in decompose_analysis(state).linked]
+
 
 print("pairwise-different warm-up after root propagation:")
 state = new_problem([{3, 5}, {3, 4}, {1, 2}, {1, 2}])
@@ -20,7 +26,7 @@ graph = build_constraint_graph(state)
 print("  hyperedges:", [sorted(e) for e, _h in graph.edges])
 print("  components:", [sorted(c) for c in
                         components(graph).components])
-print("  try_decompose:", try_decompose(state), "\n")
+print("  linked components:", linked(state), "\n")
 
 print("one global all-different over w,x in {0,1} and y,z in {2,3}:")
 state = new_problem([{0, 1}, {0, 1}, {2, 3}, {2, 3}])
@@ -30,7 +36,7 @@ graph = build_constraint_graph(state)
 print("  the variable-value graph has two components, so the single")
 print("  constraint contributes two hyperedges:",
       [sorted(e) for e, _h in graph.edges])
-print("  try_decompose:", try_decompose(state), "\n")
+print("  linked components:", linked(state), "\n")
 
 print("a linear constraint never splits (every variable depends on all):")
 state = new_problem([{0, 1, 2}] * 4)
@@ -38,4 +44,4 @@ state.post(Linear((1, 1, 1, 1), (0, 1, 2, 3), EQ, 4))
 state.propagate()
 print("  hyperedges:",
       [sorted(e) for e, _h in build_constraint_graph(state).edges])
-print("  try_decompose:", try_decompose(state))
+print("  linked components:", linked(state))

@@ -10,8 +10,7 @@ re-solving them under every branch.
 from .engine import (Domain, PropagationCounters, ProblemState, StateStatus,
                      new_problem)
 from .graph import (ComponentPartition, ConstraintGraph, DecompositionAnalysis,
-                    build_constraint_graph, components, decompose_analysis,
-                    try_decompose)
+                    build_constraint_graph, components, decompose_analysis)
 from .model_io import (ModelDocument, ModelError, VariableDecl,
                        coloring_document, parse_model, saw_document,
                        serialize_model)
@@ -42,5 +41,5 @@ __all__ = [
     "dfs_enumerate", "erdos_renyi", "lattice_code", "lattice_point",
     "maximal_cliques", "new_problem", "order_components", "parse_model",
     "saw_document", "saw_model", "saw_walk_count", "serialize_model",
-    "trace_dot", "tree_count", "tree_expand", "try_decompose",
+    "trace_dot", "tree_count", "tree_expand",
 ]

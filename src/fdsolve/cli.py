@@ -108,6 +108,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.max_solutions < 1:
+        raise ValueError("--max-solutions must be at least 1, "
+                         f"got {args.max_solutions}")
     doc = _load_model(args.model)
     state = doc.build_state()
     heuristic = _heuristic(args.heuristic)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -122,20 +121,3 @@ def free_factor(state, isolated) -> int:
     """Count multiplier contributed by unconstrained multi-valued variables."""
     return prod(len(state.domains[x]) for x in isolated)
 
-
-def try_decompose(state, scope=None) -> Optional[list[set[int]]]:
-    """Partition into independent partial problems, or None.
-
-    Returns a list only when at least two constraint-bearing components
-    exist; anything else (one component, possibly with assigned or
-    unconstrained variables around it) is not a profitable decomposition.
-    Assigned variables and isolated unassigned variables attach to the
-    first component so the returned sets cover every variable in scope.
-    """
-    analysis = decompose_analysis(state, scope)
-    if len(analysis.linked) < 2:
-        return None
-    parts = [set(c) for c in analysis.linked]
-    parts[0] |= set(analysis.isolated)
-    parts[0] |= set(analysis.assigned)
-    return parts

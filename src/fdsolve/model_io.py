@@ -66,15 +66,20 @@ class ModelDocument:
         return state
 
 
+def _is_int(v) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _parse_domain(raw, where: str) -> tuple[int, ...]:
     if isinstance(raw, list):
-        if not all(isinstance(v, int) for v in raw):
+        if not all(_is_int(v) for v in raw):
             raise ModelError(f"{where}: domain values must be integers")
         return tuple(sorted(set(raw)))
     if isinstance(raw, dict) and set(raw) == {"range"}:
         rng = raw["range"]
         if (not isinstance(rng, list) or len(rng) != 2
-                or not all(isinstance(v, int) for v in rng)):
+                or not all(_is_int(v) for v in rng)):
             raise ModelError(f"{where}: range must be [lo, hi]")
         lo, hi = rng
         return tuple(range(lo, hi + 1))
@@ -97,9 +102,10 @@ def _parse_tuples(raw, arity: int, where: str) -> list[tuple[int, ...]]:
         raise ModelError(f"{where}: 'tuples' must be a list of rows")
     rows = []
     for row in raw:
-        if not isinstance(row, list) or len(row) != arity \
-                or not all(isinstance(v, int) for v in row):
+        if not isinstance(row, list) or len(row) != arity:
             raise ModelError(f"{where}: tuple arity mismatch (expected {arity})")
+        if not all(_is_int(v) for v in row):
+            raise ModelError(f"{where}: tuple values must be integers")
         rows.append(tuple(row))
     return rows
 
@@ -114,12 +120,16 @@ def _parse_dfa(raw, where: str) -> Dfa:
         transitions = raw["transitions"]
     except KeyError as missing:
         raise ModelError(f"{where}: dfa is missing field {missing}") from None
+    if not (_is_int(states) and _is_int(start) and isinstance(finals, list)
+            and all(_is_int(f) for f in finals)):
+        raise ModelError(
+            f"{where}: dfa states, start and finals must be integers")
     trans = {}
     if not isinstance(transitions, list):
         raise ModelError(f"{where}: dfa transitions must be [state, symbol, state] rows")
     for row in transitions:
         if not isinstance(row, list) or len(row) != 3 \
-                or not all(isinstance(v, int) for v in row):
+                or not all(_is_int(v) for v in row):
             raise ModelError(f"{where}: bad dfa transition {row!r}")
         q, s, r = row
         if (q, s) in trans:
@@ -176,13 +186,13 @@ def parse_model(text: str) -> ModelDocument:
                 vs = _resolve(names, rc.get("vars"), where)
                 coeffs = rc.get("coeffs")
                 if not isinstance(coeffs, list) or \
-                        not all(isinstance(c, int) for c in coeffs):
+                        not all(_is_int(c) for c in coeffs):
                     raise ModelError(f"{where}: 'coeffs' must be integers")
                 rel = rc.get("rel")
                 if rel not in (EQ, LEQ):
                     raise ModelError(f"{where}: 'rel' must be 'eq' or 'leq'")
                 rhs = rc.get("rhs")
-                if not isinstance(rhs, int):
+                if not _is_int(rhs):
                     raise ModelError(f"{where}: 'rhs' must be an integer")
                 constraints.append(Linear(tuple(coeffs), vs, rel, rhs))
             elif kind == "alldifferent":
@@ -198,7 +208,7 @@ def parse_model(text: str) -> ModelDocument:
             elif kind == "slide":
                 vs = _resolve(names, rc.get("vars"), where)
                 width = rc.get("width")
-                if not isinstance(width, int):
+                if not _is_int(width):
                     raise ModelError(f"{where}: 'width' must be an integer")
                 rows = _parse_tuples(rc.get("tuples"), width, where)
                 constraints.append(Slide(vs, width, rows))

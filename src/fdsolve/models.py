@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Optional
 
-from .engine import ProblemState, new_problem
-from .propagators import AllDifferent, Neq, Table
+from .engine import ProblemState
 
 
 # -- undirected graphs ------------------------------------------------------
@@ -109,13 +108,8 @@ def coloring_plan(g: UGraph) -> tuple[list[frozenset[int]], list[tuple[int, int]
 def coloring_model(spec: ColoringSpec) -> ProblemState:
     """One variable per node over 0..k-1; an all-different per maximal
     clique of size > 2, a binary inequality per remaining edge."""
-    state = new_problem([range(spec.colors)] * spec.graph.n)
-    big, rest = coloring_plan(spec.graph)
-    for clique in big:
-        state.post(AllDifferent(sorted(clique)))
-    for u, v in rest:
-        state.post(Neq(u, v))
-    return state
+    from .model_io import coloring_document  # model_io imports this module
+    return coloring_document(spec).build_state()
 
 
 def chromatic_oracle(g: UGraph, k: int, max_nodes: int = 12) -> int:
@@ -250,13 +244,8 @@ def saw_plan(spec: WalkSpec) -> tuple[list[set[int]], set[tuple[int, int]]]:
 def saw_model(spec: WalkSpec) -> ProblemState:
     """Walk model: neighbour table per consecutive pair, one global
     all-different for self-avoidance."""
-    domains, steps = saw_plan(spec)
-    state = new_problem(domains)
-    for i in range(spec.length - 1):
-        state.post(Table((i, i + 1), steps))
-    if spec.length >= 2:
-        state.post(AllDifferent(range(spec.length)))
-    return state
+    from .model_io import saw_document  # model_io imports this module
+    return saw_document(spec).build_state()
 
 
 def saw_walk_count(length: int) -> int:

@@ -7,6 +7,11 @@ graph has fallen apart into independent partial problems; if so it solves
 the parts separately and multiplies their counts, short-circuiting once a
 part has no solutions.
 
+Both engines, for counts and for solution trees alike, run one iterative
+walker over this AND/OR search space: choice nodes are or-nodes,
+decomposition nodes and-nodes, and the result is folded by a count
+algebra (sums and products) or a tree algebra (``Or`` and ``And`` nodes).
+
 Cut-offs apply to full solutions only: a partial solution of one
 component is counted against the limit only once every sibling component
 explored before it is complete, so the certified total is a true lower
@@ -17,6 +22,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -183,7 +189,7 @@ def order_components(component_list, state: ProblemState, heuristic: Heuristic,
     return [first] + rest
 
 
-# -- shared engine plumbing ----------------------------------------------
+# -- the walker -------------------------------------------------------------
 
 
 class _Cutoff:
@@ -219,67 +225,218 @@ class _Run:
         return self.trace.add(parent, kind, label)
 
 
-def _enter_node(state: ProblemState, depth: int, run: _Run) -> StateStatus:
-    status = state.propagate()
-    run.stats.nodes += 1
-    if depth > run.stats.max_depth:
-        run.stats.max_depth = depth
-    return status
+class _Algebra(NamedTuple):
+    """How the walker folds the tree it explores into a result.  ``factor``
+    is the number of combinations of a node's unconstrained variables, and
+    ``total`` is ``factor`` times the counts of a decomposition's parts."""
+
+    zero: Callable     # () -> value of a failed node
+    solved: Callable   # (state, scope) -> value of a fully assigned scope
+    context: Callable  # (state, scope, isolated) -> what a node adds itself
+    choice: Callable   # (context, factor, values) -> value of a choice node
+    conjoin: Callable  # (context, values, total) -> value of a decomposition
+    plain: object      # context of a plain DFS choice node
+    count: Callable    # value -> its number of solutions
 
 
-def _prepare(root: ProblemState) -> ProblemState:
+_COUNTS = _Algebra(
+    zero=lambda: 0,
+    solved=lambda state, scope: 1,
+    context=lambda state, scope, isolated: None,
+    choice=lambda _ctx, factor, values: factor * sum(values),
+    conjoin=lambda _ctx, _values, total: total,
+    plain=None,
+    count=lambda value: value)
+
+
+def _tree_context(state, scope, isolated):
+    """The node's assigned variables, and an or-node of single-variable
+    leaves per unconstrained variable."""
+    fixed = {x: state.value(x) for x in sorted(scope) if state.is_assigned(x)}
+    groups = [Or([Leaf({x: v}) for v in state.domains[x]]) for x in isolated]
+    return fixed, groups
+
+
+def _tree_choice(ctx, factor, values):
+    fixed, groups = ctx
+    branches = [tree for tree, n in values if n]
+    core = branches[0] if len(branches) == 1 else Or(branches)
+    count = factor * sum(n for _tree, n in values)
+    if fixed or groups:
+        return And([core] + groups, fixed), count
+    return core, count
+
+
+def _tree_conjoin(ctx, values, total):
+    if total == 0:
+        return Or([]), 0
+    fixed, groups = ctx
+    return And([tree for tree, _n in values] + groups, fixed), total
+
+
+# values are (tree, count) pairs
+_TREES = _Algebra(
+    zero=lambda: (Or([]), 0),
+    solved=lambda state, scope: (Leaf({x: state.value(x) for x in sorted(scope)}), 1),
+    context=_tree_context,
+    choice=_tree_choice,
+    conjoin=_tree_conjoin,
+    plain=({}, []),
+    count=lambda value: value[1])
+
+
+@dataclass(slots=True)
+class _Frame:
+    """An inner node whose children are being searched.
+
+    ``parts`` holds the children's scopes: the one component of a choice
+    node twice (``x = v``, then ``x != v`` of ``decision``), or the ordered
+    components of a decomposition node.  ``values`` collects the finished
+    children's results; at a decomposition node ``total`` is ``factor``
+    times their counts, at a choice node it stays 1.  A child's state is
+    cloned from ``state`` only once the child before it is finished.
+    """
+
+    state: ProblemState
+    mult: int
+    me: Optional[int]
+    ctx: object
+    factor: int
+    parts: tuple
+    decision: Optional[BranchDecision] = None
+    values: list = field(default_factory=list)
+    total: int = 1
+
+
+def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
+    """Search the tree below ``state`` depth-first and fold it with
+    ``algebra`` (``_COUNTS`` or ``_TREES``).
+
+    Open inner nodes live on an explicit stack, so the search depth is
+    bound by memory rather than by the interpreter's recursion limit; a
+    node's depth is the size of the stack when it is entered.  With
+    ``decompose`` off this is plain DFS: no graph analysis, and
+    unconstrained variables are branched on like any other.
+    """
+    stats, cutoff = run.stats, run.cutoff
+    stack: list[_Frame] = []
+    n = state.num_vars
+    scope = frozenset(range(n)) if decompose else range(n)
+    mult, tparent, label = 1, None, "root"
+    while True:
+        status = state.propagate()
+        stats.nodes += 1
+        depth = len(stack)
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        frame = None
+        if status is StateStatus.FAILED:
+            stats.fails += 1
+            run.trace_add(tparent, "fail", label)
+            value = algebra.zero()
+        elif status is StateStatus.SOLVED or (
+                decompose and all(state.is_assigned(x) for x in scope)):
+            # a partial problem is done once its own variables are assigned
+            stats.solutions_found += 1
+            cutoff.note(mult)
+            run.trace_add(tparent, "solution", label)
+            value = algebra.solved(state, scope)
+        elif not decompose:
+            stats.choice_nodes += 1
+            me = run.trace_add(tparent, "choice", label)
+            frame = _Frame(state, mult, me, algebra.plain, 1, (scope, scope),
+                           choose(state, run.heuristic, scope))
+        else:
+            analysis = decompose_analysis(state, scope)
+            factor = free_factor(state, analysis.isolated)
+            ctx = algebra.context(state, scope, analysis.isolated)
+            linked = analysis.linked
+            if not linked:
+                # only unconstrained variables left: every combination extends
+                stats.solutions_found += 1
+                cutoff.note(mult * factor)
+                run.trace_add(tparent, "solution", label)
+                value = algebra.conjoin(ctx, [], factor)
+            elif len(linked) >= 2:
+                stats.decomposition_nodes += 1
+                me = run.trace_add(tparent, "decomposition", label)
+                if run.hook is not None:
+                    parts = [set(c) for c in linked]
+                    parts[0] |= set(analysis.isolated) | set(analysis.assigned)
+                    run.hook(state, parts)
+                frame = _Frame(state, mult, me, ctx, factor, order_components(
+                    linked, state, run.heuristic, graph=analysis.graph),
+                    total=factor)
+            else:
+                stats.choice_nodes += 1
+                me = run.trace_add(tparent, "choice", label)
+                frame = _Frame(state, mult, me, ctx, factor,
+                               (linked[0], linked[0]),
+                               choose(state, run.heuristic, linked[0],
+                                      graph=analysis.graph))
+        if frame is not None:
+            stack.append(frame)
+        else:
+            # hand values up until an open node has a child left to search;
+            # a decomposition stops at its first part without solutions
+            while True:
+                if not stack:
+                    return value
+                frame = stack[-1]
+                frame.values.append(value)
+                if frame.decision is None:
+                    frame.total *= algebra.count(value)
+                if (len(frame.values) < len(frame.parts) and frame.total
+                        and not cutoff.hit):
+                    break
+                stack.pop()
+                if frame.decision is None:
+                    value = algebra.conjoin(frame.ctx, frame.values, frame.total)
+                else:
+                    value = algebra.choice(frame.ctx, frame.factor, frame.values)
+        i = len(frame.values)
+        state = frame.state.clone()
+        scope, tparent = frame.parts[i], frame.me
+        if frame.decision is None:
+            # only the last part certifies full solutions against the cut-off
+            mult = frame.mult * frame.total if i == len(frame.parts) - 1 else 0
+            label = f"part{i}"
+        else:
+            x, v = frame.decision
+            mult = frame.mult * frame.factor
+            if i == 0:
+                state.tell_eq(x, v)
+                label = f"x{x}={v}"
+            else:
+                state.tell_neq(x, v)
+                label = f"x{x}!={v}"
+
+
+def _search(root: ProblemState, run: _Run, algebra, decompose: bool):
     state = root.clone()
     state.counters = PropagationCounters()
-    return state
-
-
-def _finish(run: _Run, state: ProblemState, t0: float) -> None:
+    t0 = time.perf_counter()
+    value = _walk(state, run, algebra, decompose)
     run.stats.wall_time = time.perf_counter() - t0
     run.stats.propagations = state.counters.propagations
+    return value
 
 
-# -- depth-first counting -------------------------------------------------
+def _count(root: ProblemState, run: _Run, decompose: bool) -> CountResult:
+    count = _search(root, run, _COUNTS, decompose)
+    if run.cutoff.hit:
+        return CountResult(run.cutoff.certified, False, run.stats)
+    return CountResult(count, True, run.stats)
+
+
+# -- public engines ------------------------------------------------------------
 
 
 def dfs_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
               limit: Optional[int] = None,
               trace: Optional[SearchTrace] = None) -> CountResult:
     """Count all solutions by plain depth-first search."""
-    run = _Run(heuristic, limit, trace)
-    state = _prepare(root)
-    t0 = time.perf_counter()
-    count = _dfs(state, 0, run, None, "root")
-    _finish(run, state, t0)
-    if run.cutoff.hit:
-        return CountResult(run.cutoff.certified, False, run.stats)
-    return CountResult(count, True, run.stats)
-
-
-def _dfs(state: ProblemState, depth: int, run: _Run, tparent, tlabel) -> int:
-    if run.cutoff.hit:
-        return 0
-    status = _enter_node(state, depth, run)
-    if status is StateStatus.FAILED:
-        run.stats.fails += 1
-        run.trace_add(tparent, "fail", tlabel)
-        return 0
-    if status is StateStatus.SOLVED:
-        run.stats.solutions_found += 1
-        run.cutoff.note(1)
-        run.trace_add(tparent, "solution", tlabel)
-        return 1
-    run.stats.choice_nodes += 1
-    me = run.trace_add(tparent, "choice", tlabel)
-    x, v = choose(state, run.heuristic, range(state.num_vars))
-    left = state.clone()
-    left.tell_eq(x, v)
-    total = _dfs(left, depth + 1, run, me, f"x{x}={v}")
-    if run.cutoff.hit:
-        return total
-    right = state.clone()
-    right.tell_neq(x, v)
-    total += _dfs(right, depth + 1, run, me, f"x{x}!={v}")
-    return total
+    return _count(root, _Run(heuristic, limit, trace), decompose=False)
 
 
 def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -289,41 +446,12 @@ def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     The returned flag is True only when the list is known to be the whole
     solution set.
     """
-    run = _Run(heuristic, None, None)
-    state = _prepare(root)
-    out: list[dict[int, int]] = []
-    stopped = False
-
-    def rec(st: ProblemState, depth: int) -> None:
-        nonlocal stopped
-        if stopped:
-            return
-        status = _enter_node(st, depth, run)
-        if status is StateStatus.FAILED:
-            run.stats.fails += 1
-            return
-        if status is StateStatus.SOLVED:
-            run.stats.solutions_found += 1
-            out.append(st.solution())
-            if len(out) >= max_solutions:
-                stopped = True
-            return
-        run.stats.choice_nodes += 1
-        x, v = choose(st, run.heuristic, range(st.num_vars))
-        left = st.clone()
-        left.tell_eq(x, v)
-        rec(left, depth + 1)
-        right = st.clone()
-        right.tell_neq(x, v)
-        rec(right, depth + 1)
-
-    t0 = time.perf_counter()
-    rec(state, 0)
-    _finish(run, state, t0)
-    return out, not stopped, run.stats
-
-
-# -- decomposing counting --------------------------------------------------
+    if max_solutions < 1:
+        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
+    # the cut-off trips at the max_solutions-th solution and stops the walk
+    run = _Run(heuristic, max_solutions - 1, None)
+    tree, _n = _search(root, run, _TREES, decompose=False)
+    return list(_expand(tree)), not run.cutoff.hit, run.stats
 
 
 def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -335,75 +463,11 @@ def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
 
     ``decompose_hook(state, parts)`` is called at every decomposition with
     the propagated state and the variable partition (diagnostics hook; do
-    not mutate the state).
+    not mutate the state).  The first part also holds the scope's assigned
+    and unconstrained variables, so the parts cover the whole scope.
     """
-    run = _Run(heuristic, limit, trace, decompose_hook)
-    state = _prepare(root)
-    t0 = time.perf_counter()
-    count = _dds(state, frozenset(range(state.num_vars)), 1, 0, run, None, "root")
-    _finish(run, state, t0)
-    if run.cutoff.hit:
-        return CountResult(run.cutoff.certified, False, run.stats)
-    return CountResult(count, True, run.stats)
-
-
-def _dds(state: ProblemState, scope, mult: int, depth: int, run: _Run,
-         tparent, tlabel) -> int:
-    if run.cutoff.hit:
-        return 0
-    status = _enter_node(state, depth, run)
-    if status is StateStatus.FAILED:
-        run.stats.fails += 1
-        run.trace_add(tparent, "fail", tlabel)
-        return 0
-    # a partial problem is done once its own variables are assigned
-    if all(state.is_assigned(x) for x in scope):
-        run.stats.solutions_found += 1
-        run.cutoff.note(mult)
-        run.trace_add(tparent, "solution", tlabel)
-        return 1
-    analysis = decompose_analysis(state, scope)
-    factor = free_factor(state, analysis.isolated)
-    if not analysis.linked:
-        # only unconstrained variables left: every combination extends
-        run.stats.solutions_found += 1
-        run.cutoff.note(mult * factor)
-        run.trace_add(tparent, "solution", tlabel)
-        return factor
-    if len(analysis.linked) >= 2:
-        run.stats.decomposition_nodes += 1
-        me = run.trace_add(tparent, "decomposition", tlabel)
-        if run.hook is not None:
-            parts = [set(c) for c in analysis.linked]
-            parts[0] |= set(analysis.isolated) | set(analysis.assigned)
-            run.hook(state, parts)
-        ordered = order_components(analysis.linked, state, run.heuristic,
-                                   graph=analysis.graph)
-        total = factor
-        last = len(ordered) - 1
-        for i, comp in enumerate(ordered):
-            child_mult = mult * total if i == last else 0
-            total *= _dds(state.clone(), comp, child_mult, depth + 1, run,
-                          me, f"part{i}")
-            if total == 0 or run.cutoff.hit:
-                break
-        return total
-    comp = analysis.linked[0]
-    run.stats.choice_nodes += 1
-    me = run.trace_add(tparent, "choice", tlabel)
-    x, v = choose(state, run.heuristic, comp, graph=analysis.graph)
-    left = state.clone()
-    left.tell_eq(x, v)
-    lc = _dds(left, comp, mult * factor, depth + 1, run, me, f"x{x}={v}")
-    if run.cutoff.hit:
-        return factor * lc
-    right = state.clone()
-    right.tell_neq(x, v)
-    rc = _dds(right, comp, mult * factor, depth + 1, run, me, f"x{x}!={v}")
-    return factor * (lc + rc)
-
-
-# -- solution trees ---------------------------------------------------------
+    return _count(root, _Run(heuristic, limit, trace, decompose_hook),
+                  decompose=True)
 
 
 def dds_tree(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -416,125 +480,61 @@ def dds_tree(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     truncated tree still expands to valid full assignments.
     """
     run = _Run(heuristic, limit, trace)
-    state = _prepare(root)
-    t0 = time.perf_counter()
-    tree, _count = _tree(state, frozenset(range(state.num_vars)), 1, 0, run, None, "root")
-    _finish(run, state, t0)
+    tree, _n = _search(root, run, _TREES, decompose=True)
     return TreeResult(tree, not run.cutoff.hit, run.stats)
 
 
-def _free_group(state: ProblemState, x: int) -> tuple[SolutionTree, int]:
-    leaves = [Leaf({x: v}) for v in state.domains[x]]
-    return Or(leaves), len(leaves)
-
-
-def _tree(state: ProblemState, scope, mult: int, depth: int, run: _Run,
-          tparent, tlabel) -> tuple[SolutionTree, int]:
-    if run.cutoff.hit:
-        return Or([]), 0
-    status = _enter_node(state, depth, run)
-    if status is StateStatus.FAILED:
-        run.stats.fails += 1
-        run.trace_add(tparent, "fail", tlabel)
-        return Or([]), 0
-    fixed = {x: state.value(x) for x in sorted(scope) if state.is_assigned(x)}
-    if len(fixed) == len(scope):
-        run.stats.solutions_found += 1
-        run.cutoff.note(mult)
-        run.trace_add(tparent, "solution", tlabel)
-        return Leaf(fixed), 1
-    analysis = decompose_analysis(state, scope)
-    free_groups = []
-    factor = 1
-    for x in analysis.isolated:
-        g, n = _free_group(state, x)
-        free_groups.append(g)
-        factor *= n
-    if not analysis.linked:
-        run.stats.solutions_found += 1
-        run.cutoff.note(mult * factor)
-        run.trace_add(tparent, "solution", tlabel)
-        return And(free_groups, fixed), factor
-    if len(analysis.linked) >= 2:
-        run.stats.decomposition_nodes += 1
-        me = run.trace_add(tparent, "decomposition", tlabel)
-        ordered = order_components(analysis.linked, state, run.heuristic,
-                                   graph=analysis.graph)
-        children = []
-        total = factor
-        last = len(ordered) - 1
-        for i, comp in enumerate(ordered):
-            child_mult = mult * total if i == last else 0
-            sub, cnt = _tree(state.clone(), comp, child_mult, depth + 1, run,
-                             me, f"part{i}")
-            children.append(sub)
-            total *= cnt
-            if total == 0:
-                return Or([]), 0
-            if run.cutoff.hit:
-                break
-        return And(children + free_groups, fixed), total
-    comp = analysis.linked[0]
-    run.stats.choice_nodes += 1
-    me = run.trace_add(tparent, "choice", tlabel)
-    x, v = choose(state, run.heuristic, comp, graph=analysis.graph)
-    left = state.clone()
-    left.tell_eq(x, v)
-    branches = []
-    lt, lc = _tree(left, comp, mult * factor, depth + 1, run, me, f"x{x}={v}")
-    if lc:
-        branches.append(lt)
-    count = lc
-    if not run.cutoff.hit:
-        right = state.clone()
-        right.tell_neq(x, v)
-        rt, rc = _tree(right, comp, mult * factor, depth + 1, run, me, f"x{x}!={v}")
-        if rc:
-            branches.append(rt)
-        count += rc
-    core: SolutionTree = branches[0] if len(branches) == 1 else Or(branches)
-    if fixed or free_groups:
-        return And([core] + free_groups, fixed), count * factor
-    return core, count * factor
+# -- solution trees ---------------------------------------------------------
 
 
 def tree_count(tree: SolutionTree) -> int:
     """Solutions represented: products at and-nodes, sums at or-nodes."""
-    if isinstance(tree, Leaf):
-        return 1
-    if isinstance(tree, Or):
-        return sum(tree_count(c) for c in tree.children)
-    return prod(tree_count(c) for c in tree.children)
+    # post-order on an explicit stack; each inner node is seen twice, the
+    # second time with its children's counts on top of ``counts``
+    counts: list[int] = []
+    stack = [(tree, False)]
+    while stack:
+        node, folded = stack.pop()
+        if isinstance(node, Leaf):
+            counts.append(1)
+        elif not folded:
+            stack.append((node, True))
+            stack.extend((child, False) for child in node.children)
+        else:
+            start = len(counts) - len(node.children)
+            mine = counts[start:]
+            del counts[start:]
+            counts.append(sum(mine) if isinstance(node, Or) else prod(mine))
+    return counts[0]
 
 
 def tree_expand(tree: SolutionTree, max_solutions: int) -> list[dict[int, int]]:
     """First ``max_solutions`` full assignments, in deterministic order
     (alternatives concatenated, and-children combined with the last child
     varying fastest)."""
-    out: list[dict[int, int]] = []
-    for a in _expand(tree):
-        if len(out) >= max_solutions:
-            break
-        out.append(a)
-    return out
+    return list(islice(_expand(tree), max(max_solutions, 0)))
 
 
 def _expand(tree: SolutionTree):
-    if isinstance(tree, Leaf):
-        yield dict(tree.assignment)
-        return
-    if isinstance(tree, Or):
-        for child in tree.children:
-            yield from _expand(child)
-        return
+    """Lazily yield the assignments of ``tree``.
 
-    children = tree.children
-
-    def rec(i: int, acc: dict):
-        if i == len(children):
-            yield {**tree.fixed, **acc}
-            return
-        for part in _expand(children[i]):
-            yield from rec(i + 1, {**acc, **part})
-
-    yield from rec(0, {})
+    Each stack entry is a linked list of subtrees still to combine plus the
+    assignment built so far.  An and-node contributes its fixed values and
+    then each child in turn; an or-node's alternatives are pushed in
+    reverse so the first is expanded first.
+    """
+    stack = [((tree, None), {})]
+    while stack:
+        todo, acc = stack.pop()
+        if todo is None:
+            yield acc
+            continue
+        node, rest = todo
+        if isinstance(node, Leaf):
+            stack.append((rest, {**acc, **node.assignment}))
+        elif isinstance(node, Or):
+            stack.extend(((child, rest), acc) for child in reversed(node.children))
+        else:
+            for child in reversed(node.children):
+                rest = (child, rest)
+            stack.append((rest, {**acc, **node.fixed}))

@@ -72,6 +72,16 @@ def test_enumerate(intro_path, capsys):
     assert all(len(set(s.values())) == 4 for s in payload["solutions"])
 
 
+@pytest.mark.parametrize("engine", ["dfs", "dds"])
+def test_enumerate_rejects_max_solutions_below_one(intro_path, capsys, engine):
+    for bad in ("0", "-3"):
+        assert main(["enumerate", "--model", intro_path, "--engine", engine,
+                     "--max-solutions", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-solutions must be at least 1")
+
+
 def test_gen_coloring_roundtrip(tmp_path, capsys):
     out = tmp_path / "model.json"
     args = ["gen-coloring", "--nodes", "8", "--edge-prob", "0.3",

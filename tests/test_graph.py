@@ -2,7 +2,7 @@ from math import prod
 
 from fdsolve import (EQ, AllDifferent, Linear, Neq, StateStatus,
                      brute_force_count, build_constraint_graph, components,
-                     new_problem, try_decompose)
+                     dds_count, new_problem)
 from fdsolve.graph import decompose_analysis
 
 from randcsp import (enumerate_solutions, intro_state, random_clustered_state,
@@ -51,42 +51,45 @@ def test_components_examples():
     assert [sorted(c) for c in part.components] == [[0], [1], [2]]
 
 
-def test_try_decompose_intro():
-    state = intro_state()
-    state.propagate()
-    assert try_decompose(state) == [{0, 1}, {2, 3}]
+def hook_parts(state):
+    """Every variable partition dds_count hands its decomposition hook."""
+    calls = []
+    dds_count(state, decompose_hook=lambda _state, parts: calls.append(parts))
+    return calls
 
 
-def test_try_decompose_connected_absent():
+def test_decomposition_parts_intro():
+    # the root is the only decomposition node
+    assert hook_parts(intro_state()) == [[{0, 1}, {2, 3}]]
+
+
+def test_no_decomposition_when_connected():
     state = new_problem([{0, 1, 2}] * 3)
     state.post(Linear((1, 1, 1), (0, 1, 2), EQ, 3))
-    state.propagate()
-    assert try_decompose(state) is None
+    assert hook_parts(state) == []
 
 
-def test_try_decompose_single_component_with_assigned_absent():
+def test_no_decomposition_single_component_with_assigned():
     state = new_problem([{7}, {9}, {0, 1}, {0, 1}, {0, 1}])
     state.post(Neq(2, 3))
     state.post(Neq(3, 4))
+    assert hook_parts(state) == []
     state.propagate()
-    assert try_decompose(state) is None
+    assert len(decompose_analysis(state).linked) == 1
 
 
-def test_try_decompose_attaches_riders_to_first_component():
+def test_decomposition_parts_attach_riders_to_first_component():
     # one assigned variable and one unconstrained variable ride in the
-    # first component so the returned sets cover everything
+    # first component so the parts cover everything
     state = new_problem([{5}, {0, 1, 2}, {0, 1}, {0, 1}, {2, 3}, {2, 3}])
     state.post(Neq(2, 3))
     state.post(Neq(4, 5))
-    state.propagate()
-    parts = try_decompose(state)
-    assert parts == [{0, 1, 2, 3}, {4, 5}]
+    assert hook_parts(state) == [[{0, 1, 2, 3}, {4, 5}]]
 
 
 def test_partial_problem_restriction_and_factorization():
     # every decomposition the engine performs yields independent partial
     # problems: projections match and counts factor
-    from fdsolve import dds_count
     records = []
 
     def hook(state, parts):
@@ -125,7 +128,7 @@ def test_determinism():
         b = random_state(seed)
         a.propagate()
         b.propagate()
-        assert try_decompose(a) == try_decompose(b)
+        assert decompose_analysis(a) == decompose_analysis(b)
         ga, gb = build_constraint_graph(a), build_constraint_graph(b)
         assert sorted(sorted(e) for e, _ in ga.edges) == \
             sorted(sorted(e) for e, _ in gb.edges)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -114,3 +115,44 @@ def test_parse_errors():
         parse_model(json.dumps({
             "variables": [{"name": "x", "domain": [0]}],
             "constraints": [{"type": "wat", "vars": ["x"]}]}))
+
+
+def two_var_doc(domain=(0, 1), constraint=None):
+    return {"variables": [{"name": "x", "domain": domain},
+                          {"name": "y", "domain": [0, 1]}],
+            "constraints": [constraint] if constraint else []}
+
+
+DFA = {"states": 1, "start": 0, "finals": [0], "transitions": [[0, 1, 0]]}
+
+
+@pytest.mark.parametrize("doc, where", [
+    (two_var_doc([True, False, 1]), "variables[0]: domain values"),
+    (two_var_doc({"range": [False, 3]}), "variables[0]: range"),
+    (two_var_doc(constraint={"type": "table", "vars": ["x", "y"],
+                             "tuples": [[0, True]]}), "constraints[0]: tuple"),
+    (two_var_doc(constraint={"type": "slide", "vars": ["x", "y"],
+                             "width": True, "tuples": [[0]]}),
+     "constraints[0]: 'width'"),
+    (two_var_doc(constraint={"type": "regular", "vars": ["x", "y"],
+                             "dfa": {**DFA, "states": True}}),
+     "constraints[0]: dfa states"),
+    (two_var_doc(constraint={"type": "regular", "vars": ["x", "y"],
+                             "dfa": {**DFA, "start": False}}),
+     "constraints[0]: dfa states"),
+    (two_var_doc(constraint={"type": "regular", "vars": ["x", "y"],
+                             "dfa": {**DFA, "finals": [False]}}),
+     "constraints[0]: dfa states"),
+    (two_var_doc(constraint={"type": "regular", "vars": ["x", "y"],
+                             "dfa": {**DFA, "transitions": [[0, True, 0]]}}),
+     "constraints[0]: bad dfa transition"),
+    (two_var_doc(constraint={"type": "linear", "coeffs": [1, True],
+                             "vars": ["x", "y"], "rel": "eq", "rhs": 1}),
+     "constraints[0]: 'coeffs'"),
+    (two_var_doc(constraint={"type": "linear", "coeffs": [1, 1],
+                             "vars": ["x", "y"], "rel": "eq", "rhs": True}),
+     "constraints[0]: 'rhs'"),
+])
+def test_booleans_are_not_integers(doc, where):
+    with pytest.raises(ModelError, match=re.escape(where)):
+        parse_model(json.dumps(doc))

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import sys
 
 import pytest
 
@@ -259,6 +262,12 @@ def test_dfs_enumerate():
     assert not complete and len(some) == 2
 
 
+def test_dfs_enumerate_rejects_max_solutions_below_one():
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_solutions"):
+            dfs_enumerate(intro_state(), max_solutions=bad)
+
+
 # -- tracing ---------------------------------------------------------------------
 
 
@@ -317,3 +326,80 @@ def test_choose_requires_unassigned():
     state = new_problem([{1}])
     with pytest.raises(ValueError):
         choose(state, Heuristic.FIRST_FAIL, {0})
+
+
+# -- deep search and pinned results ----------------------------------------------
+
+
+def neq_chain(n):
+    state = new_problem([{0, 1, 2}] * n)
+    for i in range(n - 1):
+        state.post(Neq(i, i + 1))
+    return state
+
+
+def test_deep_search_needs_no_recursion():
+    # DFS goes ~n levels deep on the chain, DDS and its tree ~n/2; under a
+    # recursion limit just above the current depth, a recursive engine,
+    # tree_count or tree_expand would fail
+    n = 300
+    state = neq_chain(n)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        dfs = dfs_count(state, limit=10)
+        dds = dds_count(state, limit=10)
+        tree = dds_tree(state, limit=10)
+        count = tree_count(tree.tree)
+        sols = tree_expand(tree.tree, 3)
+        enumerated, complete, stats = dfs_enumerate(state, max_solutions=3)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (dfs.count, dfs.exact) == (11, False) and dfs.stats.max_depth >= n - 1
+    assert not dds.exact and dds.count > 10
+    assert not tree.exact and tree.stats.max_depth >= n // 2 and count > 10
+    assert len(enumerated) == 3 and not complete and stats.max_depth >= n - 1
+    for sol in sols + enumerated:
+        assert all(sol[i] != sol[i + 1] for i in range(n - 1))
+
+
+GOLDEN_SEEDS = range(0, 500, 12)
+# digest of golden_text() as the recursive engines produced it
+GOLDEN_SHA256 = "07a375adf853483c619a94e681867ac2fadebd990eed26eacbbbc7cad110b4f3"
+
+
+def golden_text():
+    """Every result the engines report on a slice of the random corpus,
+    as text: counts, exact flags, statistics, DOT traces, solution lists."""
+    def stats(s):
+        return [getattr(s, f.name) for f in dataclasses.fields(s)
+                if f.name != "wall_time"]
+
+    def solutions(sols):
+        return [sorted(s.items()) for s in sols]
+
+    rows = []
+    for seed in GOLDEN_SEEDS:
+        state = random_state(seed, min_vars=4, max_vars=8, max_dom=4)
+        for h in ALL_HEURISTICS:
+            for limit in (None, 5):
+                for engine in (dfs_count, dds_count):
+                    trace = SearchTrace()
+                    r = engine(state, h, limit=limit, trace=trace)
+                    rows.append((r.count, r.exact, stats(r.stats), trace_dot(trace)))
+                trace = SearchTrace()
+                r = dds_tree(state, h, limit=limit, trace=trace)
+                rows.append((tree_count(r.tree), r.exact, stats(r.stats),
+                             trace_dot(trace), solutions(tree_expand(r.tree, 40))))
+            for k in (5, 10 ** 6):
+                sols, complete, s = dfs_enumerate(state, h, k)
+                rows.append((solutions(sols), complete, stats(s)))
+    return repr(rows)
+
+
+def test_golden_results():
+    digest = hashlib.sha256(golden_text().encode()).hexdigest()
+    assert digest == GOLDEN_SHA256
