@@ -30,11 +30,11 @@ state = new_problem([{0, 1}] * 4)
 state.post(Regular((0, 1, 2, 3), alternating))
 state.propagate()
 print("  (01)* over four binary variables leaves only",
-      [d.value() for d in state.domains], "\n")
+      [state.value(x) for x in range(state.num_vars)], "\n")
 
 print("slide re-applies one window relation along a sequence:")
 state = new_problem([{0, 1}, {0}, {0, 1}])
 state.post(Slide((0, 1, 2), 2, [(0, 1), (1, 0)]))
 state.propagate()
 print("  adjacent-differ windows with the middle pinned to 0 give",
-      [d.value() for d in state.domains])
+      [state.value(x) for x in range(state.num_vars)])

@@ -7,8 +7,7 @@ constraint graph falls apart, multiplying the partial counts instead of
 re-solving them under every branch.
 """
 
-from .engine import (Domain, PropagationCounters, ProblemState, StateStatus,
-                     new_problem)
+from .engine import PropagationCounters, ProblemState, StateStatus, new_problem
 from .graph import (ComponentPartition, ConstraintGraph, DecompositionAnalysis,
                     build_constraint_graph, components, decompose_analysis)
 from .model_io import (ModelDocument, ModelError, VariableDecl,
@@ -30,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AllDifferent", "And", "BranchDecision", "ColoringSpec",
     "ComponentPartition", "ConstraintGraph", "CountResult",
-    "DecompositionAnalysis", "Dfa", "Domain", "EQ", "Heuristic", "LEQ",
+    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ",
     "Leaf", "Linear", "ModelDocument", "ModelError", "Neq", "Or",
     "PropagationCounters", "PropagationResult", "ProblemState", "Regular",
     "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",

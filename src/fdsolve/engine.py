@@ -3,9 +3,13 @@
 A ``ProblemState`` owns one array of finite integer domains plus the
 propagators posted on them.  ``propagate`` runs queued propagators to a
 mutual fixpoint and drops entailed ones from the store, so later graph
-reflection only sees constraints that can still act.  States are cloned
-before branching; a clone shares nothing mutable with the original except
-the run-level statistics sink.
+reflection only sees constraints that can still act.  A domain is a plain
+``set`` of ints, read directly and mutated only through the state's API so
+domain events are recorded; it may be empty only transiently, and emptying
+it marks the state failed.  States are cloned before branching.  A clone
+copies the domains and the propagator store; it shares the immutable
+propagators, the run-level statistics sink, and the subscription lists,
+which the first ``post`` on either side after the clone copies.
 """
 from __future__ import annotations
 
@@ -31,67 +35,18 @@ class PropagationCounters:
     domain_events: int = 0
 
 
-class Domain:
-    """Finite set of integers.
-
-    May be empty only transiently: emptying a domain marks the owning
-    state failed.  Mutation goes through the state's API so domain events
-    are recorded; readers use ``values`` (the live set, do not mutate) or
-    sorted iteration.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[int]):
-        self._values = {int(v) for v in values}
-
-    @property
-    def values(self) -> set[int]:
-        return self._values
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self):
-        return iter(sorted(self._values))
-
-    def min(self) -> int:
-        return min(self._values)
-
-    def max(self) -> int:
-        return max(self._values)
-
-    def is_singleton(self) -> bool:
-        return len(self._values) == 1
-
-    def value(self) -> int:
-        """The single remaining value; only meaningful when assigned."""
-        (v,) = self._values
-        return v
-
-    def copy(self) -> "Domain":
-        d = Domain.__new__(Domain)
-        d._values = set(self._values)
-        return d
-
-    def __repr__(self) -> str:
-        return f"Domain({sorted(self._values)})"
-
-
 class ProblemState:
     """Variables with finite domains plus the active propagator store."""
 
     __slots__ = ("domains", "propagators", "counters",
-                 "_subs", "_queue", "_queued", "_failed", "_next_handle",
-                 "_changed")
+                 "_subs", "_subs_shared", "_queue", "_queued", "_failed",
+                 "_next_handle", "_changed")
 
     def __init__(self, domains: Iterable[Iterable[int]]):
-        self.domains: list[Domain] = [Domain(d) for d in domains]
+        self.domains: list[set[int]] = [{int(v) for v in d} for d in domains]
         self.propagators: dict[int, object] = {}
         self._subs: list[list[int]] = [[] for _ in self.domains]
+        self._subs_shared = False
         self._queue: deque[int] = deque()
         self._queued: set[int] = set()
         self._failed = any(len(d) == 0 for d in self.domains)
@@ -113,13 +68,9 @@ class ProblemState:
         return len(self.domains[x]) == 1
 
     def value(self, x: int) -> int:
-        return self.domains[x].value()
-
-    def assigned_vars(self) -> list[int]:
-        return [x for x in range(self.num_vars) if len(self.domains[x]) == 1]
-
-    def unassigned_vars(self) -> list[int]:
-        return [x for x in range(self.num_vars) if len(self.domains[x]) != 1]
+        """The single remaining value; only meaningful when assigned."""
+        (v,) = self.domains[x]
+        return v
 
     # -- posting -------------------------------------------------------
 
@@ -131,6 +82,10 @@ class ProblemState:
         handle = self._next_handle
         self._next_handle += 1
         self.propagators[handle] = propagator
+        if self._subs_shared:
+            # the first post after a clone takes its own subscription lists
+            self._subs = [list(s) for s in self._subs]
+            self._subs_shared = False
         for x in propagator.vars:
             self._subs[x].append(handle)
         self._enqueue(handle)
@@ -139,7 +94,7 @@ class ProblemState:
     # -- domain mutation (propagators and branching go through these) ---
 
     def remove_value(self, x: int, v: int) -> bool:
-        d = self.domains[x]._values
+        d = self.domains[x]
         if v in d:
             d.discard(v)
             self._note_change(x, len(d) == 0)
@@ -147,7 +102,7 @@ class ProblemState:
         return False
 
     def restrict(self, x: int, allowed: set[int]) -> bool:
-        d = self.domains[x]._values
+        d = self.domains[x]
         if d <= allowed:
             return False
         d &= allowed
@@ -163,13 +118,13 @@ class ProblemState:
     # -- branching tells ------------------------------------------------
 
     def tell_eq(self, x: int, v: int) -> None:
-        dom = self.domains[x]
-        if dom._values == {v}:
+        d = self.domains[x]
+        if d == {v}:
             return
         # telling a value outside the domain empties it; the state then
         # fails at the next propagate
-        dom._values = {v} if v in dom._values else set()
-        self._note_change(x, len(dom._values) == 0)
+        self.domains[x] = d = {v} if v in d else set()
+        self._note_change(x, len(d) == 0)
         self._wake(x)
 
     def tell_neq(self, x: int, v: int) -> None:
@@ -229,11 +184,13 @@ class ProblemState:
     # -- snapshots -------------------------------------------------------
 
     def clone(self) -> "ProblemState":
-        """Deep, independent snapshot sharing only the counter sink."""
+        """Independent snapshot; shares the counter sink and, until either
+        side posts, the subscription lists."""
         new = ProblemState.__new__(ProblemState)
-        new.domains = [d.copy() for d in self.domains]
+        new.domains = [set(d) for d in self.domains]
         new.propagators = dict(self.propagators)
-        new._subs = [list(s) for s in self._subs]
+        new._subs = self._subs
+        new._subs_shared = self._subs_shared = True
         new._queue = deque(self._queue)
         new._queued = set(self._queued)
         new._failed = self._failed
@@ -246,7 +203,7 @@ class ProblemState:
         """Total assignment of a solved state."""
         if self._failed or self._queue or any(len(d) != 1 for d in self.domains):
             raise ValueError("solution() requires a solved state")
-        return {x: d.value() for x, d in enumerate(self.domains)}
+        return {x: v for x, (v,) in enumerate(self.domains)}
 
 
 def new_problem(domains: Iterable[Iterable[int]]) -> ProblemState:

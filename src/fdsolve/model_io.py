@@ -21,9 +21,9 @@ Canonical shape::
       ]
     }
 
-Domains are explicit value lists or ``{"range": [lo, hi]}``; parsing
-normalizes both to sorted value tuples.  DFA transitions are
-``[state, symbol, state]`` triples.
+Domains are explicit value lists or ``{"range": [lo, hi]}`` with at most
+``MAX_RANGE_VALUES`` values; parsing normalizes both to sorted value
+tuples.  DFA transitions are ``[state, symbol, state]`` triples.
 """
 from __future__ import annotations
 
@@ -35,6 +35,10 @@ from .engine import ProblemState, new_problem
 from .models import ColoringSpec, UGraph, WalkSpec, coloring_plan, saw_plan
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
                           Slide, Table)
+
+
+# a range is expanded value by value, so its size is bounded before that
+MAX_RANGE_VALUES = 1_000_000
 
 
 class ModelError(ValueError):
@@ -82,6 +86,9 @@ def _parse_domain(raw, where: str) -> tuple[int, ...]:
                 or not all(_is_int(v) for v in rng)):
             raise ModelError(f"{where}: range must be [lo, hi]")
         lo, hi = rng
+        if hi - lo + 1 > MAX_RANGE_VALUES:
+            raise ModelError(f"{where}: range [{lo}, {hi}] has {hi - lo + 1} "
+                             f"values, more than {MAX_RANGE_VALUES}")
         return tuple(range(lo, hi + 1))
     raise ModelError(f"{where}: domain must be a value list or {{\"range\": [lo, hi]}}")
 

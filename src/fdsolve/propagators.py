@@ -68,14 +68,14 @@ class Neq:
         dx = state.domains[self.x]
         dy = state.domains[self.y]
         if len(dx) == 1 and len(dy) == 1:
-            return FAILED if dx.value() == dy.value() else ENTAILED
+            return FAILED if dx == dy else ENTAILED
         if len(dx) == 1:
-            state.remove_value(self.y, dx.value())
+            state.remove_value(self.y, next(iter(dx)))
         elif len(dy) == 1:
-            state.remove_value(self.x, dy.value())
+            state.remove_value(self.x, next(iter(dy)))
         if state.failed:
             return FAILED
-        if dx.values.isdisjoint(dy.values):
+        if dx.isdisjoint(dy):
             return ENTAILED
         return STABLE
 
@@ -117,11 +117,11 @@ class Linear:
         for a, x in zip(self.coeffs, self.vars):
             d = state.domains[x]
             if a > 0:
-                lo += a * d.min()
-                hi += a * d.max()
+                lo += a * min(d)
+                hi += a * max(d)
             else:
-                lo += a * d.max()
-                hi += a * d.min()
+                lo += a * max(d)
+                hi += a * min(d)
         return lo, hi
 
     def filter(self, state) -> PropagationResult:
@@ -136,13 +136,13 @@ class Linear:
             for a, x in zip(self.coeffs, self.vars):
                 d = state.domains[x]
                 if a > 0:
-                    term_lo, term_hi = a * d.min(), a * d.max()
+                    term_lo, term_hi = a * min(d), a * max(d)
                 else:
-                    term_lo, term_hi = a * d.max(), a * d.min()
+                    term_lo, term_hi = a * max(d), a * min(d)
                 # residual interval for the term a*x
                 ub = self.rhs - (lo - term_lo)
                 lb = (self.rhs - (hi - term_hi)) if self.rel == EQ else None
-                for v in list(d.values):
+                for v in list(d):
                     t = a * v
                     if t > ub or (lb is not None and t < lb):
                         if state.remove_value(x, v):
@@ -190,22 +190,9 @@ class AllDifferent:
         n = len(doms)
         match_of_var: list = [None] * n
         match_of_val: dict = {}
-
-        def augment(i: int, seen: set) -> bool:
-            for v in doms[i].values:
-                if v in seen:
-                    continue
-                seen.add(v)
-                j = match_of_val.get(v)
-                if j is None or augment(j, seen):
-                    match_of_var[i] = v
-                    match_of_val[v] = i
-                    return True
-            return False
-
         # small domains first: cheaper augmenting on tight instances
         for i in sorted(range(n), key=lambda i: (len(doms[i]), i)):
-            if not augment(i, set()):
+            if not _augment(doms, i, match_of_var, match_of_val):
                 return None
         return match_of_var, match_of_val
 
@@ -220,14 +207,14 @@ class AllDifferent:
         # Régin's filtering.  Digraph: matched edge var->val, unmatched
         # edge val->var.  An unmatched edge survives iff its endpoints
         # share an SCC or its value is reachable from a free value.
-        values = sorted({v for d in doms for v in d.values})
+        values = sorted(set().union(*doms))
         val_id = {v: n + k for k, v in enumerate(values)}
         size = n + len(values)
         succ: list[list[int]] = [[] for _ in range(size)]
         for i in range(n):
             mv = match_of_var[i]
             succ[i].append(val_id[mv])
-            for v in doms[i].values:
+            for v in doms[i]:
                 if v != mv:
                     succ[val_id[v]].append(i)
 
@@ -247,7 +234,7 @@ class AllDifferent:
 
         for i in range(n):
             mv = match_of_var[i]
-            for v in list(doms[i].values):
+            for v in list(doms[i]):
                 if v == mv:
                     continue
                 vid = val_id[v]
@@ -260,7 +247,7 @@ class AllDifferent:
             return ENTAILED
         # pairwise disjoint domains entail the constraint as well
         total = sum(len(d) for d in doms)
-        union = set().union(*(d.values for d in doms))
+        union = set().union(*doms)
         if total == len(union):
             return ENTAILED
         return STABLE
@@ -287,7 +274,7 @@ class AllDifferent:
 
         for i, d in enumerate(doms):
             parent.setdefault(("x", i), ("x", i))
-            for v in d.values:
+            for v in d:
                 parent.setdefault(("v", v), ("v", v))
                 union(("x", i), ("v", v))
 
@@ -297,6 +284,40 @@ class AllDifferent:
                 continue
             groups.setdefault(find(("x", i)), []).append(x)
         return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
+def _augment(doms, root: int, match_of_var: list, match_of_val: dict) -> bool:
+    """Find an augmenting path from variable ``root`` and flip it.
+
+    Depth-first over each variable's values in domain iteration order, on
+    an explicit stack of (variable, its untried values), so the path length
+    is not bound by the recursion limit.  ``via[k]`` is the value the k-th
+    variable on the stack tries; the variable matched to it sits one entry
+    above.
+    """
+    seen: set = set()
+    stack = [(root, iter(doms[root]))]
+    via: list = []
+    while stack:
+        _i, untried = stack[-1]
+        for v in untried:
+            if v in seen:
+                continue
+            seen.add(v)
+            via.append(v)
+            j = match_of_val.get(v)
+            if j is None:
+                for (i, _rest), w in zip(stack, via):
+                    match_of_var[i] = w
+                    match_of_val[w] = i
+                return True
+            stack.append((j, iter(doms[j])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def _tarjan(succ: list[list[int]]) -> list[int]:
@@ -460,7 +481,7 @@ class Regular:
         for i in range(n):
             nxt = fwd[i + 1]
             for q in fwd[i]:
-                for s in doms[i].values:
+                for s in doms[i]:
                     r = trans.get((q, s))
                     if r is not None:
                         arcs[i].append((q, s, r))

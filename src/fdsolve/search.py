@@ -169,7 +169,7 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
         x = min(cands, key=lambda c: (-degree[c], c))
     else:
         x = min(cands, key=lambda c: (-degree[c], len(state.domains[c]), c))
-    return BranchDecision(x, state.domains[x].min())
+    return BranchDecision(x, min(state.domains[x]))
 
 
 def order_components(component_list, state: ProblemState, heuristic: Heuristic,
@@ -253,7 +253,8 @@ def _tree_context(state, scope, isolated):
     """The node's assigned variables, and an or-node of single-variable
     leaves per unconstrained variable."""
     fixed = {x: state.value(x) for x in sorted(scope) if state.is_assigned(x)}
-    groups = [Or([Leaf({x: v}) for v in state.domains[x]]) for x in isolated]
+    groups = [Or([Leaf({x: v}) for v in sorted(state.domains[x])])
+              for x in isolated]
     return fixed, groups
 
 

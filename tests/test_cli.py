@@ -120,6 +120,14 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     bad.write_text("{broken")
     assert main(["count", "--model", str(bad)]) == 1
     assert "syntax error" in capsys.readouterr().err
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "variables": [{"name": "x", "domain": {"range": [0, 10 ** 18]}}],
+        "constraints": []}))
+    assert main(["count", "--model", str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: variables[0]: range [0, 1000000000000000000]")
+    assert "Traceback" not in err
 
 
 def test_bench_harness(capsys):

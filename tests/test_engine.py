@@ -87,6 +87,31 @@ def test_clone_independence():
     assert sorted(state.domains[0]) == [3, 5]
     assert sorted(state.domains[1]) == [3, 4]
     assert len(copy.domains[0]) == 1
+    # clones share subscription lists: posting on either side after the
+    # clone, in either order, must reach neither the other's store nor its
+    # wake-ups.  Both posts get handle 1, so a list still shared would wake
+    # the other side's handle 1.
+    for copy_first in (True, False):
+        state = new_problem([{1, 2, 3}] * 4)
+        state.post(Neq(0, 1))
+        state.propagate()
+        copy = state.clone()
+        posts = [(copy, Neq(2, 3)), (state, Neq(0, 2))]
+        for s, prop in posts if copy_first else reversed(posts):
+            s.post(prop)
+            assert s.propagate() is StateStatus.BRANCHABLE
+        assert list(state.propagators.values()) == [Neq(0, 1), Neq(0, 2)]
+        assert list(copy.propagators.values()) == [Neq(0, 1), Neq(2, 3)]
+        counters = state.counters  # one sink, shared with the copy
+        for s, x, runs in ((state, 3, 0), (copy, 0, 1), (state, 2, 2),
+                           (copy, 2, 1)):
+            before = counters.propagations
+            s.tell_eq(x, 3)
+            assert s.propagate() is StateStatus.BRANCHABLE
+            assert counters.propagations - before == runs
+        assert [sorted(d) for d in state.domains] == \
+            [[1, 2], [1, 2, 3], [3], [3]]
+        assert [sorted(d) for d in copy.domains] == [[3], [1, 2], [3], [1, 2]]
 
 
 def test_clone_of_solved_is_solved():
@@ -115,15 +140,15 @@ def test_solution():
 def test_monotonicity_and_idempotence():
     for seed in range(40):
         state = random_state(seed)
-        before = [set(d.values) for d in state.domains]
+        before = [set(d) for d in state.domains]
         status = state.propagate()
-        after = [set(d.values) for d in state.domains]
+        after = [set(d) for d in state.domains]
         for b, a in zip(before, after):
             assert a <= b
         if status is not StateStatus.FAILED:
             again = state.propagate()
             assert again == status
-            assert [set(d.values) for d in state.domains] == after
+            assert [set(d) for d in state.domains] == after
 
 
 def test_propagation_soundness():

@@ -5,6 +5,7 @@ import pytest
 
 from fdsolve import (ColoringSpec, ModelError, UGraph, WalkSpec, dds_count,
                      dfs_count, parse_model, serialize_model)
+from fdsolve import model_io
 from fdsolve.model_io import coloring_document, saw_document
 
 CANONICAL = """
@@ -156,3 +157,16 @@ DFA = {"states": 1, "start": 0, "finals": [0], "transitions": [[0, 1, 0]]}
 def test_booleans_are_not_integers(doc, where):
     with pytest.raises(ModelError, match=re.escape(where)):
         parse_model(json.dumps(doc))
+
+
+def test_range_size_is_bounded(monkeypatch):
+    huge = two_var_doc({"range": [0, 10 ** 18]})
+    with pytest.raises(ModelError, match=re.escape(
+            "variables[0]: range [0, 1000000000000000000] has "
+            "1000000000000000001 values, more than 1000000")):
+        parse_model(json.dumps(huge))
+    monkeypatch.setattr(model_io, "MAX_RANGE_VALUES", 5)
+    doc = parse_model(json.dumps(two_var_doc({"range": [-2, 2]})))
+    assert doc.variables[0].values == (-2, -1, 0, 1, 2)
+    with pytest.raises(ModelError, match=re.escape("has 6 values, more than 5")):
+        parse_model(json.dumps(two_var_doc({"range": [-2, 3]})))

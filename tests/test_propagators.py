@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -30,7 +31,7 @@ def test_neq_disjoint_entails_without_pruning():
     state = new_problem([{3, 5}, {1, 2}])
     prop = Neq(0, 1)
     # disjointness oracle: no shared value
-    assert set(state.domains[0].values).isdisjoint(state.domains[1].values)
+    assert state.domains[0].isdisjoint(state.domains[1])
     assert prop.filter(state) is PropagationResult.ENTAILED
     assert sorted(state.domains[0]) == [3, 5]
 
@@ -133,6 +134,27 @@ def test_alldiff_entailed_when_pairwise_disjoint():
     assert AllDifferent([0, 1, 2]).filter(state) is PropagationResult.ENTAILED
 
 
+def test_alldiff_long_augmenting_path_needs_no_recursion():
+    # variable i takes i, until the last variable's 0 is held by variable 0:
+    # its augmenting path then runs through every variable, and under a
+    # recursion limit just above the current depth a recursive matching
+    # would fail.  Every value keeps a matching, so nothing is pruned.
+    n = 300
+    doms = [{i, i + 1} for i in range(n - 1)] + [{0, -1}]
+    state = new_problem(doms)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        status = run_filter(state, AllDifferent(range(n)))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert status is StateStatus.BRANCHABLE
+    assert state.domains == doms
+
+
 # -- table --------------------------------------------------------------------
 
 
@@ -177,7 +199,7 @@ def test_regular_forces_unique_word():
     assert accepted == [(0, 1, 0, 1)]
     state = new_problem([{0, 1}] * 4)
     assert run_filter(state, Regular((0, 1, 2, 3), dfa)) is StateStatus.SOLVED
-    assert [d.value() for d in state.domains] == [0, 1, 0, 1]
+    assert state.domains == [{0}, {1}, {0}, {1}]
 
 
 def test_regular_universal_dfa_entailed():
@@ -212,7 +234,7 @@ def test_slide_window_pruning():
     state = new_problem([{0, 1}, {0}, {0, 1}])
     assert run_filter(state, Slide((0, 1, 2), 2, [(0, 1), (1, 0)])) \
         is StateStatus.SOLVED
-    assert [d.value() for d in state.domains] == [1, 0, 1]
+    assert state.domains == [{1}, {0}, {1}]
 
 
 def test_slide_single_window_is_table():
@@ -290,7 +312,7 @@ def test_gac_equivalence_against_support_oracle():
         checked += 1
         assert status is not StateStatus.FAILED
         for x, values in expected.items():
-            assert set(state.domains[x].values) == values
+            assert state.domains[x] == values
     assert checked > 40
 
 
