@@ -317,8 +317,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.edge_prob = [0.20, 0.30, 0.40]
     try:
         return args.func(args)
-    except (ModelError, OSError, ValueError) as exc:
+    except (ModelError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

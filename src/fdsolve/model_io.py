@@ -229,7 +229,8 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def serialize_model(doc: ModelDocument) -> str:
-    """Canonical JSON text; parse(serialize(doc)) == doc."""
+    """Canonical JSON text, one line per variable and per constraint;
+    parse(serialize(doc)) == doc."""
     names = doc.names
     raw_vars = [{"name": v.name, "domain": list(v.values)}
                 for v in doc.variables]
@@ -264,8 +265,13 @@ def serialize_model(doc: ModelDocument) -> str:
                              "tuples": sorted(list(t) for t in c.tuples)})
         else:
             raise ModelError(f"cannot serialize constraint {c!r}")
-    return json.dumps({"variables": raw_vars, "constraints": raw_cons},
-                      indent=2)
+    # one compact line per entry: readable, and dumped by the C encoder
+    # (indent= would switch json to its pure-Python one)
+    def entries(items: list) -> str:
+        return "[" + ",".join("\n  " + json.dumps(i) for i in items) + "\n ]"
+
+    return (f'{{"variables": {entries(raw_vars)},\n'
+            f' "constraints": {entries(raw_cons)}}}')
 
 
 # -- document generators ------------------------------------------------------

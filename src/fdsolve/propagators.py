@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -370,12 +372,41 @@ def _tarjan(succ: list[list[int]]) -> list[int]:
     return comp
 
 
+def _support_masks(con) -> tuple[int, list[dict[int, int]]]:
+    """Bitmasks over ``con.tuples`` in sorted order, tuple k being bit k: the
+    mask of all tuples, and per position a dict from each value to the mask
+    of the tuples holding it there (none for an empty table)."""
+    masks: list[dict[int, int]] = [{} for _ in next(iter(con.tuples), ())]
+    for k, t in enumerate(sorted(con.tuples)):
+        for m, v in zip(masks, t):
+            m[v] = m.get(v, 0) | 1 << k
+    return (1 << len(con.tuples)) - 1, masks
+
+
+def _supports(masks, doms) -> tuple[int, list[set[int]]]:
+    """Compact-Table's support scan (Demeulenaere et al., CP 2016): live
+    tuples = AND over positions of the OR of the domain values' masks.
+    Returns their number and per position the values they hold, if any."""
+    live, by_pos = masks
+    for m, d in zip(by_pos, doms):
+        col = 0
+        for v in d:
+            col |= m.get(v, 0)
+        live &= col
+        if not live:
+            return 0, []
+    return live.bit_count(), [{v for v in d if m.get(v, 0) & live}
+                              for m, d in zip(by_pos, doms)]
+
+
 @dataclass(frozen=True, eq=True)
 class Table:
-    """Extensional constraint: the variables' tuple must be in ``tuples``."""
+    """Extensional constraint: the variables' tuple must be in ``tuples``;
+    GAC through bitset support masks, built on the first filter call."""
 
     vars: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
+    _masks = cached_property(_support_masks)
 
     def __init__(self, vars: Sequence[int], tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Table")
@@ -387,23 +418,14 @@ class Table:
 
     def filter(self, state) -> PropagationResult:
         doms = [state.domains[x] for x in self.vars]
-        support: list[set] = [set() for _ in self.vars]
-        valid = 0
-        for t in self.tuples:
-            if all(t[i] in doms[i] for i in range(len(t))):
-                valid += 1
-                for i, v in enumerate(t):
-                    support[i].add(v)
+        valid, support = _supports(self._masks, doms)
         if valid == 0:
             return FAILED
         for x, sup in zip(self.vars, support):
             state.restrict(x, sup)
         if state.failed:
             return FAILED
-        prod = 1
-        for d in doms:
-            prod *= len(d)
-        return ENTAILED if valid == prod else STABLE
+        return ENTAILED if valid == math.prod(len(d) for d in doms) else STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return tuple(values) in self.tuples
@@ -549,11 +571,13 @@ class Slide:
 
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
+    Every window is filtered with the same bitset support masks as ``Table``.
     """
 
     vars: tuple[int, ...]
     width: int
     tuples: frozenset[tuple[int, ...]]
+    _masks = cached_property(_support_masks)
 
     def __init__(self, vars: Sequence[int], width: int, tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Slide")
@@ -572,17 +596,8 @@ class Slide:
     def _scan_window(self, state, w: int):
         """Supports and valid-tuple count of window w against current domains."""
         doms = [state.domains[self.vars[w + j]] for j in range(self.width)]
-        support: list[set] = [set() for _ in range(self.width)]
-        valid = 0
-        for t in self.tuples:
-            if all(t[j] in doms[j] for j in range(self.width)):
-                valid += 1
-                for j, v in enumerate(t):
-                    support[j].add(v)
-        prod = 1
-        for d in doms:
-            prod *= len(d)
-        return valid, prod, support
+        valid, support = _supports(self._masks, doms)
+        return valid, math.prod(len(d) for d in doms), support
 
     def filter(self, state) -> PropagationResult:
         m = self._window_count()

@@ -130,6 +130,23 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("exc, message", [
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: maximum recursion depth exceeded\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["recursion", "memory"])
+def test_resource_errors_exit_nonzero(intro_path, monkeypatch, capsys, exc,
+                                      message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("fdsolve.cli.dds_count", exhausted)
+    assert main(["count", "--model", intro_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_bench_harness(capsys):
     records = run_bench(nodes=8, edge_probs=[0.3], colors=3, instances=3,
                         seed=5)

@@ -68,6 +68,17 @@ def test_generated_documents_roundtrip_and_solve():
     assert dds_count(walk.build_state()).count == 12
 
 
+def test_serialized_text_has_one_line_per_entry():
+    for doc in (parse_model(CANONICAL), saw_document(WalkSpec(5)),
+                coloring_document(ColoringSpec(erdos_graph(), 3)),
+                parse_model('{"variables": [], "constraints": []}')):
+        text = serialize_model(doc)
+        assert parse_model(text) == doc
+        assert serialize_model(parse_model(text)) == text
+        entries = len(doc.variables) + len(doc.constraints)
+        assert len(text.splitlines()) <= entries + 4
+
+
 def erdos_graph():
     from fdsolve import erdos_renyi
     return erdos_renyi(6, 0.4, 7)

@@ -2,9 +2,11 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular, Slide,
-                     StateStatus, Table, new_problem)
+                     StateStatus, Table, dds_count, dfs_count, new_problem)
 from fdsolve.propagators import PropagationResult
 
 from randcsp import (product_structure_ok, random_state,
@@ -175,11 +177,57 @@ def test_table_full_product_entailed():
 def test_table_empty_fails():
     state = new_problem([{0, 1}, {0, 1}])
     assert Table((0, 1), []).filter(state) is PropagationResult.FAILED
+    # no positions: only the empty tuple is a solution
+    assert Table((), []).filter(new_problem([])) is PropagationResult.FAILED
+    assert Table((), [()]).filter(new_problem([])) \
+        is PropagationResult.ENTAILED
 
 
 def test_table_arity_validation():
     with pytest.raises(ValueError):
         Table((0, 1), [(1, 2, 3)])
+
+
+@st.composite
+def table_cases(draw):
+    # domains over 0..4 and tuple values over -1..5: some tuples hold values
+    # outside the domains, and some domain values have no tuple
+    arity = draw(st.sampled_from([1, 2, 3]))
+    doms = draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
+                         min_size=arity, max_size=arity))
+    tuples = draw(st.lists(st.tuples(*[st.integers(-1, 5)] * arity),
+                           max_size=25))
+    tells = draw(st.lists(st.tuples(st.sampled_from(["eq", "neq"]),
+                                    st.integers(0, arity - 1),
+                                    st.integers(0, 4)), max_size=4))
+    return doms, tuples, tells
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_cases())
+def test_table_filter_against_naive_supports(case):
+    doms, tuples, tells = case
+    state = new_problem(doms)
+    prop = Table(range(len(doms)), tuples)
+    # filter once on the initial domains, then again after each tell
+    for tell in [None] + tells:
+        if tell is not None:
+            op, x, v = tell
+            (state.tell_eq if op == "eq" else state.tell_neq)(x, v)
+        before = [set(d) for d in state.domains]
+        live = {t for t in tuples
+                if all(v in d for v, d in zip(t, before))}
+        result = prop.filter(state)
+        if not live:
+            assert result is PropagationResult.FAILED
+            assert state.domains == before  # failed before any restrict
+            return
+        assert state.domains == [{t[i] for t in live}
+                                 for i in range(len(doms))]
+        combos = set(itertools.product(*state.domains))
+        expected = PropagationResult.ENTAILED if combos <= live \
+            else PropagationResult.STABLE
+        assert result is expected
 
 
 # -- regular ------------------------------------------------------------------
@@ -257,6 +305,30 @@ def test_slide_empty_tuples_fail():
 def test_slide_width_validation():
     with pytest.raises(ValueError):
         Slide((0, 1), 3, [(0, 0, 0)])
+
+
+@st.composite
+def slide_models(draw):
+    n = draw(st.integers(2, 6))
+    width = draw(st.integers(1, min(3, n)))
+    doms = draw(st.lists(st.sets(st.integers(0, 3), min_size=1),
+                         min_size=n, max_size=n))
+    tuples = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width),
+                           max_size=30))
+    return doms, width, tuples
+
+
+@settings(max_examples=150, deadline=None)
+@given(slide_models())
+def test_slide_counts_like_chain_of_tables(model):
+    doms, width, tuples = model
+    n = len(doms)
+    slid, chained = new_problem(doms), new_problem(doms)
+    slid.post(Slide(range(n), width, tuples))
+    for w in range(n - width + 1):
+        chained.post(Table(range(w, w + width), tuples))
+    for count in (dds_count, dfs_count):
+        assert count(slid).count == count(chained).count
 
 
 def test_slide_split_on_entailed_windows():
