@@ -177,7 +177,9 @@ class ProblemState:
                     if h2 != h and h2 in self.propagators:
                         self._enqueue(h2)
             self._changed.clear()
-        if all(len(d) == 1 for d in self.domains):
+        # no domain is empty here, so the largest has size 1 exactly when
+        # every variable is assigned (or there are no variables)
+        if max(map(len, self.domains), default=1) == 1:
             return StateStatus.SOLVED
         return StateStatus.BRANCHABLE
 
@@ -187,7 +189,7 @@ class ProblemState:
         """Independent snapshot; shares the counter sink and, until either
         side posts, the subscription lists."""
         new = ProblemState.__new__(ProblemState)
-        new.domains = [set(d) for d in self.domains]
+        new.domains = list(map(set.copy, self.domains))
         new.propagators = dict(self.propagators)
         new._subs = self._subs
         new._subs_shared = self._subs_shared = True

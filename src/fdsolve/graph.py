@@ -1,10 +1,11 @@
 """Constraint-graph reflection and connected-component decomposition.
 
-The hypergraph is rebuilt from the propagator store on every query: nodes
-are the unassigned variables, hyperedges come from each active
-propagator's own scope split.  Connected components of this graph are
-independent partial problems; solving them separately and multiplying the
-counts is exact.
+Decomposing search rebuilds the hypergraph from the propagator store at
+every node it analyses: nodes are the unassigned variables, hyperedges
+come from each active propagator's own scope split.  Connected components
+of this graph are independent partial problems; solving them separately
+and multiplying the counts is exact.  Plain DFS builds no graph:
+``search.choose`` reads its degrees off the same scope splits directly.
 """
 from __future__ import annotations
 

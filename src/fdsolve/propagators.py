@@ -593,22 +593,25 @@ class Slide:
     def _window_count(self) -> int:
         return len(self.vars) - self.width + 1
 
-    def _scan_window(self, state, w: int):
-        """Supports and valid-tuple count of window w against current domains."""
-        doms = [state.domains[self.vars[w + j]] for j in range(self.width)]
-        valid, support = _supports(self._masks, doms)
-        return valid, math.prod(len(d) for d in doms), support
+    def _window_doms(self, state, w: int) -> list[set[int]]:
+        """Current domains of window w's positions."""
+        return [state.domains[x] for x in self.vars[w:w + self.width]]
 
     def filter(self, state) -> PropagationResult:
         m = self._window_count()
         pending = deque(range(m))
         queued = set(pending)
+        # whether each window's last scan found every combination of its
+        # supports live; restricting to the supports keeps every live
+        # tuple, and a window whose positions change later is scanned again
+        entailed = [False] * m
         while pending:
             w = pending.popleft()
             queued.discard(w)
-            valid, _prod, support = self._scan_window(state, w)
+            valid, support = _supports(self._masks, self._window_doms(state, w))
             if valid == 0:
                 return FAILED
+            entailed[w] = valid == math.prod(map(len, support))
             changed_pos = []
             for j in range(self.width):
                 if state.restrict(self.vars[w + j], support[j]):
@@ -620,11 +623,7 @@ class Slide:
                     if w2 != w and w2 not in queued:
                         pending.append(w2)
                         queued.add(w2)
-        for w in range(m):
-            valid, prod, _ = self._scan_window(state, w)
-            if valid != prod:
-                return STABLE
-        return ENTAILED
+        return ENTAILED if all(entailed) else STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
         k = self.width
@@ -636,8 +635,9 @@ class Slide:
         m = self._window_count()
         entailed = []
         for w in range(m):
-            valid, prod, _ = self._scan_window(state, w)
-            entailed.append(valid == prod)
+            doms = self._window_doms(state, w)
+            valid, _support = _supports(self._masks, doms)
+            entailed.append(valid == math.prod(map(len, doms)))
         # a position splits the sequence when every window covering it is
         # entailed; such positions are no longer tied to their neighbours
         def covering(p):

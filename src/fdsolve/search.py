@@ -27,7 +27,9 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
 from .engine import PropagationCounters, ProblemState, StateStatus
-from .graph import (build_constraint_graph, decompose_analysis, free_factor)
+from .graph import decompose_analysis, free_factor
+# unused here, kept because bench/run.py's traced run patches it in search
+from .graph import build_constraint_graph  # noqa: F401
 
 
 class Heuristic(enum.Enum):
@@ -68,17 +70,17 @@ class CountResult:
     stats: SearchStats
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
     assignment: dict[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Or:
     children: list
 
 
-@dataclass
+@dataclass(slots=True)
 class And:
     children: list
     fixed: dict[int, int] = field(default_factory=dict)
@@ -147,29 +149,40 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
            graph=None) -> BranchDecision:
     """Pick the branching variable inside ``scope`` plus its minimum value.
 
-    Degree-based strategies count incident hyperedges of the reflected
-    (constraint-decomposed) graph, the same graph decomposition checks use.
+    Degree-based strategies count incident hyperedges of the constraint
+    graph over the unassigned variables of ``scope``.  Decomposing search
+    passes the ``graph`` its component analysis already built; without
+    one, the degrees are read straight off each stored propagator's
+    scope split, cut down to the candidates, with the same result as
+    ``build_constraint_graph(state, scope).edges`` and no graph built.
     """
-    cands = sorted(x for x in scope if not state.is_assigned(x))
+    domains = state.domains
+    cands = sorted([x for x in scope if len(domains[x]) != 1])
     if not cands:
         raise ValueError("choose() needs at least one unassigned variable in scope")
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
-        if graph is None:
-            graph = build_constraint_graph(state, scope)
         degree = dict.fromkeys(cands, 0)
-        for edge, _handle in graph.edges:
-            for x in edge:
-                if x in degree:
-                    degree[x] += 1
+        if graph is None:
+            for prop in state.propagators.values():
+                for edge in prop.hyperedges(state):
+                    inside = [x for x in edge if x in degree]
+                    if len(inside) >= 2:
+                        for x in inside:
+                            degree[x] += 1
+        else:
+            for edge, _handle in graph.edges:
+                for x in edge:
+                    if x in degree:
+                        degree[x] += 1
     if heuristic is Heuristic.INPUT_ORDER:
         x = cands[0]
     elif heuristic is Heuristic.FIRST_FAIL:
-        x = min(cands, key=lambda c: (len(state.domains[c]), c))
+        x = min(cands, key=lambda c: (len(domains[c]), c))
     elif heuristic is Heuristic.MAX_DEGREE:
         x = min(cands, key=lambda c: (-degree[c], c))
     else:
-        x = min(cands, key=lambda c: (-degree[c], len(state.domains[c]), c))
-    return BranchDecision(x, min(state.domains[x]))
+        x = min(cands, key=lambda c: (-degree[c], len(domains[c]), c))
+    return BranchDecision(x, min(domains[x]))
 
 
 def order_components(component_list, state: ProblemState, heuristic: Heuristic,
@@ -320,6 +333,8 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
     unconstrained variables are branched on like any other.
     """
     stats, cutoff = run.stats, run.cutoff
+    # edge labels are only built for a recorded trace
+    tracing = run.trace is not None
     stack: list[_Frame] = []
     n = state.num_vars
     scope = frozenset(range(n)) if decompose else range(n)
@@ -401,16 +416,19 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
         if frame.decision is None:
             # only the last part certifies full solutions against the cut-off
             mult = frame.mult * frame.total if i == len(frame.parts) - 1 else 0
-            label = f"part{i}"
+            if tracing:
+                label = f"part{i}"
         else:
             x, v = frame.decision
             mult = frame.mult * frame.factor
             if i == 0:
                 state.tell_eq(x, v)
-                label = f"x{x}={v}"
+                if tracing:
+                    label = f"x{x}={v}"
             else:
                 state.tell_neq(x, v)
-                label = f"x{x}!={v}"
+                if tracing:
+                    label = f"x{x}!={v}"
 
 
 def _search(root: ProblemState, run: _Run, algebra, decompose: bool):

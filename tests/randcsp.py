@@ -1,6 +1,7 @@
 """Shared test helpers: seeded random instances and brute-force oracles."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -114,6 +115,22 @@ def random_state_with_slide(seed: int):
         x, y = rng.sample(range(n), 2)
         state.post(Neq(x, y))
     return state
+
+
+def permuted(state, perm):
+    """The same problem with variable x renamed perm[x]: domains moved,
+    every stored constraint posted again over the renamed variables."""
+    doms = [None] * state.num_vars
+    for x, d in enumerate(state.domains):
+        doms[perm[x]] = d
+    out = new_problem(doms)
+    for prop in state.propagators.values():
+        if isinstance(prop, Neq):
+            out.post(Neq(perm[prop.x], perm[prop.y]))
+        else:
+            out.post(dataclasses.replace(
+                prop, vars=tuple(perm[x] for x in prop.vars)))
+    return out
 
 
 def enumerate_solutions(state, scope=None) -> set[tuple]:

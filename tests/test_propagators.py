@@ -331,6 +331,54 @@ def test_slide_counts_like_chain_of_tables(model):
         assert count(slid).count == count(chained).count
 
 
+def naive_slide_fixpoint(doms, width, tuples):
+    """Every window rescanned until no domain changes: the fixpoint domains,
+    or None once some window has no live tuple."""
+    doms = [set(d) for d in doms]
+    changed = True
+    while changed:
+        changed = False
+        for w in range(len(doms) - width + 1):
+            live = [t for t in tuples
+                    if all(v in d for v, d in zip(t, doms[w:w + width]))]
+            if not live:
+                return None
+            for j in range(width):
+                support = {t[j] for t in live}
+                if doms[w + j] != support:
+                    doms[w + j] = support
+                    changed = True
+    return doms
+
+
+@settings(max_examples=300, deadline=None)
+@given(slide_models(), st.data())
+def test_slide_filter_against_naive_window_fixpoint(model, data):
+    doms, width, tuples = model
+    n = len(doms)
+    state = new_problem(doms)
+    prop = Slide(range(n), width, tuples)
+    # filter on the initial domains, then again after each tell
+    tells = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                                         st.integers(0, 3)), max_size=3))
+    for tell in [None] + tells:
+        if tell is not None:
+            eq, x, v = tell
+            (state.tell_eq if eq else state.tell_neq)(x, v)
+            if state.failed:
+                return
+        want = naive_slide_fixpoint(state.domains, width, set(tuples))
+        result = prop.filter(state)
+        if want is None:
+            assert result is PropagationResult.FAILED
+            return
+        assert state.domains == want
+        entailed = all(set(itertools.product(*want[w:w + width])) <= set(tuples)
+                       for w in range(n - width + 1))
+        assert result is (PropagationResult.ENTAILED if entailed
+                          else PropagationResult.STABLE)
+
+
 def test_slide_split_on_entailed_windows():
     # all tuples allowed around position 1 once it is assigned, so the
     # sequence splits there

@@ -4,16 +4,25 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
-                     SearchTrace, brute_force_count, choose, dds_count,
-                     dds_tree, dfs_count, dfs_enumerate, new_problem,
-                     order_components, trace_dot, tree_count, tree_expand)
-from fdsolve.graph import decompose_analysis
+                     SearchTrace, StateStatus, brute_force_count, choose,
+                     dds_count, dds_tree, dfs_count, dfs_enumerate,
+                     new_problem, order_components, trace_dot, tree_count,
+                     tree_expand)
+from fdsolve import graph, search
+from fdsolve.graph import build_constraint_graph, decompose_analysis
 
-from randcsp import enumerate_solutions, intro_state, random_state
+from randcsp import (enumerate_solutions, intro_state, permuted,
+                     random_clustered_state, random_state,
+                     random_state_with_slide)
 
 ALL_HEURISTICS = list(Heuristic)
+GENERATORS = st.sampled_from([random_state, random_clustered_state,
+                              random_state_with_slide])
+SEEDS = st.integers(0, 10 ** 6)
 
 
 # -- choose -------------------------------------------------------------------
@@ -42,6 +51,41 @@ def test_choose_tie_breaks_by_index():
     state.propagate()
     for h in ALL_HEURISTICS:
         assert choose(state, h, range(3)).variable == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATORS, SEEDS, st.data())
+def test_choose_degrees_match_reflected_graph(make, seed, data):
+    # a few random tells move the state into search, where constraints are
+    # partly entailed and partly split; the scope is a random subset
+    state = make(seed)
+    status = state.propagate()
+    for _ in range(data.draw(st.integers(0, 3))):
+        if status is not StateStatus.BRANCHABLE:
+            break
+        x = data.draw(st.sampled_from(
+            [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
+        v = data.draw(st.sampled_from(sorted(state.domains[x])))
+        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        status = state.propagate()
+    assume(status is StateStatus.BRANCHABLE)
+    scope = data.draw(st.sets(st.integers(0, state.num_vars - 1)))
+    assume(any(len(state.domains[x]) > 1 for x in scope))
+    reflected = build_constraint_graph(state, scope)
+    for h in ALL_HEURISTICS:
+        assert choose(state, h, scope) == choose(state, h, scope,
+                                                 graph=reflected)
+
+
+def test_dfs_builds_no_constraint_graph(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("DFS built a constraint graph")
+
+    monkeypatch.setattr(graph, "build_constraint_graph", refuse)
+    monkeypatch.setattr(search, "build_constraint_graph", refuse)
+    for h in ALL_HEURISTICS:
+        assert dfs_count(intro_state(), h).count == 6
+        assert len(dfs_enumerate(intro_state(), h)[0]) == 6
 
 
 # -- counting engines -----------------------------------------------------------
@@ -326,6 +370,44 @@ def test_choose_requires_unassigned():
     state = new_problem([{1}])
     with pytest.raises(ValueError):
         choose(state, Heuristic.FIRST_FAIL, {0})
+
+
+# -- metamorphic oracles ----------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(GENERATORS, SEEDS, st.data())
+def test_variable_permutation_keeps_counts(make, seed, data):
+    state = make(seed)
+    perm = data.draw(st.permutations(range(state.num_vars)))
+    renamed = permuted(state, perm)
+    want = brute_force_count(state)
+    for h in ALL_HEURISTICS:
+        for engine in (dfs_count, dds_count):
+            a, b = engine(state, h), engine(renamed, h)
+            assert a.exact and b.exact and a.count == b.count == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATORS, SEEDS)
+def test_tree_count_equals_dds_count(make, seed):
+    state = make(seed)
+    for h in ALL_HEURISTICS:
+        assert tree_count(dds_tree(state, h).tree) == dds_count(state, h).count
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATORS, SEEDS, st.integers(1, 20))
+def test_cutoff_count_is_lower_bound(make, seed, limit):
+    state = make(seed)
+    want = brute_force_count(state)
+    for h in ALL_HEURISTICS:
+        for engine in (dfs_count, dds_count):
+            result = engine(state, h, limit=limit)
+            if result.exact:
+                assert result.count == want
+            else:
+                assert limit < result.count <= want
 
 
 # -- deep search and pinned results ----------------------------------------------
