@@ -3,13 +3,17 @@
 A ``ProblemState`` owns one array of finite integer domains plus the
 propagators posted on them.  ``propagate`` runs queued propagators to a
 mutual fixpoint and drops entailed ones from the store, so later graph
-reflection only sees constraints that can still act.  A domain is a plain
-``set`` of ints, read directly and mutated only through the state's API so
-domain events are recorded; it may be empty only transiently, and emptying
-it marks the state failed.  States are cloned before branching.  A clone
-copies the domains and the propagator store; it shares the immutable
-propagators, the run-level statistics sink, and the subscription lists,
-which the first ``post`` on either side after the clone copies.
+reflection only sees constraints that can still act.  A domain is a
+``frozenset`` of ints, read directly and changed only through the state's
+API, which replaces the state's slot with a smaller frozenset and records
+the domain event; a set read from ``domains`` therefore never changes, so
+code that prunes must read the slot again to see its own work.  A domain
+may be empty only transiently, and emptying it marks the state failed.
+States are cloned before branching.  A clone copies the list of domains
+and the propagator store; it shares the domain frozensets themselves, the
+immutable propagators, the run-level statistics sink, and the
+subscription lists, which the first ``post`` on either side after the
+clone copies.
 """
 from __future__ import annotations
 
@@ -40,10 +44,11 @@ class ProblemState:
 
     __slots__ = ("domains", "propagators", "counters",
                  "_subs", "_subs_shared", "_queue", "_queued", "_failed",
-                 "_next_handle", "_changed")
+                 "_next_handle", "_changed", "_unfixed")
 
     def __init__(self, domains: Iterable[Iterable[int]]):
-        self.domains: list[set[int]] = [{int(v) for v in d} for d in domains]
+        self.domains: list[frozenset[int]] = [frozenset(int(v) for v in d)
+                                              for d in domains]
         self.propagators: dict[int, object] = {}
         self._subs: list[list[int]] = [[] for _ in self.domains]
         self._subs_shared = False
@@ -52,6 +57,8 @@ class ProblemState:
         self._failed = any(len(d) == 0 for d in self.domains)
         self._next_handle = 0
         self._changed: set[int] = set()
+        # variables whose domain has more than one value
+        self._unfixed = sum(len(d) > 1 for d in self.domains)
         self.counters = PropagationCounters()
 
     # -- introspection -------------------------------------------------
@@ -96,8 +103,8 @@ class ProblemState:
     def remove_value(self, x: int, v: int) -> bool:
         d = self.domains[x]
         if v in d:
-            d.discard(v)
-            self._note_change(x, len(d) == 0)
+            self.domains[x] = d = d - {v}
+            self._note_change(x, len(d))
             return True
         return False
 
@@ -105,14 +112,18 @@ class ProblemState:
         d = self.domains[x]
         if d <= allowed:
             return False
-        d &= allowed
-        self._note_change(x, len(d) == 0)
+        self.domains[x] = d = d & allowed
+        self._note_change(x, len(d))
         return True
 
-    def _note_change(self, x: int, emptied: bool) -> None:
+    def _note_change(self, x: int, size: int) -> None:
+        """Record that domain x shrank to ``size`` values; a change always
+        shrinks, so size 1 means x was just fixed."""
         self.counters.domain_events += 1
         self._changed.add(x)
-        if emptied:
+        if size == 1:
+            self._unfixed -= 1
+        elif size == 0:
             self._failed = True
 
     # -- branching tells ------------------------------------------------
@@ -123,8 +134,8 @@ class ProblemState:
             return
         # telling a value outside the domain empties it; the state then
         # fails at the next propagate
-        self.domains[x] = d = {v} if v in d else set()
-        self._note_change(x, len(d) == 0)
+        self.domains[x] = d = frozenset((v,)) if v in d else frozenset()
+        self._note_change(x, len(d))
         self._wake(x)
 
     def tell_neq(self, x: int, v: int) -> None:
@@ -177,19 +188,19 @@ class ProblemState:
                     if h2 != h and h2 in self.propagators:
                         self._enqueue(h2)
             self._changed.clear()
-        # no domain is empty here, so the largest has size 1 exactly when
-        # every variable is assigned (or there are no variables)
-        if max(map(len, self.domains), default=1) == 1:
+        # no domain is empty here, so every variable is assigned exactly
+        # when none has more than one value (or there are no variables)
+        if not self._unfixed:
             return StateStatus.SOLVED
         return StateStatus.BRANCHABLE
 
     # -- snapshots -------------------------------------------------------
 
     def clone(self) -> "ProblemState":
-        """Independent snapshot; shares the counter sink and, until either
-        side posts, the subscription lists."""
+        """Independent snapshot; shares the domain frozensets, the counter
+        sink and, until either side posts, the subscription lists."""
         new = ProblemState.__new__(ProblemState)
-        new.domains = list(map(set.copy, self.domains))
+        new.domains = self.domains.copy()
         new.propagators = dict(self.propagators)
         new._subs = self._subs
         new._subs_shared = self._subs_shared = True
@@ -198,12 +209,13 @@ class ProblemState:
         new._failed = self._failed
         new._next_handle = self._next_handle
         new._changed = set()
+        new._unfixed = self._unfixed
         new.counters = self.counters
         return new
 
     def solution(self) -> dict[int, int]:
         """Total assignment of a solved state."""
-        if self._failed or self._queue or any(len(d) != 1 for d in self.domains):
+        if self._failed or self._queue or self._unfixed:
             raise ValueError("solution() requires a solved state")
         return {x: v for x, (v,) in enumerate(self.domains)}
 

@@ -14,7 +14,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .engine import ProblemState
 
@@ -40,15 +40,6 @@ class UGraph:
             norm.add((min(u, v), max(u, v)))
         object.__setattr__(self, "edges", frozenset(norm))
 
-    def neighbours(self, u: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return out
-
 
 def erdos_renyi(n: int, p: float, seed: int) -> UGraph:
     """Random graph: each of the n(n-1)/2 pairs kept with probability p,
@@ -62,22 +53,40 @@ def erdos_renyi(n: int, p: float, seed: int) -> UGraph:
 
 
 def maximal_cliques(g: UGraph) -> list[frozenset[int]]:
-    """All maximal cliques, via Bron-Kerbosch with pivoting."""
-    neigh = {u: g.neighbours(u) for u in range(g.n)}
+    """All maximal cliques, via Bron-Kerbosch with pivoting.
+
+    The open calls live on an explicit stack of (R, P, X, untried
+    candidates), so the clique size is not bound by the recursion limit.
+    Moving a tried candidate from P to X right after its child's sets are
+    taken is the same as doing it when the child returns: the child owns
+    new sets.
+    """
+    neigh: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        neigh[u].add(v)
+        neigh[v].add(u)
     out: list[frozenset[int]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
+    stack: list[tuple[set[int], set[int], set[int], Iterator[int]]] = []
+    r: set[int] = set()
+    p, x = set(range(g.n)), set()
+    while True:
+        if p or x:
+            pivot = max(sorted(p | x), key=lambda u: len(p & neigh[u]))
+            stack.append((r, p, x, iter(sorted(p - neigh[pivot]))))
+        else:
             out.append(frozenset(r))
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(p & neigh[u]))
-        for v in sorted(p - neigh[pivot]):
-            expand(r | {v}, p & neigh[v], x & neigh[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(range(g.n)), set())
-    return sorted(out, key=lambda c: sorted(c))
+        # descend into the next candidate of the deepest open call
+        while stack:
+            top_r, top_p, top_x, untried = stack[-1]
+            v = next(untried, None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            return sorted(out, key=lambda c: sorted(c))
+        r, p, x = top_r | {v}, top_p & neigh[v], top_x & neigh[v]
+        top_p.remove(v)
+        top_x.add(v)
 
 
 # -- graph coloring ---------------------------------------------------------

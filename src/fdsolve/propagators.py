@@ -77,7 +77,8 @@ class Neq:
             state.remove_value(self.x, next(iter(dy)))
         if state.failed:
             return FAILED
-        if dx.isdisjoint(dy):
+        # a domain read before a pruning is the frozenset it replaced
+        if state.domains[self.x].isdisjoint(state.domains[self.y]):
             return ENTAILED
         return STABLE
 
@@ -144,7 +145,7 @@ class Linear:
                 # residual interval for the term a*x
                 ub = self.rhs - (lo - term_lo)
                 lb = (self.rhs - (hi - term_hi)) if self.rel == EQ else None
-                for v in list(d):
+                for v in d:
                     t = a * v
                     if t > ub or (lb is not None and t < lb):
                         if state.remove_value(x, v):
@@ -236,7 +237,7 @@ class AllDifferent:
 
         for i in range(n):
             mv = match_of_var[i]
-            for v in list(doms[i]):
+            for v in doms[i]:
                 if v == mv:
                     continue
                 vid = val_id[v]
@@ -245,6 +246,7 @@ class AllDifferent:
         if state.failed:
             return FAILED
 
+        doms = [state.domains[x] for x in self.vars]
         if all(len(d) == 1 for d in doms):
             return ENTAILED
         # pairwise disjoint domains entail the constraint as well
@@ -425,7 +427,8 @@ class Table:
             state.restrict(x, sup)
         if state.failed:
             return FAILED
-        return ENTAILED if valid == math.prod(len(d) for d in doms) else STABLE
+        # the domains are now exactly the supports
+        return ENTAILED if valid == math.prod(map(len, support)) else STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return tuple(values) in self.tuples
@@ -539,9 +542,7 @@ class Regular:
                     nxt[r] = nxt.get(r, 0) + w
             ways = nxt
         accepted = sum(ways.values())
-        prod = 1
-        for d in doms:
-            prod *= len(d)
+        prod = math.prod(len(state.domains[x]) for x in self.vars)
         return ENTAILED if accepted == prod else STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
@@ -593,7 +594,7 @@ class Slide:
     def _window_count(self) -> int:
         return len(self.vars) - self.width + 1
 
-    def _window_doms(self, state, w: int) -> list[set[int]]:
+    def _window_doms(self, state, w: int) -> list[frozenset[int]]:
         """Current domains of window w's positions."""
         return [state.domains[x] for x in self.vars[w:w + self.width]]
 

@@ -1,11 +1,11 @@
 """Search engines: plain depth-first counting and decomposing counting.
 
 Both engines branch by equality (left child posts x = v, right child posts
-x != v) and clone the state before each branch.  The decomposing engine
-additionally checks, at every branchable node, whether the constraint
-graph has fallen apart into independent partial problems; if so it solves
-the parts separately and multiplies their counts, short-circuiting once a
-part has no solutions.
+x != v) and clone the state before each branch but the last, which takes
+the node's own state.  The decomposing engine additionally checks, at
+every branchable node, whether the constraint graph has fallen apart into
+independent partial problems; if so it solves the parts separately and
+multiplies their counts, short-circuiting once a part has no solutions.
 
 Both engines, for counts and for solution trees alike, run one iterative
 walker over this AND/OR search space: choice nodes are or-nodes,
@@ -308,10 +308,11 @@ class _Frame:
     components of a decomposition node.  ``values`` collects the finished
     children's results; at a decomposition node ``total`` is ``factor``
     times their counts, at a choice node it stays 1.  A child's state is
-    cloned from ``state`` only once the child before it is finished.
+    cloned from ``state`` only once the child before it is finished; the
+    last child takes ``state`` itself and leaves None behind.
     """
 
-    state: ProblemState
+    state: Optional[ProblemState]
     mult: int
     me: Optional[int]
     ctx: object
@@ -411,7 +412,11 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                 else:
                     value = algebra.choice(frame.ctx, frame.factor, frame.values)
         i = len(frame.values)
-        state = frame.state.clone()
+        if i == len(frame.parts) - 1:
+            # nothing reads a frame's state once its last child starts
+            state, frame.state = frame.state, None
+        else:
+            state = frame.state.clone()
         scope, tparent = frame.parts[i], frame.me
         if frame.decision is None:
             # only the last part certifies full solutions against the cut-off
@@ -482,7 +487,9 @@ def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
 
     ``decompose_hook(state, parts)`` is called at every decomposition with
     the propagated state and the variable partition (diagnostics hook; do
-    not mutate the state).  The first part also holds the scope's assigned
+    not mutate the state).  The search goes on with that state object, and
+    its last part is searched on it, so a hook that keeps the state must
+    keep ``state.clone()``.  The first part also holds the scope's assigned
     and unconstrained variables, so the parts cover the whole scope.
     """
     return _count(root, _Run(heuristic, limit, trace, decompose_hook),

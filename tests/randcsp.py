@@ -133,6 +133,37 @@ def permuted(state, perm):
     return out
 
 
+def relabelled(state, seed: int):
+    """The same problem with every value renamed by a seeded injective map
+    onto large and negative ints: domains, table and slide tuples, and
+    automaton symbols.  A linear constraint has no such renaming."""
+    values = set().union(*state.domains)
+    for prop in state.propagators.values():
+        if isinstance(prop, Linear):
+            raise ValueError("a value renaming does not keep linear constraints")
+        if isinstance(prop, (Table, Slide)):
+            values.update(itertools.chain.from_iterable(prop.tuples))
+        elif isinstance(prop, Regular):
+            values.update(s for _q, s in prop.dfa.transitions)
+    rng = random.Random(seed)
+    images: dict[int, None] = {}
+    while len(images) < len(values):
+        images[rng.randrange(-2 ** 70, 2 ** 70)] = None
+    f = dict(zip(sorted(values), images))
+    out = new_problem([{f[v] for v in d} for d in state.domains])
+    for prop in state.propagators.values():
+        if isinstance(prop, (Table, Slide)):
+            prop = dataclasses.replace(
+                prop, tuples=[tuple(f[v] for v in t) for t in prop.tuples])
+        elif isinstance(prop, Regular):
+            dfa = prop.dfa
+            prop = Regular(prop.vars, Dfa(
+                dfa.state_count, dfa.start, dfa.finals,
+                {(q, f[s]): r for (q, s), r in dfa.transitions.items()}))
+        out.post(prop)
+    return out
+
+
 def enumerate_solutions(state, scope=None) -> set[tuple]:
     """All satisfying assignments by direct enumeration of the current
     domains, on the declarative `satisfied` path only.

@@ -1,10 +1,15 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsolve import (AllDifferent, Linear, Neq, StateStatus, brute_force_count,
                      new_problem)
 from fdsolve.propagators import EQ
 
-from randcsp import enumerate_solutions, intro_state, random_state
+from randcsp import (enumerate_solutions, intro_state, random_clustered_state,
+                     random_state, random_state_with_slide)
 
 
 def test_new_problem_intro():
@@ -79,6 +84,23 @@ def test_tell_eq_and_neq():
 
 
 def test_clone_independence():
+    # a clone shares every domain set; a change on either side puts a new
+    # set in that side's slot and leaves the other side's domain alone
+    changes = (lambda s: s.remove_value(0, 3), lambda s: s.restrict(1, {4}),
+               lambda s: s.tell_eq(2, 1))
+    for change in changes:
+        for copy_changes in (True, False):
+            state = intro_state()
+            state.propagate()
+            copy = state.clone()
+            assert all(a is b for a, b in zip(state.domains, copy.domains))
+            changed, other = (copy, state) if copy_changes else (state, copy)
+            before = list(other.domains)
+            change(changed)
+            assert all(a is b for a, b in zip(other.domains, before))
+            assert [sorted(d) for d in other.domains] == \
+                [[3, 5], [3, 4], [1, 2], [1, 2]]
+            assert changed.domains != before
     state = intro_state()
     state.propagate()
     copy = state.clone()
@@ -191,3 +213,43 @@ def test_brute_force_matches_enumeration():
     for seed in range(30):
         state = random_state(seed)
         assert brute_force_count(state) == len(enumerate_solutions(state))
+
+
+def random_small_neq_state(seed):
+    """Up to 4 variables whose domains over 0..3 may start empty or fixed,
+    and random inequalities between them."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 4)
+    state = new_problem([rng.sample(range(4), rng.randint(0, 3))
+                         for _ in range(n)])
+    for _ in range(rng.randint(0, n) if n >= 2 else 0):
+        state.post(Neq(*rng.sample(range(n), 2)))
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_state, random_clustered_state,
+                        random_state_with_slide, random_small_neq_state]),
+       st.integers(0, 10 ** 6), st.data())
+def test_solved_exactly_when_every_domain_is_a_singleton(make, seed, data):
+    # the state counts its unfixed variables instead of scanning domains;
+    # tells may name values outside the domain, and clones carry the count
+    def check(status):
+        sizes = [len(d) for d in state.domains]
+        if 0 in sizes:
+            assert status is StateStatus.FAILED
+        elif status is not StateStatus.FAILED:
+            assert (status is StateStatus.SOLVED) == all(n == 1 for n in sizes)
+        return status
+
+    state = make(seed)
+    status = check(state.propagate())
+    for _ in range(data.draw(st.integers(0, 3))):
+        if status is StateStatus.FAILED or not state.num_vars:
+            break
+        if data.draw(st.booleans()):
+            state = state.clone()
+        x = data.draw(st.integers(0, state.num_vars - 1))
+        v = data.draw(st.integers(-1, 6))
+        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        status = check(state.propagate())

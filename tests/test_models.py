@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -70,6 +71,23 @@ def test_cliques_against_exhaustive_subset_oracle():
         maximal = {c for c in cliques
                    if not any(c < d for d in cliques)}
         assert found == maximal
+
+
+def test_cliques_need_no_recursion():
+    # Bron-Kerbosch goes one level deeper per clique member; under a
+    # recursion limit just above the current depth, the 100-clique of a
+    # complete graph would fail a recursive expansion
+    g = UGraph(100, itertools.combinations(range(100), 2))
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        cliques = maximal_cliques(g)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert cliques == [frozenset(range(100))]
 
 
 # -- coloring model ---------------------------------------------------------------

@@ -392,6 +392,36 @@ def test_slide_split_on_entailed_windows():
         assert all(len(e) == 1 for e in edges)
 
 
+# -- entailment by a propagator's own pruning ----------------------------------
+
+
+# each propagator's first filter prunes its domains to a point where every
+# remaining combination satisfies it; the entailment test must read the
+# domains after that pruning, not the frozensets it replaced
+OWN_PRUNING_ENTAILS = {
+    "neq": ([{3}, {3, 4}], Neq(0, 1)),
+    "alldifferent": ([{1}, {1, 2}, {1, 2, 3}], AllDifferent([0, 1, 2])),
+    "table": ([{0, 1}, {0, 1}], Table((0, 1), [(0, 0), (0, 1)])),
+    # words that start with 0
+    "regular": ([{0, 1}, {0, 1}],
+                Regular((0, 1), Dfa(2, 0, [1], {(0, 0): 1, (1, 0): 1,
+                                                (1, 1): 1}))),
+    "slide": ([{0, 1}] * 3, Slide((0, 1, 2), 2, [(0, 0), (0, 1)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWN_PRUNING_ENTAILS))
+def test_own_pruning_entails(name):
+    doms, prop = OWN_PRUNING_ENTAILS[name]
+    state = new_problem(doms)
+    assert prop.filter(state) is PropagationResult.ENTAILED
+    assert state.domains != doms
+    state = new_problem(doms)
+    state.post(prop)
+    assert state.propagate() is not StateStatus.FAILED
+    assert state.propagators == {}
+
+
 # -- GAC equivalence (support-filtering oracle) --------------------------------
 
 

@@ -17,7 +17,7 @@ from fdsolve.graph import build_constraint_graph, decompose_analysis
 
 from randcsp import (enumerate_solutions, intro_state, permuted,
                      random_clustered_state, random_state,
-                     random_state_with_slide)
+                     random_state_with_slide, relabelled)
 
 ALL_HEURISTICS = list(Heuristic)
 GENERATORS = st.sampled_from([random_state, random_clustered_state,
@@ -382,6 +382,22 @@ def test_variable_permutation_keeps_counts(make, seed, data):
     perm = data.draw(st.permutations(range(state.num_vars)))
     renamed = permuted(state, perm)
     want = brute_force_count(state)
+    for h in ALL_HEURISTICS:
+        for engine in (dfs_count, dds_count):
+            a, b = engine(state, h), engine(renamed, h)
+            assert a.exact and b.exact and a.count == b.count == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(GENERATORS, SEEDS, SEEDS)
+def test_value_relabelling_keeps_counts(make, seed, relabel_seed):
+    # domains of large and negative ints iterate in another order than
+    # small ones, and their minimum, the branching value, moves
+    state = make(seed)
+    assume(not any(isinstance(p, Linear) for p in state.propagators.values()))
+    renamed = relabelled(state, relabel_seed)
+    want = brute_force_count(state)
+    assert brute_force_count(renamed) == want
     for h in ALL_HEURISTICS:
         for engine in (dfs_count, dds_count):
             a, b = engine(state, h), engine(renamed, h)
