@@ -323,6 +323,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # 128 + SIGINT, as a shell reports a process killed by Ctrl-C
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -5,22 +5,31 @@ propagators posted on them.  ``propagate`` runs queued propagators to a
 mutual fixpoint and drops entailed ones from the store, so later graph
 reflection only sees constraints that can still act.  A domain is a
 ``frozenset`` of ints, read directly and changed only through the state's
-API, which replaces the state's slot with a smaller frozenset and records
+API, which puts a smaller frozenset in its place in ``domains`` and records
 the domain event; a set read from ``domains`` therefore never changes, so
-code that prunes must read the slot again to see its own work.  A domain
+code that prunes must read the domain again to see its own work.  A domain
 may be empty only transiently, and emptying it marks the state failed.
-States are cloned before branching.  A clone copies the list of domains
-and the propagator store; it shares the domain frozensets themselves, the
-immutable propagators, the run-level statistics sink, and the
-subscription lists, which the first ``post`` on either side after the
-clone copies.
+States are cloned before branching.  A clone copies the list of domains,
+the propagator store and the state slots; it shares the domain frozensets
+themselves, the immutable propagators, what the slots hold, the run-level
+statistics sink, and the subscription lists, which the first ``post`` on
+either side after the clone copies.
+
+Propagators are immutable and shared by every clone, so what one learns
+about a particular state lives in that state's slots: one entry per
+handle, which only the propagator's own ``filter`` reads and writes.
+``propagate`` passes each filter its handle; a filter called without one
+neither reads nor writes a slot.  The slot goes with its propagator when
+that is entailed.  What a slot holds is the propagator's business; it
+must never be changed in place, because clones share it.
 """
 from __future__ import annotations
 
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .propagators import PropagationResult
 
@@ -39,10 +48,15 @@ class PropagationCounters:
     domain_events: int = 0
 
 
+# the slots of a state that has kept nothing yet: read-only and shared, so
+# a clone in a search that keeps nothing allocates no slot dict
+_NO_SLOTS: Mapping[int, object] = MappingProxyType({})
+
+
 class ProblemState:
     """Variables with finite domains plus the active propagator store."""
 
-    __slots__ = ("domains", "propagators", "counters",
+    __slots__ = ("domains", "propagators", "slots", "counters",
                  "_subs", "_subs_shared", "_queue", "_queued", "_failed",
                  "_next_handle", "_changed", "_unfixed")
 
@@ -50,6 +64,8 @@ class ProblemState:
         self.domains: list[frozenset[int]] = [frozenset(int(v) for v in d)
                                               for d in domains]
         self.propagators: dict[int, object] = {}
+        # handle -> what that propagator's last filter in propagate kept
+        self.slots: Mapping[int, object] = _NO_SLOTS
         self._subs: list[list[int]] = [[] for _ in self.domains]
         self._subs_shared = False
         self._queue: deque[int] = deque()
@@ -153,6 +169,16 @@ class ProblemState:
             self._queue.append(h)
             self._queued.add(h)
 
+    # -- state slots -----------------------------------------------------
+
+    def keep(self, handle: int, value) -> None:
+        """Put ``value`` in the slot of the propagator stored under
+        ``handle``; only its own ``filter`` does so, with the handle that
+        ``propagate`` passes it."""
+        if self.slots is _NO_SLOTS:
+            self.slots = {}
+        self.slots[handle] = value
+
     # -- propagation -----------------------------------------------------
 
     def propagate(self) -> StateStatus:
@@ -173,7 +199,7 @@ class ProblemState:
                 continue
             self._changed.clear()
             self.counters.propagations += 1
-            result = prop.filter(self)
+            result = prop.filter(self, h)
             if result is PropagationResult.FAILED or self._failed:
                 self._failed = True
                 self._queue.clear()
@@ -181,6 +207,8 @@ class ProblemState:
                 return StateStatus.FAILED
             if result is PropagationResult.ENTAILED:
                 del self.propagators[h]
+                if h in self.slots:
+                    del self.slots[h]
             # each filter call is idempotent, so the running propagator
             # itself is not rescheduled for its own prunings
             for x in self._changed:
@@ -197,11 +225,13 @@ class ProblemState:
     # -- snapshots -------------------------------------------------------
 
     def clone(self) -> "ProblemState":
-        """Independent snapshot; shares the domain frozensets, the counter
-        sink and, until either side posts, the subscription lists."""
+        """Independent snapshot; shares the domain frozensets, what the
+        slots hold, the counter sink and, until either side posts, the
+        subscription lists."""
         new = ProblemState.__new__(ProblemState)
         new.domains = self.domains.copy()
         new.propagators = dict(self.propagators)
+        new.slots = self.slots.copy() if self.slots else _NO_SLOTS
         new._subs = self._subs
         new._subs_shared = self._subs_shared = True
         new._queue = deque(self._queue)

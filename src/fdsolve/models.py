@@ -124,11 +124,12 @@ def coloring_model(spec: ColoringSpec) -> ProblemState:
 def chromatic_oracle(g: UGraph, k: int, max_nodes: int = 12) -> int:
     """Exact number of proper k-colorings by deletion-contraction.
 
-    Independent of the solver; guarded to small graphs.
+    Independent of the solver; guarded to small graphs.  Subproblems are
+    counted on an explicit stack, so the depth of the deletion-contraction
+    is not bound by the recursion limit.
     """
     if g.n > max_nodes:
         raise ValueError(f"chromatic_oracle limited to {max_nodes} nodes")
-    memo: dict = {}
 
     def falling(n: int) -> int:
         out = 1
@@ -161,45 +162,63 @@ def chromatic_oracle(g: UGraph, k: int, max_nodes: int = 12) -> int:
                           frozenset(e for e in edges if e[0] in comp)))
         return parts
 
-    def count(nodes: frozenset, edges: frozenset) -> int:
-        if not edges:
-            return k ** len(nodes)
-        key = (nodes, edges)
-        if key in memo:
-            return memo[key]
+    def expand(nodes: frozenset, edges: frozenset):
+        """The count in closed form, or how it combines from the counts of
+        smaller subproblems: (sign per subproblem or None for a product,
+        the subproblems)."""
         n = len(nodes)
         m = len(edges)
+        if not edges:
+            return k ** n
         if m == n * (n - 1) // 2:
-            result = falling(n)
-        elif m == n - 1:
-            parts = comps(nodes, edges)
-            if len(parts) == 1:
-                # connected with n-1 edges: a tree
-                result = k * (k - 1) ** (n - 1) if n else 1
-            else:
-                result = prod(count(ns, es) for ns, es in parts)
-        else:
-            parts = comps(nodes, edges)
-            if len(parts) > 1:
-                result = prod(count(ns, es) for ns, es in parts)
-            else:
-                u, v = min(edges)
-                deleted = frozenset(e for e in edges if e != (u, v))
-                # contract v into u
-                merged = set()
-                for a, b in deleted:
-                    a2 = u if a == v else a
-                    b2 = u if b == v else b
-                    if a2 != b2:
-                        merged.add((min(a2, b2), max(a2, b2)))
-                result = (count(nodes, deleted)
-                          - count(nodes - {v}, frozenset(merged)))
-        memo[key] = result
-        return result
+            return falling(n)
+        parts = comps(nodes, edges)
+        if len(parts) > 1:
+            return None, parts
+        if m == n - 1:
+            # connected with n-1 edges: a tree
+            return k * (k - 1) ** (n - 1)
+        u, v = min(edges)
+        deleted = frozenset(e for e in edges if e != (u, v))
+        # contract v into u
+        merged = set()
+        for a, b in deleted:
+            a2 = u if a == v else a
+            b2 = u if b == v else b
+            if a2 != b2:
+                merged.add((min(a2, b2), max(a2, b2)))
+        return (1, -1), [(nodes, deleted), (nodes - {v}, frozenset(merged))]
 
-    nodes = frozenset(range(g.n))
-    edges = frozenset(g.edges)
-    return count(nodes, edges)
+    memo: dict = {}
+    # subproblems waiting for the counts of their own subproblems
+    waiting: dict = {}
+    root = (frozenset(range(g.n)), frozenset(g.edges))
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        split = waiting.get(key)
+        if split is None:
+            split = expand(*key)
+            if isinstance(split, int):
+                memo[key] = split
+                stack.pop()
+                continue
+            waiting[key] = split
+        signs, subs = split
+        todo = [sub for sub in subs if sub not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        del waiting[key]
+        if signs is None:
+            memo[key] = prod(memo[sub] for sub in subs)
+        else:
+            memo[key] = sum(sign * memo[sub] for sign, sub in zip(signs, subs))
+    return memo[root]
 
 
 # -- self-avoiding lattice walks ---------------------------------------------

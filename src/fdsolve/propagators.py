@@ -2,17 +2,29 @@
 
 Each constraint class plays three roles:
 
-* ``filter(state)`` narrows domains through the state's mutation API and
-  reports ``FAILED`` / ``ENTAILED`` / ``STABLE``.
+* ``filter(state, handle=None)`` narrows domains through the state's
+  mutation API and reports ``FAILED`` / ``ENTAILED`` / ``STABLE``.
+  ``propagate`` passes the handle the propagator is stored under, which
+  names its state slot; called without one, a filter neither reads nor
+  writes a slot.
 * ``satisfied(values)`` checks one full tuple against the constraint's
   declarative semantics.  This path never touches the filtering code, so
   brute-force oracles built on it stay independent of propagation.
-* ``hyperedges(state)`` reports the constraint's scope split into the
-  finest fragments its structure currently justifies, restricted to
-  unassigned variables.  The fragments partition the unassigned scope;
-  the graph layer drops fragments smaller than two variables.
+* ``hyperedges(state, slot=None)`` reports the constraint's scope split
+  into the finest fragments its structure currently justifies, restricted
+  to unassigned variables.  The fragments partition the unassigned scope;
+  the graph layer drops fragments smaller than two variables.  ``slot`` is
+  the propagator's state slot, ``state.slots.get(handle)``; a split read
+  from it equals the one computed from the domains.
 
 Constraint instances are immutable: clones of a problem state share them.
+What a filter learns about one state lives in that state's slot for the
+propagator (see ``engine``).  ``Slide`` and ``Regular`` keep the domains
+their last filter ended with and its by-product there; the by-product
+counts only while every one of those domains is still the same object,
+and a change always puts a new frozenset in a domain's place.  The other
+propagators keep nothing: their splits are cheap, and a slot per state
+would cost memory in deep search.
 """
 from __future__ import annotations
 
@@ -52,6 +64,27 @@ def _unassigned(state, vars: Iterable[int]) -> list[int]:
     return [x for x in vars if len(state.domains[x]) != 1]
 
 
+def _keep(state, handle, vars: Sequence[int], product) -> None:
+    """Keep ``product`` in the slot of ``handle``, if there is one, with the
+    domains of ``vars`` it is valid for."""
+    if handle is not None:
+        domains = state.domains
+        state.keep(handle, (tuple([domains[x] for x in vars]), product))
+
+
+def _kept(state, vars: Sequence[int], slot):
+    """The by-product in ``slot`` if no domain of ``vars`` has changed since
+    it was kept, else None."""
+    if slot is None:
+        return None
+    doms, product = slot
+    domains = state.domains
+    for x, d in zip(vars, doms):
+        if domains[x] is not d:
+            return None
+    return product
+
+
 @dataclass(frozen=True, eq=True)
 class Neq:
     """Binary inequality x != y."""
@@ -66,7 +99,7 @@ class Neq:
     def vars(self) -> tuple[int, ...]:
         return (self.x, self.y)
 
-    def filter(self, state) -> PropagationResult:
+    def filter(self, state, handle=None) -> PropagationResult:
         dx = state.domains[self.x]
         dy = state.domains[self.y]
         if len(dx) == 1 and len(dy) == 1:
@@ -85,7 +118,7 @@ class Neq:
     def satisfied(self, values: Sequence[int]) -> bool:
         return values[0] != values[1]
 
-    def hyperedges(self, state) -> list[frozenset[int]]:
+    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
         free = _unassigned(state, self.vars)
         return [frozenset(free)] if free else []
 
@@ -127,7 +160,7 @@ class Linear:
                 hi += a * min(d)
         return lo, hi
 
-    def filter(self, state) -> PropagationResult:
+    def filter(self, state, handle=None) -> PropagationResult:
         # loop to a local fixpoint so one filter call is idempotent
         while True:
             lo, hi = self._bounds(state)
@@ -165,7 +198,7 @@ class Linear:
         total = sum(a * v for a, v in zip(self.coeffs, values))
         return total == self.rhs if self.rel == EQ else total <= self.rhs
 
-    def hyperedges(self, state) -> list[frozenset[int]]:
+    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
         free = _unassigned(state, self.vars)
         return [frozenset(free)] if free else []
 
@@ -199,7 +232,7 @@ class AllDifferent:
                 return None
         return match_of_var, match_of_val
 
-    def filter(self, state) -> PropagationResult:
+    def filter(self, state, handle=None) -> PropagationResult:
         n = len(self.vars)
         doms = [state.domains[x] for x in self.vars]
         matched = self._max_matching(doms)
@@ -259,7 +292,7 @@ class AllDifferent:
     def satisfied(self, values: Sequence[int]) -> bool:
         return len(set(values)) == len(values)
 
-    def hyperedges(self, state) -> list[frozenset[int]]:
+    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
         # connected components of the variable-value graph, reported as
         # variable groups and restricted to unassigned variables
         doms = [state.domains[x] for x in self.vars]
@@ -418,7 +451,7 @@ class Table:
             raise ValueError("Table: tuple arity mismatch")
         object.__setattr__(self, "tuples", ts)
 
-    def filter(self, state) -> PropagationResult:
+    def filter(self, state, handle=None) -> PropagationResult:
         doms = [state.domains[x] for x in self.vars]
         valid, support = _supports(self._masks, doms)
         if valid == 0:
@@ -433,7 +466,7 @@ class Table:
     def satisfied(self, values: Sequence[int]) -> bool:
         return tuple(values) in self.tuples
 
-    def hyperedges(self, state) -> list[frozenset[int]]:
+    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
         free = _unassigned(state, self.vars)
         return [frozenset(free)] if free else []
 
@@ -479,7 +512,9 @@ class Regular:
     Filtering works on the unfolded automaton: one layer of automaton
     states per position, arcs labelled with domain values, pruned by
     forward/backward reachability.  Layers left with a single live state
-    are the points where the scope splits.
+    are the points where the scope splits; a stable filter keeps them in
+    its slot.  Restricting the domains to the live arcs' symbols keeps
+    every live state live, so they hold for the domains it ends with.
     """
 
     vars: tuple[int, ...]
@@ -522,7 +557,7 @@ class Regular:
                     keep.add(q)
         return alive, alive_arcs
 
-    def filter(self, state) -> PropagationResult:
+    def filter(self, state, handle=None) -> PropagationResult:
         doms = [state.domains[x] for x in self.vars]
         alive, alive_arcs = self._layers(doms)
         if not alive[len(doms)]:
@@ -543,16 +578,25 @@ class Regular:
             ways = nxt
         accepted = sum(ways.values())
         prod = math.prod(len(state.domains[x]) for x in self.vars)
-        return ENTAILED if accepted == prod else STABLE
+        if accepted == prod:
+            return ENTAILED
+        _keep(state, handle, self.vars, self._cuts(alive))
+        return STABLE
+
+    @staticmethod
+    def _cuts(alive) -> list[int]:
+        """Positions before which only one automaton state is live."""
+        return [i for i in range(1, len(alive) - 1) if len(alive[i]) == 1]
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return self.dfa.accepts(values)
 
-    def hyperedges(self, state) -> list[frozenset[int]]:
+    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
         doms = [state.domains[x] for x in self.vars]
         n = len(doms)
-        alive, _ = self._layers(doms)
-        cuts = [i for i in range(1, n) if len(alive[i]) == 1]
+        cuts = _kept(state, self.vars, slot)
+        if cuts is None:
+            cuts = self._cuts(self._layers(doms)[0])
         edges = []
         start = 0
         for cut in cuts + [n]:
@@ -573,6 +617,9 @@ class Slide:
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
     Every window is filtered with the same bitset support masks as ``Table``.
+    A stable filter keeps each window's entailment flag in its slot; the
+    next filter scans only windows over a position whose domain changed,
+    and ``hyperedges`` reads the split off the flags.
     """
 
     vars: tuple[int, ...]
@@ -598,17 +645,33 @@ class Slide:
         """Current domains of window w's positions."""
         return [state.domains[x] for x in self.vars[w:w + self.width]]
 
-    def filter(self, state) -> PropagationResult:
+    def filter(self, state, handle=None) -> PropagationResult:
         m = self._window_count()
+        # entailed: whether each window's last scan found every combination
+        # of its supports live; restricting to the supports keeps every
+        # live tuple, and a window whose positions change later is stale
+        # and scanned again
+        slot = None if handle is None else state.slots.get(handle)
+        if slot is None:
+            entailed, stale = [False] * m, [True] * m
+        else:
+            # the last filter left every window at its fixpoint; a window
+            # none of whose domains changed since would scan to the same
+            # supports and flag, so it is skipped where it would be scanned
+            kept_doms, flags = slot
+            domains = state.domains
+            changed = [domains[x] is not d
+                       for x, d in zip(self.vars, kept_doms)]
+            entailed = list(flags)
+            stale = [any(changed[w:w + self.width]) for w in range(m)]
         pending = deque(range(m))
         queued = set(pending)
-        # whether each window's last scan found every combination of its
-        # supports live; restricting to the supports keeps every live
-        # tuple, and a window whose positions change later is scanned again
-        entailed = [False] * m
         while pending:
             w = pending.popleft()
             queued.discard(w)
+            if not stale[w]:
+                continue
+            stale[w] = False
             valid, support = _supports(self._masks, self._window_doms(state, w))
             if valid == 0:
                 return FAILED
@@ -621,30 +684,36 @@ class Slide:
                 return FAILED
             for p in changed_pos:
                 for w2 in range(max(0, p - self.width + 1), min(m - 1, p) + 1):
-                    if w2 != w and w2 not in queued:
-                        pending.append(w2)
-                        queued.add(w2)
-        return ENTAILED if all(entailed) else STABLE
+                    if w2 != w:
+                        stale[w2] = True
+                        if w2 not in queued:
+                            pending.append(w2)
+                            queued.add(w2)
+        if all(entailed):
+            return ENTAILED
+        _keep(state, handle, self.vars, entailed)
+        return STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
         k = self.width
         return all(tuple(values[i:i + k]) in self.tuples
                    for i in range(len(values) - k + 1))
 
-    def hyperedges(self, state) -> list[frozenset[int]]:
+    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
         n = len(self.vars)
-        m = self._window_count()
-        entailed = []
-        for w in range(m):
-            doms = self._window_doms(state, w)
-            valid, _support = _supports(self._masks, doms)
-            entailed.append(valid == math.prod(map(len, doms)))
+        entailed = _kept(state, self.vars, slot)
+        if entailed is None:
+            entailed = []
+            for w in range(self._window_count()):
+                doms = self._window_doms(state, w)
+                valid, _support = _supports(self._masks, doms)
+                entailed.append(valid == math.prod(map(len, doms)))
         # a position splits the sequence when every window covering it is
         # entailed; such positions are no longer tied to their neighbours
-        def covering(p):
-            return range(max(0, p - self.width + 1), min(m - 1, p) + 1)
-
-        split = [all(entailed[w] for w in covering(p)) for p in range(n)]
+        split = [True] * n
+        for w, flag in enumerate(entailed):
+            if not flag:
+                split[w:w + self.width] = [False] * self.width
         doms = [state.domains[x] for x in self.vars]
         edges = []
         run: list[int] = []

@@ -163,8 +163,9 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
         degree = dict.fromkeys(cands, 0)
         if graph is None:
-            for prop in state.propagators.values():
-                for edge in prop.hyperedges(state):
+            slots = state.slots
+            for h, prop in state.propagators.items():
+                for edge in prop.hyperedges(state, slots.get(h)):
                     inside = [x for x in edge if x in degree]
                     if len(inside) >= 2:
                         for x in inside:

@@ -147,6 +147,17 @@ def test_resource_errors_exit_nonzero(intro_path, monkeypatch, capsys, exc,
     assert captured.out == ""
 
 
+def test_interrupt_exits_130(intro_path, monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("fdsolve.cli.dds_count", interrupted)
+    assert main(["count", "--model", intro_path]) == 130
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
+
+
 def test_bench_harness(capsys):
     records = run_bench(nodes=8, edge_probs=[0.3], colors=3, instances=3,
                         seed=5)

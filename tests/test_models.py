@@ -146,6 +146,24 @@ def test_chromatic_guard():
         chromatic_oracle(UGraph(13, []), 2)
 
 
+def test_chromatic_oracle_needs_no_recursion():
+    # deletion-contraction turns an n-cycle into an (n-1)-cycle and a path,
+    # one level deeper per node; under a recursion limit just above the
+    # current depth a recursive expansion of the 100-cycle would fail
+    n, k = 100, 3
+    cycle = UGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        count = chromatic_oracle(cycle, k, max_nodes=n)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert count == (k - 1) ** n + (-1) ** n * (k - 1)
+
+
 def test_chromatic_matches_direct_enumeration():
     for seed in range(8):
         g = erdos_renyi(6, 0.4, seed)

@@ -358,25 +358,34 @@ def test_slide_filter_against_naive_window_fixpoint(model, data):
     n = len(doms)
     state = new_problem(doms)
     prop = Slide(range(n), width, tuples)
+    # the same filters run directly, without a slot, and inside propagate,
+    # where each filter after the first starts from the slot the last kept
+    kept = new_problem(doms)
+    h = kept.post(prop)
     # filter on the initial domains, then again after each tell
     tells = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
                                          st.integers(0, 3)), max_size=3))
     for tell in [None] + tells:
         if tell is not None:
             eq, x, v = tell
-            (state.tell_eq if eq else state.tell_neq)(x, v)
+            for s in (state, kept):
+                (s.tell_eq if eq else s.tell_neq)(x, v)
             if state.failed:
                 return
         want = naive_slide_fixpoint(state.domains, width, set(tuples))
         result = prop.filter(state)
+        status = kept.propagate()
         if want is None:
             assert result is PropagationResult.FAILED
+            assert status is StateStatus.FAILED
             return
         assert state.domains == want
+        assert kept.domains == want
         entailed = all(set(itertools.product(*want[w:w + width])) <= set(tuples)
                        for w in range(n - width + 1))
         assert result is (PropagationResult.ENTAILED if entailed
                           else PropagationResult.STABLE)
+        assert (h in kept.propagators) is not entailed
 
 
 def test_slide_split_on_entailed_windows():
@@ -390,6 +399,93 @@ def test_slide_split_on_entailed_windows():
     if prop in state.propagators.values():
         edges = prop.hyperedges(state)
         assert all(len(e) == 1 for e in edges)
+
+
+# -- state slots ------------------------------------------------------------------
+
+
+def window_fixpoint(doms, props):
+    """Every neq and every slide window filtered to its supports by
+    enumeration, over and over until no domain changes: the fixpoint their
+    filters reach, or None once one has no allowed tuple left."""
+    checks = []
+    for prop in props:
+        if isinstance(prop, Slide):
+            for w in range(len(prop.vars) - prop.width + 1):
+                checks.append((prop.vars[w:w + prop.width],
+                               prop.tuples.__contains__))
+        else:
+            checks.append((prop.vars, prop.satisfied))
+    doms = [set(d) for d in doms]
+    changed = True
+    while changed:
+        changed = False
+        for vars_, satisfied in checks:
+            live = [t for t in itertools.product(*(sorted(doms[x])
+                                                   for x in vars_))
+                    if satisfied(t)]
+            if not live:
+                return None
+            for j, x in enumerate(vars_):
+                support = {t[j] for t in live}
+                if doms[x] != support:
+                    doms[x] = support
+                    changed = True
+    return doms
+
+
+def assert_slots_agree(state):
+    """A split read from a slot equals the one computed from the domains."""
+    for h, prop in state.propagators.items():
+        slot = state.slots.get(h)
+        assert prop.hyperedges(state, slot) == prop.hyperedges(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_state, random_state_with_slide]),
+       st.integers(0, 10 ** 6), st.data())
+def test_slots_agree_with_recomputation(make, seed, data):
+    # through propagate, a clone and a random tell, up to 3 times; the
+    # splits are also compared on the told clone before it propagates,
+    # where the slots over the told variable are out of date
+    state = make(seed)
+    posted = list(state.propagators.values())
+    # neq and each slide window filter to their supports, so propagation
+    # ends at the unique joint fixpoint of those; linear keeps bounds only
+    windowed = all(isinstance(p, (Slide, Neq)) for p in posted)
+    status = state.propagate()
+    for _ in range(data.draw(st.integers(0, 3)) + 1):
+        if status is StateStatus.FAILED:
+            return
+        for prop in posted:
+            combos = itertools.product(*(sorted(state.domains[x])
+                                         for x in prop.vars))
+            if prop not in state.propagators.values():
+                assert all(map(prop.satisfied, combos))
+            elif isinstance(prop, Slide):
+                assert not all(map(prop.satisfied, combos))
+        if status is StateStatus.SOLVED:
+            return
+        for h, prop in state.propagators.items():
+            slot = state.slots.get(h)
+            if isinstance(prop, (Slide, Regular)):
+                # a propagated state holds every slot up to date
+                assert all(state.domains[x] is d
+                           for x, d in zip(prop.vars, slot[0]))
+            else:
+                assert slot is None
+        assert_slots_agree(state)
+        state = state.clone()
+        x = data.draw(st.sampled_from(
+            [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
+        v = data.draw(st.sampled_from(sorted(state.domains[x])))
+        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        assert_slots_agree(state)
+        want = window_fixpoint(state.domains, posted) if windowed else None
+        status = state.propagate()
+        if windowed:
+            assert (status is StateStatus.FAILED) is (want is None)
+            assert want is None or state.domains == want
 
 
 # -- entailment by a propagator's own pruning ----------------------------------

@@ -405,6 +405,42 @@ def test_value_relabelling_keeps_counts(make, seed, relabel_seed):
 
 
 @settings(max_examples=60, deadline=None)
+@given(GENERATORS, SEEDS, st.data())
+def test_redundant_constraint_keeps_counts(make, seed, data):
+    # the same constraint object under a second handle: each handle has its
+    # own place in the store and its own state slot
+    state = make(seed)
+    want = brute_force_count(state)
+    prop = data.draw(st.sampled_from(list(state.propagators.values())))
+    state.post(prop)
+    assert brute_force_count(state) == want
+    for h in ALL_HEURISTICS:
+        for engine in (dfs_count, dds_count):
+            result = engine(state, h)
+            assert result.exact and result.count == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(GENERATORS, SEEDS, st.integers(1, 30))
+def test_tree_expand_yields_distinct_solutions(make, seed, k):
+    # up to k assignments of every variable, all different, each inside the
+    # declared domains and satisfying every posted constraint
+    state = make(seed)
+    want = brute_force_count(state)
+    for h in ALL_HEURISTICS:
+        for limit in (None, k):
+            sols = tree_expand(dds_tree(state, h, limit=limit).tree, k)
+            assert len(sols) == min(k, want)
+            rows = {tuple(sorted(s.items())) for s in sols}
+            assert len(rows) == len(sols)
+            for s in sols:
+                assert sorted(s) == list(range(state.num_vars))
+                assert all(s[x] in d for x, d in enumerate(state.domains))
+                assert all(p.satisfied([s[x] for x in p.vars])
+                           for p in state.propagators.values())
+
+
+@settings(max_examples=60, deadline=None)
 @given(GENERATORS, SEEDS)
 def test_tree_count_equals_dds_count(make, seed):
     state = make(seed)
