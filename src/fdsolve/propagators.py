@@ -29,7 +29,6 @@ would cost memory in deep search.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -207,10 +206,15 @@ class Linear:
 class AllDifferent:
     """All variables take pairwise different values.
 
-    Filtering enforces generalized arc consistency with the matching
-    construction on the variable-value graph: a value survives iff its
-    edge lies in some maximum matching.  The same graph's connected
-    components give the scope split.
+    Filtering enforces generalized arc consistency with Régin's matching
+    construction, on a graph over the variables alone: each variable is
+    merged with its matched value, and ``y -> x`` whenever ``x`` can take
+    the value matched to ``y``.  A value survives iff its edge lies in some
+    maximum matching: it is free or matched to ``x`` itself, or its owner is
+    reachable from a variable that can take a free value, or its owner
+    shares an SCC with ``x``.  The SCCs are computed only over the
+    variables no free value reaches.  Variables linked by a shared value
+    form the scope split.
     """
 
     vars: tuple[int, ...]
@@ -222,13 +226,22 @@ class AllDifferent:
         object.__setattr__(self, "vars", vs)
 
     def _max_matching(self, doms) -> tuple[list, dict] | None:
-        """Kuhn's augmenting-path matching; None if some variable stays free."""
+        """A greedy matching completed by Kuhn's augmenting paths; None if
+        some variable stays free."""
         n = len(doms)
         match_of_var: list = [None] * n
         match_of_val: dict = {}
-        # small domains first: cheaper augmenting on tight instances
-        for i in sorted(range(n), key=lambda i: (len(doms[i]), i)):
-            if not _augment(doms, i, match_of_var, match_of_val):
+        # small domains first: fewer values taken from the larger ones
+        order = sorted(range(n), key=lambda i: len(doms[i]))
+        for i in order:
+            for v in doms[i]:
+                if v not in match_of_val:
+                    match_of_var[i] = v
+                    match_of_val[v] = i
+                    break
+        for i in order:
+            if match_of_var[i] is None and not _augment(
+                    doms, i, match_of_var, match_of_val):
                 return None
         return match_of_var, match_of_val
 
@@ -240,52 +253,44 @@ class AllDifferent:
             return FAILED
         match_of_var, match_of_val = matched
 
-        # Régin's filtering.  Digraph: matched edge var->val, unmatched
-        # edge val->var.  An unmatched edge survives iff its endpoints
-        # share an SCC or its value is reachable from a free value.
-        values = sorted(set().union(*doms))
-        val_id = {v: n + k for k, v in enumerate(values)}
-        size = n + len(values)
-        succ: list[list[int]] = [[] for _ in range(size)]
-        for i in range(n):
-            mv = match_of_var[i]
-            succ[i].append(val_id[mv])
-            for v in doms[i]:
-                if v != mv:
-                    succ[val_id[v]].append(i)
-
-        # reachability from free values
-        reached = [False] * size
-        stack = [val_id[v] for v in values if v not in match_of_val]
-        for s in stack:
-            reached[s] = True
+        # Régin's digraph (matched edges var->val, the others val->var)
+        # with each variable merged into its matched value: y -> x iff x
+        # can take m(y); pred[x] lists those y in the order of D(x)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for x, d in enumerate(doms):
+            for v in d:
+                y = match_of_val.get(v)
+                if y is not None and y != x:
+                    succ[y].append(x)
+                    pred[x].append(y)
+        # the seeds: variables that can take a free value, a value of D(x)
+        # other than m(x) and the m(y) of its predecessors
+        reached = [len(d) > len(ys) + 1 for d, ys in zip(doms, pred)]
+        stack = [x for x in range(n) if reached[x]]
         while stack:
-            u = stack.pop()
-            for w in succ[u]:
+            for w in succ[stack.pop()]:
                 if not reached[w]:
                     reached[w] = True
                     stack.append(w)
 
-        scc = _tarjan(succ)
+        # an edge (x, m(y)) survives iff y is reached or shares x's SCC; a
+        # cycle through an unreached variable stays unreached, so the SCCs
+        # are taken over those alone, and a reached x is in none of them
+        unreached = [u for u in range(n) if not reached[u]]
+        if unreached:
+            scc = _tarjan([[w for w in ws if not reached[w]] for ws in succ],
+                          unreached)
+            for i in range(n):
+                for j in pred[i]:
+                    if not reached[j] and scc[i] != scc[j]:
+                        state.remove_value(self.vars[i], match_of_var[j])
+            if state.failed:
+                return FAILED
+            doms = [state.domains[x] for x in self.vars]
 
-        for i in range(n):
-            mv = match_of_var[i]
-            for v in doms[i]:
-                if v == mv:
-                    continue
-                vid = val_id[v]
-                if scc[i] != scc[vid] and not reached[vid]:
-                    state.remove_value(self.vars[i], v)
-        if state.failed:
-            return FAILED
-
-        doms = [state.domains[x] for x in self.vars]
-        if all(len(d) == 1 for d in doms):
-            return ENTAILED
-        # pairwise disjoint domains entail the constraint as well
-        total = sum(len(d) for d in doms)
-        union = set().union(*doms)
-        if total == len(union):
+        # pairwise disjoint domains, assigned ones among them, entail it
+        if sum(map(len, doms)) == len(set().union(*doms)):
             return ENTAILED
         return STABLE
 
@@ -293,33 +298,30 @@ class AllDifferent:
         return len(set(values)) == len(values)
 
     def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
-        # connected components of the variable-value graph, reported as
-        # variable groups and restricted to unassigned variables
+        # connected components of the variable-value graph, found by a
+        # union-find over the variables: a value joins the first variable
+        # that holds it with every later one; reported restricted to the
+        # unassigned variables
         doms = [state.domains[x] for x in self.vars]
-        parent: dict = {}
+        parent = list(range(len(doms)))
 
         def find(a):
             while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
+                parent[a] = a = parent[parent[a]]
             return a
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
+        owner: dict = {}
         for i, d in enumerate(doms):
-            parent.setdefault(("x", i), ("x", i))
             for v in d:
-                parent.setdefault(("v", v), ("v", v))
-                union(("x", i), ("v", v))
+                j = owner.setdefault(v, i)
+                if j != i:
+                    parent[find(j)] = find(i)
 
         groups: dict = {}
         for i, x in enumerate(self.vars):
             if len(doms[i]) == 1:
                 continue
-            groups.setdefault(find(("x", i)), []).append(x)
+            groups.setdefault(find(i), []).append(x)
         return [frozenset(g) for g in sorted(groups.values(), key=min)]
 
 
@@ -357,53 +359,46 @@ def _augment(doms, root: int, match_of_var: list, match_of_val: dict) -> bool:
     return False
 
 
-def _tarjan(succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan SCC; returns component id per node."""
+def _tarjan(succ: list[list[int]], nodes: list[int]) -> list[int]:
+    """Iterative Tarjan SCC over ``nodes``, whose arcs in ``succ`` stay among
+    them; returns a component id per node, -1 for the nodes outside.  A node
+    that is visited but not yet in a component is on Tarjan's stack."""
     n = len(succ)
-    index = [0] * n
+    index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     comp = [-1] * n
-    visited = [False] * n
-    counter = itertools.count(1)
-    comp_count = 0
     stack: list[int] = []
-
-    for root in range(n):
-        if visited[root]:
+    visits = comps = 0
+    for root in nodes:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            node, pi = work[-1]
-            if pi == 0:
-                visited[node] = True
-                index[node] = low[node] = next(counter)
-                stack.append(node)
-                on_stack[node] = True
-            recurse = False
-            for k in range(pi, len(succ[node])):
-                w = succ[node][k]
-                if not visited[w]:
-                    work[-1] = (node, k + 1)
-                    work.append((w, 0))
-                    recurse = True
+            node, untried = work[-1]
+            for w in untried:
+                if index[w] < 0:
+                    index[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
+                if comp[w] < 0:
                     low[node] = min(low[node], index[w])
-            if recurse:
-                continue
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = comp_count
-                    if w == node:
-                        break
-                comp_count += 1
-            work.pop()
-            if work:
-                parent_node = work[-1][0]
-                low[parent_node] = min(low[parent_node], low[node])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = comps
+                        if w == node:
+                            break
+                    comps += 1
     return comp
 
 

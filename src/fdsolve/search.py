@@ -233,11 +233,6 @@ class _Run:
         self.trace = trace
         self.hook = hook
 
-    def trace_add(self, parent, kind, label):
-        if self.trace is None:
-            return None
-        return self.trace.add(parent, kind, label)
-
 
 class _Algebra(NamedTuple):
     """How the walker folds the tree it explores into a result.  ``factor``
@@ -335,8 +330,9 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
     unconstrained variables are branched on like any other.
     """
     stats, cutoff = run.stats, run.cutoff
-    # edge labels are only built for a recorded trace
-    tracing = run.trace is not None
+    # nodes are recorded and edge labels built only for a trace
+    trace = run.trace
+    tracing = trace is not None
     stack: list[_Frame] = []
     n = state.num_vars
     scope = frozenset(range(n)) if decompose else range(n)
@@ -350,18 +346,20 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
         frame = None
         if status is StateStatus.FAILED:
             stats.fails += 1
-            run.trace_add(tparent, "fail", label)
+            if tracing:
+                trace.add(tparent, "fail", label)
             value = algebra.zero()
         elif status is StateStatus.SOLVED or (
                 decompose and all(state.is_assigned(x) for x in scope)):
             # a partial problem is done once its own variables are assigned
             stats.solutions_found += 1
             cutoff.note(mult)
-            run.trace_add(tparent, "solution", label)
+            if tracing:
+                trace.add(tparent, "solution", label)
             value = algebra.solved(state, scope)
         elif not decompose:
             stats.choice_nodes += 1
-            me = run.trace_add(tparent, "choice", label)
+            me = trace.add(tparent, "choice", label) if tracing else None
             frame = _Frame(state, mult, me, algebra.plain, 1, (scope, scope),
                            choose(state, run.heuristic, scope))
         else:
@@ -373,11 +371,12 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                 # only unconstrained variables left: every combination extends
                 stats.solutions_found += 1
                 cutoff.note(mult * factor)
-                run.trace_add(tparent, "solution", label)
+                if tracing:
+                    trace.add(tparent, "solution", label)
                 value = algebra.conjoin(ctx, [], factor)
             elif len(linked) >= 2:
                 stats.decomposition_nodes += 1
-                me = run.trace_add(tparent, "decomposition", label)
+                me = trace.add(tparent, "decomposition", label) if tracing else None
                 if run.hook is not None:
                     parts = [set(c) for c in linked]
                     parts[0] |= set(analysis.isolated) | set(analysis.assigned)
@@ -387,7 +386,7 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                     total=factor)
             else:
                 stats.choice_nodes += 1
-                me = run.trace_add(tparent, "choice", label)
+                me = trace.add(tparent, "choice", label) if tracing else None
                 frame = _Frame(state, mult, me, ctx, factor,
                                (linked[0], linked[0]),
                                choose(state, run.heuristic, linked[0],

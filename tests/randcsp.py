@@ -164,6 +164,29 @@ def relabelled(state, seed: int):
     return out
 
 
+def trie_dfa(tuples) -> Dfa:
+    """An automaton accepting exactly ``tuples``: a trie whose states are
+    the tuples' prefixes, the root starting and the whole tuples final."""
+    ids = {(): 0}
+    trans = {}
+    for t in tuples:
+        q = 0
+        for k, v in enumerate(t):
+            trans[(q, v)] = q = ids.setdefault(t[:k + 1], len(ids))
+    return Dfa(len(ids), 0, [ids[t] for t in tuples], trans)
+
+
+def table_as_regular(state):
+    """The same problem with every table constraint posted again as a
+    regular constraint over the trie of its tuples."""
+    out = new_problem(state.domains)
+    for prop in state.propagators.values():
+        if isinstance(prop, Table):
+            prop = Regular(prop.vars, trie_dfa(prop.tuples))
+        out.post(prop)
+    return out
+
+
 def enumerate_solutions(state, scope=None) -> set[tuple]:
     """All satisfying assignments by direct enumeration of the current
     domains, on the declarative `satisfied` path only.

@@ -157,6 +157,64 @@ def test_alldiff_long_augmenting_path_needs_no_recursion():
     assert state.domains == doms
 
 
+@st.composite
+def alldiff_domains(draw):
+    # sparse: values from up to 40, most of them matched to no variable;
+    # tight: no more values than variables, so Hall sets and failures occur.
+    # Domain sizes keep the brute-force oracle's product under 20,000.
+    n = draw(st.integers(2, 8))
+    if draw(st.booleans()):
+        values = draw(st.integers(n, 40))
+    else:
+        values = draw(st.integers(1, n))
+    size = min(values, int(20000 ** (1 / n)))
+    return draw(st.lists(st.sets(st.integers(0, values - 1), min_size=1,
+                                 max_size=size), min_size=n, max_size=n))
+
+
+def value_graph_components(doms):
+    """Variable groups of the connected components of the variable-value
+    graph, by a union-find over variable and value nodes."""
+    parent = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, d in enumerate(doms):
+        for v in d:
+            parent[find(("v", v))] = find(("x", i))
+    groups = {}
+    for i, d in enumerate(doms):
+        if len(d) != 1:
+            groups.setdefault(find(("x", i)), set()).add(i)
+    return sorted(groups.values(), key=min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alldiff_domains())
+def test_alldiff_filter_and_split_against_oracles(doms):
+    state = new_problem(doms)
+    prop = AllDifferent(range(len(doms)))
+    assert [set(e) for e in prop.hyperedges(state)] \
+        == value_graph_components(doms)
+    expected = support_filtered_domains(state, prop)
+    result = prop.filter(state)
+    if expected is None:
+        assert result is PropagationResult.FAILED
+        return
+    assert result is not PropagationResult.FAILED
+    assert state.domains == [expected[x] for x in prop.vars]
+    assert [set(e) for e in prop.hyperedges(state)] \
+        == value_graph_components(state.domains)
+    # one call reaches the fixpoint: a second one prunes nothing
+    filtered = list(state.domains)
+    assert prop.filter(state) is result
+    assert all(a is b for a, b in zip(state.domains, filtered))
+
+
 # -- table --------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
-                     SearchTrace, StateStatus, brute_force_count, choose,
+                     SearchTrace, StateStatus, Table, brute_force_count, choose,
                      dds_count, dds_tree, dfs_count, dfs_enumerate,
                      new_problem, order_components, trace_dot, tree_count,
                      tree_expand)
@@ -17,7 +17,7 @@ from fdsolve.graph import build_constraint_graph, decompose_analysis
 
 from randcsp import (enumerate_solutions, intro_state, permuted,
                      random_clustered_state, random_state,
-                     random_state_with_slide, relabelled)
+                     random_state_with_slide, relabelled, table_as_regular)
 
 ALL_HEURISTICS = list(Heuristic)
 GENERATORS = st.sampled_from([random_state, random_clustered_state,
@@ -401,6 +401,23 @@ def test_value_relabelling_keeps_counts(make, seed, relabel_seed):
     for h in ALL_HEURISTICS:
         for engine in (dfs_count, dds_count):
             a, b = engine(state, h), engine(renamed, h)
+            assert a.exact and b.exact and a.count == b.count == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([random_state, random_clustered_state]), SEEDS)
+def test_table_as_regular_keeps_counts(make, seed):
+    # each table posted again as a regular constraint over the trie of its
+    # tuples: the same solutions, filtered by another propagator
+    state = make(seed)
+    assume(any(isinstance(p, Table) for p in state.propagators.values()))
+    trie = table_as_regular(state)
+    assert not any(isinstance(p, Table) for p in trie.propagators.values())
+    want = brute_force_count(state)
+    assert brute_force_count(trie) == want
+    for h in ALL_HEURISTICS:
+        for engine in (dfs_count, dds_count):
+            a, b = engine(state, h), engine(trie, h)
             assert a.exact and b.exact and a.count == b.count == want
 
 
