@@ -23,9 +23,8 @@ for i, j in itertools.combinations(range(4), 2):
     state.post(Neq(i, j))
 state.propagate()
 graph = build_constraint_graph(state)
-print("  hyperedges:", [sorted(e) for e, _h in graph.edges])
-print("  components:", [sorted(c) for c in
-                        components(graph).components])
+print("  hyperedges:", [sorted(e) for e in graph.edges])
+print("  components:", [sorted(c) for c in components(graph)])
 print("  linked components:", linked(state), "\n")
 
 print("one global all-different over w,x in {0,1} and y,z in {2,3}:")
@@ -35,7 +34,7 @@ state.propagate()
 graph = build_constraint_graph(state)
 print("  the variable-value graph has two components, so the single")
 print("  constraint contributes two hyperedges:",
-      [sorted(e) for e, _h in graph.edges])
+      [sorted(e) for e in graph.edges])
 print("  linked components:", linked(state), "\n")
 
 print("a linear constraint never splits (every variable depends on all):")
@@ -43,5 +42,5 @@ state = new_problem([{0, 1, 2}] * 4)
 state.post(Linear((1, 1, 1, 1), (0, 1, 2, 3), EQ, 4))
 state.propagate()
 print("  hyperedges:",
-      [sorted(e) for e, _h in build_constraint_graph(state).edges])
+      [sorted(e) for e in build_constraint_graph(state).edges])
 print("  linked components:", linked(state))

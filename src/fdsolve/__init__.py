@@ -7,38 +7,35 @@ constraint graph falls apart, multiplying the partial counts instead of
 re-solving them under every branch.
 """
 
-from .engine import PropagationCounters, ProblemState, StateStatus, new_problem
-from .graph import (ComponentPartition, ConstraintGraph, DecompositionAnalysis,
+from .engine import ProblemState, StateStatus, new_problem
+from .graph import (ConstraintGraph, DecompositionAnalysis,
                     build_constraint_graph, components, decompose_analysis)
 from .model_io import (ModelDocument, ModelError, VariableDecl,
                        coloring_document, parse_model, saw_document,
                        serialize_model)
 from .models import (ColoringSpec, UGraph, WalkSpec, brute_force_count,
                      chromatic_oracle, coloring_model, erdos_renyi,
-                     lattice_code, lattice_point, maximal_cliques, saw_model,
-                     saw_walk_count)
-from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq,
-                          PropagationResult, Regular, Slide, Table)
-from .search import (And, BranchDecision, CountResult, Heuristic, Leaf, Or,
-                     SearchStats, SearchTrace, SolutionTree, TreeResult,
-                     choose, dds_count, dds_tree, dfs_count, dfs_enumerate,
-                     order_components, trace_dot, tree_count, tree_expand)
+                     lattice_point, maximal_cliques, saw_model, saw_walk_count)
+from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
+                          Slide, Table)
+from .search import (And, CountResult, Heuristic, Leaf, Or, SearchStats,
+                     SearchTrace, SolutionTree, TreeResult, dds_count,
+                     dds_tree, dfs_count, dfs_enumerate, trace_dot, tree_count,
+                     tree_expand)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllDifferent", "And", "BranchDecision", "ColoringSpec",
-    "ComponentPartition", "ConstraintGraph", "CountResult",
-    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ",
-    "Leaf", "Linear", "ModelDocument", "ModelError", "Neq", "Or",
-    "PropagationCounters", "PropagationResult", "ProblemState", "Regular",
-    "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",
-    "Table", "TreeResult", "UGraph", "VariableDecl", "WalkSpec",
-    "brute_force_count", "build_constraint_graph", "choose",
+    "AllDifferent", "And", "ColoringSpec", "ConstraintGraph", "CountResult",
+    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ", "Leaf",
+    "Linear", "ModelDocument", "ModelError", "Neq", "Or", "ProblemState",
+    "Regular", "SearchStats", "SearchTrace", "Slide", "SolutionTree",
+    "StateStatus", "Table", "TreeResult", "UGraph", "VariableDecl",
+    "WalkSpec", "brute_force_count", "build_constraint_graph",
     "chromatic_oracle", "coloring_document", "coloring_model", "components",
     "dds_count", "dds_tree", "decompose_analysis", "dfs_count",
-    "dfs_enumerate", "erdos_renyi", "lattice_code", "lattice_point",
-    "maximal_cliques", "new_problem", "order_components", "parse_model",
-    "saw_document", "saw_model", "saw_walk_count", "serialize_model",
-    "trace_dot", "tree_count", "tree_expand",
+    "dfs_enumerate", "erdos_renyi", "lattice_point", "maximal_cliques",
+    "new_problem", "parse_model", "saw_document", "saw_model",
+    "saw_walk_count", "serialize_model", "trace_dot", "tree_count",
+    "tree_expand",
 ]

@@ -7,64 +7,52 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .model_io import (ModelDocument, ModelError, coloring_document,
                        parse_model, saw_document, serialize_model)
 from .models import ColoringSpec, WalkSpec, coloring_model, erdos_renyi
-from .search import (CountResult, Heuristic, SearchTrace, dds_count, dds_tree,
-                     dfs_count, dfs_enumerate, trace_dot, tree_count,
-                     tree_expand)
+from .search import (CountResult, Heuristic, SearchStats, SearchTrace,
+                     dds_count, dds_tree, dfs_count, dfs_enumerate, trace_dot,
+                     tree_count, tree_expand)
 
 DEFAULT_LIMIT = 10 ** 6
 
 
 @dataclass
 class RunReport:
-    """Lossless run summary; the count is kept as a decimal string."""
+    """Lossless run summary; the count is kept as a decimal string.  Both
+    outputs list every ``SearchStats`` field after the four run fields."""
 
     count: str
     exact: bool
     engine: str
     heuristic: str
-    nodes: int
-    choice_nodes: int
-    decomposition_nodes: int
-    fails: int
-    solutions_found: int
-    propagations: int
-    max_depth: int
-    wall_time: float
+    stats: SearchStats
 
     @classmethod
     def from_result(cls, result: CountResult, engine: str,
                     heuristic: Heuristic) -> "RunReport":
-        s = result.stats
-        return cls(count=str(result.count), exact=result.exact, engine=engine,
-                   heuristic=heuristic.value, nodes=s.nodes,
-                   choice_nodes=s.choice_nodes,
-                   decomposition_nodes=s.decomposition_nodes, fails=s.fails,
-                   solutions_found=s.solutions_found,
-                   propagations=s.propagations, max_depth=s.max_depth,
-                   wall_time=s.wall_time)
+        return cls(str(result.count), result.exact, engine, heuristic.value,
+                   result.stats)
+
+    def _fields(self) -> dict:
+        return {"count": self.count, "exact": self.exact,
+                "engine": self.engine, "heuristic": self.heuristic,
+                **asdict(self.stats)}
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, indent=2)
+        return json.dumps(self._fields(), indent=2)
 
     def to_text(self) -> str:
-        lines = [f"count                {self.count}",
-                 f"exact                {str(self.exact).lower()}",
-                 f"engine               {self.engine}",
-                 f"heuristic            {self.heuristic}",
-                 f"nodes                {self.nodes}",
-                 f"choice nodes         {self.choice_nodes}",
-                 f"decomposition nodes  {self.decomposition_nodes}",
-                 f"fails                {self.fails}",
-                 f"solutions found      {self.solutions_found}",
-                 f"propagations         {self.propagations}",
-                 f"max depth            {self.max_depth}",
-                 f"wall time            {self.wall_time:.4f}s"]
+        lines = []
+        for name, value in self._fields().items():
+            if name == "exact":
+                value = str(value).lower()
+            elif name == "wall_time":
+                value = f"{value:.4f}s"
+            lines.append(f"{name.replace('_', ' '):<21}{value}")
         return "\n".join(lines)
 
 

@@ -7,42 +7,33 @@ may read off its state slot instead of recomputing it.  Connected components
 of this graph are independent partial problems; solving them separately
 and multiplying the counts is exact.  Plain DFS builds no graph:
 ``search.choose`` reads its degrees off the same scope splits directly.
+
+``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
+frozenset edges, ``components`` the tuple of its connected node sets, and
+``decompose_analysis`` runs both, looking them up as module globals, and
+sorts the components into linked ones and isolated variables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 
 @dataclass(frozen=True)
 class ConstraintGraph:
-    """Hypergraph over unassigned variables.
-
-    ``edges`` pairs each variable set with the handle of the propagator it
-    came from; edges of size < 2 are dropped at build time.
-    """
+    """Hypergraph over unassigned variables; edges of size < 2 are dropped
+    at build time."""
 
     nodes: frozenset[int]
-    edges: tuple[tuple[frozenset[int], int], ...]
-    assigned: frozenset[int]
-
-
-@dataclass(frozen=True)
-class ComponentPartition:
-    """Maximal connected variable sets plus the assigned variables seen."""
-
-    components: tuple[frozenset[int], ...]
-    assigned: frozenset[int]
+    edges: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
 class DecompositionAnalysis:
     """Connected components split into constraint-bearing ones and isolated
-    (unconstrained, multi-valued) variables."""
+    (unconstrained, multi-valued) variables, with the graph they came from."""
 
     linked: tuple[frozenset[int], ...]
     isolated: tuple[int, ...]
-    assigned: frozenset[int]
     graph: ConstraintGraph
 
 
@@ -58,7 +49,6 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
     else:
         scope_set = set(scope)
     nodes = frozenset(x for x in scope_set if not state.is_assigned(x))
-    assigned = frozenset(x for x in scope_set if state.is_assigned(x))
     edges = []
     slots = state.slots
     for handle, prop in state.propagators.items():
@@ -67,11 +57,11 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
         for edge in prop.hyperedges(state, slots.get(handle)):
             edge = edge & nodes
             if len(edge) >= 2:
-                edges.append((edge, handle))
-    return ConstraintGraph(nodes=nodes, edges=tuple(edges), assigned=assigned)
+                edges.append(edge)
+    return ConstraintGraph(nodes=nodes, edges=tuple(edges))
 
 
-def components(graph: ConstraintGraph) -> ComponentPartition:
+def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
     """Maximal connected node sets; isolated nodes are singleton components.
 
     Components are ordered by their lowest contained variable index.
@@ -84,7 +74,7 @@ def components(graph: ConstraintGraph) -> ComponentPartition:
             a = parent[a]
         return a
 
-    for edge, _handle in graph.edges:
+    for edge in graph.edges:
         it = iter(edge)
         first = find(next(it))
         for other in it:
@@ -94,8 +84,7 @@ def components(graph: ConstraintGraph) -> ComponentPartition:
     groups: dict[int, list[int]] = {}
     for x in graph.nodes:
         groups.setdefault(find(x), []).append(x)
-    comps = tuple(frozenset(g) for g in sorted(groups.values(), key=min))
-    return ComponentPartition(components=comps, assigned=graph.assigned)
+    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
 
 
 def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
@@ -106,21 +95,14 @@ def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
     multiply the solution count by their domain size.
     """
     graph = build_constraint_graph(state, scope)
-    part = components(graph)
     linked = []
     isolated = []
-    for comp in part.components:
+    for comp in components(graph):
         if len(comp) >= 2:
             linked.append(comp)
         else:
             isolated.extend(comp)
     return DecompositionAnalysis(linked=tuple(linked),
                                  isolated=tuple(sorted(isolated)),
-                                 assigned=part.assigned,
                                  graph=graph)
-
-
-def free_factor(state, isolated) -> int:
-    """Count multiplier contributed by unconstrained multi-valued variables."""
-    return prod(len(state.domains[x]) for x in isolated)
 

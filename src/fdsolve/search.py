@@ -11,6 +11,8 @@ Both engines, for counts and for solution trees alike, run one iterative
 walker over this AND/OR search space: choice nodes are or-nodes,
 decomposition nodes and-nodes, and the result is folded by a count
 algebra (sums and products) or a tree algebra (``Or`` and ``And`` nodes).
+Plain DFS enumeration counts too, keeping each solution as the walk
+reaches it, and builds no tree.
 
 Cut-offs apply to full solutions only: a partial solution of one
 component is counted against the limit only once every sibling component
@@ -27,7 +29,7 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
 from .engine import PropagationCounters, ProblemState, StateStatus
-from .graph import decompose_analysis, free_factor
+from .graph import decompose_analysis
 # unused here, kept because bench/run.py's traced run patches it in search
 from .graph import build_constraint_graph  # noqa: F401
 
@@ -115,9 +117,6 @@ class SearchTrace:
             self.edges.append((parent, nid, label))
         return nid
 
-    def count_kind(self, kind: str) -> int:
-        return sum(1 for _nid, k in self.nodes if k == kind)
-
 
 def trace_dot(trace: SearchTrace) -> str:
     """Render a recorded search as a DOT digraph.
@@ -171,7 +170,7 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
                         for x in inside:
                             degree[x] += 1
         else:
-            for edge, _handle in graph.edges:
+            for edge in graph.edges:
                 for x in edge:
                     if x in degree:
                         degree[x] += 1
@@ -244,7 +243,6 @@ class _Algebra(NamedTuple):
     context: Callable  # (state, scope, isolated) -> what a node adds itself
     choice: Callable   # (context, factor, values) -> value of a choice node
     conjoin: Callable  # (context, values, total) -> value of a decomposition
-    plain: object      # context of a plain DFS choice node
     count: Callable    # value -> its number of solutions
 
 
@@ -254,7 +252,6 @@ _COUNTS = _Algebra(
     context=lambda state, scope, isolated: None,
     choice=lambda _ctx, factor, values: factor * sum(values),
     conjoin=lambda _ctx, _values, total: total,
-    plain=None,
     count=lambda value: value)
 
 
@@ -291,7 +288,6 @@ _TREES = _Algebra(
     context=_tree_context,
     choice=_tree_choice,
     conjoin=_tree_conjoin,
-    plain=({}, []),
     count=lambda value: value[1])
 
 
@@ -321,13 +317,15 @@ class _Frame:
 
 def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
     """Search the tree below ``state`` depth-first and fold it with
-    ``algebra`` (``_COUNTS`` or ``_TREES``).
+    ``algebra``: ``_COUNTS``, perhaps with its own ``solved``, or, with
+    ``decompose`` on, ``_TREES``.
 
     Open inner nodes live on an explicit stack, so the search depth is
     bound by memory rather than by the interpreter's recursion limit; a
     node's depth is the size of the stack when it is entered.  With
-    ``decompose`` off this is plain DFS: no graph analysis, and
-    unconstrained variables are branched on like any other.
+    ``decompose`` off this is plain DFS: no graph analysis, unconstrained
+    variables are branched on like any other, and a choice node's
+    context is None.
     """
     stats, cutoff = run.stats, run.cutoff
     # nodes are recorded and edge labels built only for a trace
@@ -360,11 +358,11 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
         elif not decompose:
             stats.choice_nodes += 1
             me = trace.add(tparent, "choice", label) if tracing else None
-            frame = _Frame(state, mult, me, algebra.plain, 1, (scope, scope),
+            frame = _Frame(state, mult, me, None, 1, (scope, scope),
                            choose(state, run.heuristic, scope))
         else:
             analysis = decompose_analysis(state, scope)
-            factor = free_factor(state, analysis.isolated)
+            factor = prod(len(state.domains[x]) for x in analysis.isolated)
             ctx = algebra.context(state, scope, analysis.isolated)
             linked = analysis.linked
             if not linked:
@@ -379,7 +377,8 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                 me = trace.add(tparent, "decomposition", label) if tracing else None
                 if run.hook is not None:
                     parts = [set(c) for c in linked]
-                    parts[0] |= set(analysis.isolated) | set(analysis.assigned)
+                    # the components partition the scope's unassigned variables
+                    parts[0] |= scope.difference(*linked)
                     run.hook(state, parts)
                 frame = _Frame(state, mult, me, ctx, factor, order_components(
                     linked, state, run.heuristic, graph=analysis.graph),
@@ -472,10 +471,16 @@ def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     """
     if max_solutions < 1:
         raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
+    solutions: list[dict[int, int]] = []
+
+    def keep(state, _scope):
+        solutions.append(state.solution())
+        return 1
+
     # the cut-off trips at the max_solutions-th solution and stops the walk
     run = _Run(heuristic, max_solutions - 1, None)
-    tree, _n = _search(root, run, _TREES, decompose=False)
-    return list(_expand(tree)), not run.cutoff.hit, run.stats
+    _search(root, run, _COUNTS._replace(solved=keep), decompose=False)
+    return solutions, not run.cutoff.hit, run.stats
 
 
 def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -44,8 +45,22 @@ def test_count_engines_agree(intro_path, capsys):
 
 def test_count_text_report(intro_path, capsys):
     assert main(["count", "--model", intro_path]) == 0
-    out = capsys.readouterr().out
-    assert "count                6" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["count                6",
+                         "exact                true",
+                         "engine               dds",
+                         "heuristic            maxdeg-ff"]
+    assert [line[:21] for line in lines] == [
+        f"{label:<21}" for label in (
+            "count", "exact", "engine", "heuristic", "nodes", "choice nodes",
+            "decomposition nodes", "fails", "solutions found", "propagations",
+            "max depth", "wall time")]
+    assert re.fullmatch(r"wall time {12}\d+\.\d{4}s", lines[-1])
+    assert main(["count", "--model", intro_path, "--report", "json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "count", "exact", "engine", "heuristic", "nodes", "choice_nodes",
+        "decomposition_nodes", "fails", "solutions_found", "propagations",
+        "max_depth", "wall_time"]
 
 
 def test_count_trace_dot(intro_path, tmp_path, capsys):

@@ -14,7 +14,7 @@ def test_intro_graph_after_root_propagation():
     assert state.propagate() is StateStatus.BRANCHABLE
     g = build_constraint_graph(state)
     assert g.nodes == frozenset({0, 1, 2, 3})
-    assert sorted(sorted(e) for e, _h in g.edges) == [[0, 1], [2, 3]]
+    assert sorted(sorted(e) for e in g.edges) == [[0, 1], [2, 3]]
 
 
 def test_alldiff_graph_decomposed():
@@ -22,7 +22,7 @@ def test_alldiff_graph_decomposed():
     state.post(AllDifferent([0, 1, 2, 3]))
     state.propagate()
     g = build_constraint_graph(state)
-    assert sorted(sorted(e) for e, _h in g.edges) == [[0, 1], [2, 3]]
+    assert sorted(sorted(e) for e in g.edges) == [[0, 1], [2, 3]]
 
 
 def test_linear_graph_single_edge():
@@ -30,25 +30,25 @@ def test_linear_graph_single_edge():
     state.post(Linear((1, 1, 1), (0, 1, 2), EQ, 3))
     state.propagate()
     g = build_constraint_graph(state)
-    assert [sorted(e) for e, _h in g.edges] == [[0, 1, 2]]
+    assert [sorted(e) for e in g.edges] == [[0, 1, 2]]
 
 
 def test_components_examples():
     state = intro_state()
     state.propagate()
-    part = components(build_constraint_graph(state))
-    assert [sorted(c) for c in part.components] == [[0, 1], [2, 3]]
+    comps = components(build_constraint_graph(state))
+    assert [sorted(c) for c in comps] == [[0, 1], [2, 3]]
 
     chain = new_problem([{0, 1}] * 3)
     chain.post(Neq(0, 1))
     chain.post(Neq(1, 2))
     chain.propagate()
-    part = components(build_constraint_graph(chain))
-    assert [sorted(c) for c in part.components] == [[0, 1, 2]]
+    comps = components(build_constraint_graph(chain))
+    assert [sorted(c) for c in comps] == [[0, 1, 2]]
 
     bare = new_problem([{0, 1}] * 3)
-    part = components(build_constraint_graph(bare))
-    assert [sorted(c) for c in part.components] == [[0], [1], [2]]
+    comps = components(build_constraint_graph(bare))
+    assert [sorted(c) for c in comps] == [[0], [1], [2]]
 
 
 def hook_parts(state):
@@ -130,8 +130,8 @@ def test_determinism():
         b.propagate()
         assert decompose_analysis(a) == decompose_analysis(b)
         ga, gb = build_constraint_graph(a), build_constraint_graph(b)
-        assert sorted(sorted(e) for e, _ in ga.edges) == \
-            sorted(sorted(e) for e, _ in gb.edges)
+        assert sorted(sorted(e) for e in ga.edges) == \
+            sorted(sorted(e) for e in gb.edges)
 
 
 def test_scope_restricted_graph():
@@ -139,7 +139,7 @@ def test_scope_restricted_graph():
     state.propagate()
     g = build_constraint_graph(state, scope={0, 1})
     assert g.nodes == frozenset({0, 1})
-    assert [sorted(e) for e, _h in g.edges] == [[0, 1]]
+    assert [sorted(e) for e in g.edges] == [[0, 1]]
 
 
 def test_analysis_classifies_isolated():
@@ -149,4 +149,3 @@ def test_analysis_classifies_isolated():
     analysis = decompose_analysis(state)
     assert [sorted(c) for c in analysis.linked] == [[2, 3]]
     assert analysis.isolated == (1,)
-    assert analysis.assigned == frozenset({0})

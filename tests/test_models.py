@@ -5,9 +5,9 @@ import pytest
 
 from fdsolve import (ColoringSpec, Neq, UGraph, WalkSpec, brute_force_count,
                      chromatic_oracle, coloring_model, dds_count, dfs_count,
-                     erdos_renyi, lattice_code, lattice_point,
-                     maximal_cliques, new_problem, saw_model, saw_walk_count)
-from fdsolve.models import coloring_plan
+                     erdos_renyi, lattice_point, maximal_cliques,
+                     new_problem, saw_model, saw_walk_count)
+from fdsolve.models import coloring_plan, lattice_code
 
 from randcsp import intro_state
 

@@ -8,12 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
-                     SearchTrace, StateStatus, Table, brute_force_count, choose,
+                     SearchTrace, StateStatus, Table, brute_force_count,
                      dds_count, dds_tree, dfs_count, dfs_enumerate,
-                     new_problem, order_components, trace_dot, tree_count,
-                     tree_expand)
+                     new_problem, trace_dot, tree_count, tree_expand)
 from fdsolve import graph, search
-from fdsolve.graph import build_constraint_graph, decompose_analysis
+from fdsolve.graph import build_constraint_graph
+from fdsolve.search import choose, order_components
 
 from randcsp import (enumerate_solutions, intro_state, permuted,
                      random_clustered_state, random_state,
@@ -86,6 +86,17 @@ def test_dfs_builds_no_constraint_graph(monkeypatch):
     for h in ALL_HEURISTICS:
         assert dfs_count(intro_state(), h).count == 6
         assert len(dfs_enumerate(intro_state(), h)[0]) == 6
+
+
+def test_dfs_enumerate_builds_no_tree(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("DFS enumeration expanded a solution tree")
+
+    monkeypatch.setattr(search, "_expand", refuse)
+    for h in ALL_HEURISTICS:
+        for k, complete in ((10 ** 6, True), (4, False)):
+            sols, done, _stats = dfs_enumerate(intro_state(), h, k)
+            assert len(sols) == min(k, 6) and done is complete
 
 
 # -- counting engines -----------------------------------------------------------
@@ -318,7 +329,7 @@ def test_dfs_enumerate_rejects_max_solutions_below_one():
 def test_trace_dot_intro_dds():
     trace = SearchTrace()
     dds_count(intro_state(), trace=trace)
-    assert trace.count_kind("decomposition") == 1
+    assert [k for _n, k in trace.nodes].count("decomposition") == 1
     dot = trace_dot(trace)
     assert dot.count('label="□"') == 1
     assert dot.startswith("digraph")
@@ -336,8 +347,9 @@ def test_trace_dot_failed_root():
 def test_trace_dfs_has_no_decomposition_nodes():
     trace = SearchTrace()
     dfs_count(intro_state(), trace=trace)
-    assert trace.count_kind("decomposition") == 0
-    assert trace.count_kind("choice") == 5
+    kinds = [k for _n, k in trace.nodes]
+    assert kinds.count("decomposition") == 0
+    assert kinds.count("choice") == 5
 
 
 def test_trace_cap():
@@ -441,12 +453,16 @@ def test_redundant_constraint_keeps_counts(make, seed, data):
 @given(GENERATORS, SEEDS, st.integers(1, 30))
 def test_tree_expand_yields_distinct_solutions(make, seed, k):
     # up to k assignments of every variable, all different, each inside the
-    # declared domains and satisfying every posted constraint
+    # declared domains and satisfying every posted constraint; DFS
+    # enumeration also says whether it listed them all
     state = make(seed)
     want = brute_force_count(state)
     for h in ALL_HEURISTICS:
-        for limit in (None, k):
-            sols = tree_expand(dds_tree(state, h, limit=limit).tree, k)
+        listed = [tree_expand(dds_tree(state, h, limit=limit).tree, k)
+                  for limit in (None, k)]
+        enumerated, complete, _stats = dfs_enumerate(state, h, k)
+        assert complete == (want < k)
+        for sols in listed + [enumerated]:
             assert len(sols) == min(k, want)
             rows = {tuple(sorted(s.items())) for s in sols}
             assert len(rows) == len(sols)
