@@ -145,24 +145,38 @@ class ProblemState:
     # -- branching tells ------------------------------------------------
 
     def tell_eq(self, x: int, v: int) -> None:
+        """Branch on ``x = v``.  A tell wakes x's propagators itself, so it
+        records its domain event without marking x changed."""
         d = self.domains[x]
-        if d == {v}:
+        if v not in d:
+            # telling a value outside the domain empties it; the state then
+            # fails at the next propagate
+            self.domains[x] = frozenset()
+            self._failed = True
+        elif len(d) == 1:
             return
-        # telling a value outside the domain empties it; the state then
-        # fails at the next propagate
-        self.domains[x] = d = frozenset((v,)) if v in d else frozenset()
-        self._note_change(x, len(d))
+        else:
+            self.domains[x] = frozenset((v,))
+            self._unfixed -= 1
+        self.counters.domain_events += 1
         self._wake(x)
 
     def tell_neq(self, x: int, v: int) -> None:
+        """Branch on ``x != v``."""
         if self.remove_value(x, v):
+            self._changed.discard(x)  # the tell wakes x's propagators itself
             self._wake(x)
 
     def _wake(self, x: int) -> None:
+        """Queue the stored propagators on x, in subscription order."""
+        props = self.propagators
+        if not props:
+            return
+        queue, queued = self._queue, self._queued
         for h in self._subs[x]:
-            if h in self.propagators:
-                self._enqueue(h)
-        self._changed.discard(x)
+            if h in props and h not in queued:
+                queue.append(h)
+                queued.add(h)
 
     def _enqueue(self, h: int) -> None:
         if h not in self._queued:

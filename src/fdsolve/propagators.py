@@ -279,8 +279,11 @@ class AllDifferent:
         # are taken over those alone, and a reached x is in none of them
         unreached = [u for u in range(n) if not reached[u]]
         if unreached:
-            scc = _tarjan([[w for w in ws if not reached[w]] for ws in succ],
-                          unreached)
+            # a reached variable's successors are reached too, so only
+            # unreached variables keep arcs here; without any, every SCC is
+            # a single variable
+            arcs = [[w for w in ws if not reached[w]] for ws in succ]
+            scc = _tarjan(arcs, unreached) if any(arcs) else range(n)
             for i in range(n):
                 for j in pred[i]:
                     if not reached[j] and scc[i] != scc[j]:

@@ -102,6 +102,8 @@ class SearchTrace:
     """Bounded record of visited search nodes, for DOT export."""
 
     def __init__(self, max_nodes: int = 5000):
+        if max_nodes < 0:
+            raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
         self.max_nodes = max_nodes
         self.nodes: list[tuple[int, str]] = []          # (id, kind)
         self.edges: list[tuple[int, int, str]] = []     # (parent, child, label)
@@ -154,35 +156,60 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
     one, the degrees are read straight off each stored propagator's
     scope split, cut down to the candidates, with the same result as
     ``build_constraint_graph(state, scope).edges`` and no graph built.
+
+    Three short-cuts give the same decision for less work: a single
+    candidate is every heuristic's pick; with an empty store (or a graph
+    without edges) every degree is 0, so ``maxdeg`` picks the lowest index
+    and ``maxdeg-ff`` falls back to first-fail; and the candidates of an
+    ascending ``range`` scope, as plain DFS passes, need no sort.
     """
     domains = state.domains
-    cands = sorted([x for x in scope if len(domains[x]) != 1])
+    cands = [x for x in scope if len(domains[x]) != 1]
+    if len(cands) == 1:
+        x = cands[0]
+        return BranchDecision(x, min(domains[x]))
     if not cands:
         raise ValueError("choose() needs at least one unassigned variable in scope")
+    if type(scope) is not range or scope.step < 0:
+        cands.sort()
+    degree = None
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
-        degree = dict.fromkeys(cands, 0)
-        if graph is None:
-            slots = state.slots
-            for h, prop in state.propagators.items():
-                for edge in prop.hyperedges(state, slots.get(h)):
-                    inside = [x for x in edge if x in degree]
-                    if len(inside) >= 2:
-                        for x in inside:
-                            degree[x] += 1
-        else:
-            for edge in graph.edges:
-                for x in edge:
-                    if x in degree:
-                        degree[x] += 1
-    if heuristic is Heuristic.INPUT_ORDER:
+        degree = _degrees(state, cands, graph)
+    # min and max return the first best candidate, the lowest index
+    if heuristic is Heuristic.INPUT_ORDER or (
+            heuristic is Heuristic.MAX_DEGREE and degree is None):
         x = cands[0]
-    elif heuristic is Heuristic.FIRST_FAIL:
-        x = min(cands, key=lambda c: (len(domains[c]), c))
+    elif heuristic is Heuristic.FIRST_FAIL or degree is None:
+        x = min(cands, key=lambda c: len(domains[c]))
     elif heuristic is Heuristic.MAX_DEGREE:
-        x = min(cands, key=lambda c: (-degree[c], c))
+        x = max(cands, key=degree.__getitem__)
     else:
-        x = min(cands, key=lambda c: (-degree[c], len(domains[c]), c))
+        x = min(cands, key=lambda c: (-degree[c], len(domains[c])))
     return BranchDecision(x, min(domains[x]))
+
+
+def _degrees(state: ProblemState, cands, graph) -> Optional[dict[int, int]]:
+    """Each candidate's degree, or None when there is no edge to count."""
+    if graph is not None:
+        if not graph.edges:
+            return None
+        degree = dict.fromkeys(cands, 0)
+        for edge in graph.edges:
+            for x in edge:
+                if x in degree:
+                    degree[x] += 1
+        return degree
+    if not state.propagators:
+        return None
+    degree = dict.fromkeys(cands, 0)
+    slots = state.slots
+    for h, prop in state.propagators.items():
+        for edge in prop.hyperedges(state, slots.get(h)):
+            inside = [x for x in edge if x in degree]
+            if len(inside) >= 2:
+                for x in inside:
+                    degree[x] += 1
+    return degree
 
 
 def order_components(component_list, state: ProblemState, heuristic: Heuristic,
@@ -206,11 +233,14 @@ def order_components(component_list, state: ProblemState, heuristic: Heuristic,
 
 
 class _Cutoff:
-    """Tracks certified full solutions against an optional limit."""
+    """Tracks certified full solutions against an optional limit: the
+    search stops once more than ``limit`` are certified."""
 
     __slots__ = ("limit", "certified", "hit")
 
     def __init__(self, limit: Optional[int]):
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be at least 0, got {limit}")
         self.limit = limit
         self.certified = 0
         self.hit = False
@@ -291,28 +321,32 @@ _TREES = _Algebra(
     count=lambda value: value[1])
 
 
-@dataclass(slots=True)
 class _Frame:
     """An inner node whose children are being searched.
 
-    ``parts`` holds the children's scopes: the one component of a choice
-    node twice (``x = v``, then ``x != v`` of ``decision``), or the ordered
-    components of a decomposition node.  ``values`` collects the finished
-    children's results; at a decomposition node ``total`` is ``factor``
-    times their counts, at a choice node it stays 1.  A child's state is
-    cloned from ``state`` only once the child before it is finished; the
-    last child takes ``state`` itself and leaves None behind.
+    A choice node (``decision`` set) has two children over its one
+    component ``parts``: ``x = v``, then ``x != v`` of ``decision``.  A
+    decomposition node (``decision`` None) has one child per component in
+    the ordered list ``parts``, and ``total`` is ``factor`` times the
+    counts of its finished children.  ``values`` collects the finished
+    children's results.  A child's state is cloned from ``state`` only once
+    the child before it is finished; the last child takes ``state`` itself
+    and leaves None behind.
     """
 
-    state: Optional[ProblemState]
-    mult: int
-    me: Optional[int]
-    ctx: object
-    factor: int
-    parts: tuple
-    decision: Optional[BranchDecision] = None
-    values: list = field(default_factory=list)
-    total: int = 1
+    __slots__ = ("state", "mult", "me", "ctx", "factor", "parts", "decision",
+                 "values", "total")
+
+    def __init__(self, state, mult, me, ctx, factor, parts, decision):
+        self.state = state
+        self.mult = mult
+        self.me = me
+        self.ctx = ctx
+        self.factor = factor
+        self.parts = parts
+        self.decision = decision
+        self.values = []
+        self.total = factor
 
 
 def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
@@ -327,7 +361,9 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
     variables are branched on like any other, and a choice node's
     context is None.
     """
-    stats, cutoff = run.stats, run.cutoff
+    stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
+    zero, solved, context, choice, conjoin, count = algebra
+    FAILED, SOLVED = StateStatus.FAILED, StateStatus.SOLVED
     # nodes are recorded and edge labels built only for a trace
     trace = run.trace
     tracing = trace is not None
@@ -342,28 +378,28 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
         if depth > stats.max_depth:
             stats.max_depth = depth
         frame = None
-        if status is StateStatus.FAILED:
+        if status is FAILED:
             stats.fails += 1
             if tracing:
                 trace.add(tparent, "fail", label)
-            value = algebra.zero()
-        elif status is StateStatus.SOLVED or (
+            value = zero()
+        elif status is SOLVED or (
                 decompose and all(state.is_assigned(x) for x in scope)):
             # a partial problem is done once its own variables are assigned
             stats.solutions_found += 1
             cutoff.note(mult)
             if tracing:
                 trace.add(tparent, "solution", label)
-            value = algebra.solved(state, scope)
+            value = solved(state, scope)
         elif not decompose:
             stats.choice_nodes += 1
             me = trace.add(tparent, "choice", label) if tracing else None
-            frame = _Frame(state, mult, me, None, 1, (scope, scope),
-                           choose(state, run.heuristic, scope))
+            frame = _Frame(state, mult, me, None, 1, scope,
+                           choose(state, heuristic, scope))
         else:
             analysis = decompose_analysis(state, scope)
             factor = prod(len(state.domains[x]) for x in analysis.isolated)
-            ctx = algebra.context(state, scope, analysis.isolated)
+            ctx = context(state, scope, analysis.isolated)
             linked = analysis.linked
             if not linked:
                 # only unconstrained variables left: every combination extends
@@ -371,7 +407,7 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                 cutoff.note(mult * factor)
                 if tracing:
                     trace.add(tparent, "solution", label)
-                value = algebra.conjoin(ctx, [], factor)
+                value = conjoin(ctx, [], factor)
             elif len(linked) >= 2:
                 stats.decomposition_nodes += 1
                 me = trace.add(tparent, "decomposition", label) if tracing else None
@@ -381,14 +417,12 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                     parts[0] |= scope.difference(*linked)
                     run.hook(state, parts)
                 frame = _Frame(state, mult, me, ctx, factor, order_components(
-                    linked, state, run.heuristic, graph=analysis.graph),
-                    total=factor)
+                    linked, state, heuristic, graph=analysis.graph), None)
             else:
                 stats.choice_nodes += 1
                 me = trace.add(tparent, "choice", label) if tracing else None
-                frame = _Frame(state, mult, me, ctx, factor,
-                               (linked[0], linked[0]),
-                               choose(state, run.heuristic, linked[0],
+                frame = _Frame(state, mult, me, ctx, factor, linked[0],
+                               choose(state, heuristic, linked[0],
                                       graph=analysis.graph))
         if frame is not None:
             stack.append(frame)
@@ -399,32 +433,42 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                 if not stack:
                     return value
                 frame = stack[-1]
-                frame.values.append(value)
-                if frame.decision is None:
-                    frame.total *= algebra.count(value)
-                if (len(frame.values) < len(frame.parts) and frame.total
-                        and not cutoff.hit):
-                    break
-                stack.pop()
-                if frame.decision is None:
-                    value = algebra.conjoin(frame.ctx, frame.values, frame.total)
+                values = frame.values
+                values.append(value)
+                if frame.decision is not None:
+                    if len(values) == 1 and not cutoff.hit:
+                        break
+                    stack.pop()
+                    value = choice(frame.ctx, frame.factor, values)
                 else:
-                    value = algebra.choice(frame.ctx, frame.factor, frame.values)
+                    frame.total *= count(value)
+                    if (len(values) < len(frame.parts) and frame.total
+                            and not cutoff.hit):
+                        break
+                    stack.pop()
+                    value = conjoin(frame.ctx, values, frame.total)
         i = len(frame.values)
-        if i == len(frame.parts) - 1:
+        decision = frame.decision
+        if decision is None:
+            last = i == len(frame.parts) - 1
+            scope = frame.parts[i]
+            # only the last part certifies full solutions against the cut-off
+            mult = frame.mult * frame.total if last else 0
+        else:
+            last = i == 1
+            scope = frame.parts
+            mult = frame.mult * frame.factor
+        if last:
             # nothing reads a frame's state once its last child starts
             state, frame.state = frame.state, None
         else:
             state = frame.state.clone()
-        scope, tparent = frame.parts[i], frame.me
-        if frame.decision is None:
-            # only the last part certifies full solutions against the cut-off
-            mult = frame.mult * frame.total if i == len(frame.parts) - 1 else 0
+        tparent = frame.me
+        if decision is None:
             if tracing:
                 label = f"part{i}"
         else:
-            x, v = frame.decision
-            mult = frame.mult * frame.factor
+            x, v = decision
             if i == 0:
                 state.tell_eq(x, v)
                 if tracing:

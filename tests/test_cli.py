@@ -127,6 +127,24 @@ def test_limit_flag(intro_path, capsys):
     assert int(report["count"]) >= 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--limit", "-3"], "error: limit must be at least 0, got -3\n"),
+    (["count", "--trace-dot", "TRACE", "--trace-max-nodes", "-1"],
+     "error: max_nodes must be at least 0, got -1\n"),
+    (["bench", "--nodes", "5", "--instances", "1", "--limit", "-3"],
+     "error: limit must be at least 0, got -3\n"),
+], ids=["count-limit", "count-trace-max-nodes", "bench-limit"])
+def test_negative_limits_exit_nonzero(intro_path, tmp_path, capsys, argv,
+                                      message):
+    argv = [str(tmp_path / "trace.dot") if a == "TRACE" else a for a in argv]
+    if argv[0] == "count":
+        argv += ["--model", intro_path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["count", "--model", missing]) == 1

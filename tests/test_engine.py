@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (AllDifferent, Dfa, Linear, Neq, Regular, Slide,
@@ -306,3 +306,48 @@ def test_solved_exactly_when_every_domain_is_a_singleton(make, seed, data):
         v = data.draw(st.integers(-1, 6))
         (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
         status = check(state.propagate())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_state, random_clustered_state,
+                        random_state_with_slide, random_small_neq_state]),
+       st.integers(0, 10 ** 6), st.data())
+def test_tells_record_exactly_the_domains_they_change(make, seed, data):
+    # a tell counts one domain event per domain it changes; a no-op tell
+    # (tell_eq on the same singleton, tell_neq of an absent value) changes
+    # nothing and queues no propagator; tell_eq outside the domain fails
+    state = make(seed)
+    status = state.propagate()
+    for _ in range(data.draw(st.integers(1, 4))):
+        if status is StateStatus.FAILED or not state.num_vars:
+            break
+        counters = state.counters
+        kind = data.draw(st.sampled_from(["any", "same", "absent"]))
+        if kind == "same":
+            fixed = [x for x in range(state.num_vars)
+                     if len(state.domains[x]) == 1]
+            if not fixed:
+                continue
+            x = data.draw(st.sampled_from(fixed))
+            eq, v = True, state.value(x)
+        else:
+            x = data.draw(st.integers(0, state.num_vars - 1))
+            v = data.draw(st.integers(-1, 6))
+            if kind == "absent":
+                assume(v not in state.domains[x])
+                eq = False
+            else:
+                eq = data.draw(st.booleans())
+        before, events = list(state.domains), counters.domain_events
+        (state.tell_eq if eq else state.tell_neq)(x, v)
+        changed = [y for y, d in enumerate(before) if d != state.domains[y]]
+        assert changed in ([], [x])
+        assert counters.domain_events == events + len(changed)
+        if kind != "any":
+            assert not changed
+        runs = counters.propagations
+        status = state.propagate()
+        if not changed:
+            assert counters.propagations == runs
+        if eq and v not in before[x]:
+            assert status is StateStatus.FAILED

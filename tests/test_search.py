@@ -77,6 +77,85 @@ def test_choose_degrees_match_reflected_graph(make, seed, data):
                                                  graph=reflected)
 
 
+def reference_choose(state, heuristic, scope, graph=None):
+    """``choose`` without its short-cuts: every candidate sorted, every
+    degree counted, ties broken by an explicit index key."""
+    domains = state.domains
+    cands = sorted([x for x in scope if len(domains[x]) != 1])
+    if not cands:
+        raise ValueError("choose() needs at least one unassigned variable in scope")
+    if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
+        degree = dict.fromkeys(cands, 0)
+        if graph is None:
+            slots = state.slots
+            for h, prop in state.propagators.items():
+                for edge in prop.hyperedges(state, slots.get(h)):
+                    inside = [x for x in edge if x in degree]
+                    if len(inside) >= 2:
+                        for x in inside:
+                            degree[x] += 1
+        else:
+            for edge in graph.edges:
+                for x in edge:
+                    if x in degree:
+                        degree[x] += 1
+    if heuristic is Heuristic.INPUT_ORDER:
+        x = cands[0]
+    elif heuristic is Heuristic.FIRST_FAIL:
+        x = min(cands, key=lambda c: (len(domains[c]), c))
+    elif heuristic is Heuristic.MAX_DEGREE:
+        x = min(cands, key=lambda c: (-degree[c], c))
+    else:
+        x = min(cands, key=lambda c: (-degree[c], len(domains[c]), c))
+    return (x, min(domains[x]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(GENERATORS, SEEDS, st.data())
+def test_choose_matches_reference(make, seed, data):
+    # states from search (a few random tells), with or without their store,
+    # on range and set scopes, some with a single candidate
+    state = make(seed)
+    status = state.propagate()
+    for _ in range(data.draw(st.integers(0, 3))):
+        if status is not StateStatus.BRANCHABLE:
+            break
+        x = data.draw(st.sampled_from(
+            [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
+        v = data.draw(st.sampled_from(sorted(state.domains[x])))
+        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        status = state.propagate()
+    assume(status is StateStatus.BRANCHABLE)
+    if data.draw(st.booleans()):
+        state = new_problem(state.domains)  # the same domains, an empty store
+    n = state.num_vars
+    unfixed = [x for x in range(n) if len(state.domains[x]) > 1]
+    kind = data.draw(st.sampled_from(["range", "reversed", "set", "single"]))
+    if kind == "range":
+        scope = range(n)
+    elif kind == "reversed":
+        scope = range(n - 1, -1, -1)
+    elif kind == "set":
+        scope = data.draw(st.sets(st.sampled_from(range(n)), min_size=1))
+        assume(not scope.isdisjoint(unfixed))
+    else:
+        keep = data.draw(st.sampled_from(unfixed))
+        if data.draw(st.booleans()):
+            # every other variable fixed: a range scope with one candidate
+            for x in unfixed:
+                if x != keep:
+                    state.tell_eq(x, min(state.domains[x]))
+            scope = range(n)
+        else:
+            fixed = [x for x in range(n) if len(state.domains[x]) == 1]
+            scope = {keep} | data.draw(st.sets(st.sampled_from(fixed))
+                                       if fixed else st.just(set()))
+    for graph in (None, build_constraint_graph(state, scope)):
+        for h in ALL_HEURISTICS:
+            assert (choose(state, h, scope, graph=graph)
+                    == reference_choose(state, h, scope, graph=graph))
+
+
 def test_dfs_builds_no_constraint_graph(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("DFS built a constraint graph")
@@ -187,6 +266,21 @@ def test_limit_semantics():
             else:
                 assert want > 10
                 assert result.count >= 10
+
+
+def test_negative_limits_are_rejected():
+    state = intro_state()
+    for engine in (dfs_count, dds_count, dds_tree):
+        with pytest.raises(ValueError, match="limit must be at least 0, got -3"):
+            engine(state, limit=-3)
+        # 0 stops after the first full solution, None never stops
+        assert not engine(state, limit=0).exact
+        assert engine(state, limit=None).exact
+    with pytest.raises(ValueError, match="max_nodes must be at least 0, got -1"):
+        SearchTrace(max_nodes=-1)
+    trace = SearchTrace(max_nodes=0)
+    dfs_count(state, trace=trace)
+    assert trace.nodes == [] and trace.truncated
 
 
 def test_zero_variable_problem_counts_one():
