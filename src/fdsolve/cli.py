@@ -56,10 +56,6 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _heuristic(name: str) -> Heuristic:
-    return Heuristic(name)
-
-
 def _limit(value: int) -> Optional[int]:
     # 0 disables the cut-off
     return None if value == 0 else value
@@ -81,7 +77,7 @@ def _write_output(text: str, path: Optional[str]) -> None:
 def _cmd_count(args) -> int:
     doc = _load_model(args.model)
     state = doc.build_state()
-    heuristic = _heuristic(args.heuristic)
+    heuristic = Heuristic(args.heuristic)
     trace = SearchTrace(max_nodes=args.trace_max_nodes) if args.trace_dot else None
     if args.engine == "dds":
         result = dds_count(state, heuristic, limit=_limit(args.limit), trace=trace)
@@ -101,7 +97,7 @@ def _cmd_enumerate(args) -> int:
                          f"got {args.max_solutions}")
     doc = _load_model(args.model)
     state = doc.build_state()
-    heuristic = _heuristic(args.heuristic)
+    heuristic = Heuristic(args.heuristic)
     names = doc.names
     if args.engine == "dds":
         result = dds_tree(state, heuristic, limit=args.max_solutions)
@@ -109,9 +105,12 @@ def _cmd_enumerate(args) -> int:
         complete = result.exact and tree_count(result.tree) <= args.max_solutions
         stats = result.stats
     else:
-        solutions, complete, stats = dfs_enumerate(state, heuristic,
-                                                   args.max_solutions)
-    named = [{names[x]: v for x, v in sorted(sol.items())} for sol in solutions]
+        # one solution past the maximum tells whether the list is whole
+        solutions, _, stats = dfs_enumerate(state, heuristic,
+                                            args.max_solutions + 1)
+        complete = len(solutions) <= args.max_solutions
+    named = [{names[x]: v for x, v in sorted(sol.items())}
+             for sol in solutions[:args.max_solutions]]
     if args.report == "json":
         print(json.dumps({"solutions": named, "complete": complete,
                           "engine": args.engine, "nodes": stats.nodes},
@@ -200,7 +199,7 @@ def bench_aggregates(records: Sequence[BenchRecord]) -> dict[float, dict[str, fl
 
 
 def _cmd_bench(args) -> int:
-    heuristic = _heuristic(args.heuristic)
+    heuristic = Heuristic(args.heuristic)
     t0 = time.perf_counter()
     records = run_bench(args.nodes, args.edge_prob, args.colors,
                         args.instances, args.seed, heuristic,

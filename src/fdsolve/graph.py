@@ -2,8 +2,9 @@
 
 Decomposing search rebuilds the hypergraph from the propagator store at
 every node it analyses: nodes are the unassigned variables, hyperedges
-come from each active propagator's own scope split, which a propagator
-may read off its state slot instead of recomputing it.  Connected components
+come from each active propagator's own scope split, asked for with the
+handle it is stored under, so a propagator may read the split off its
+state slot instead of recomputing it.  Connected components
 of this graph are independent partial problems; solving them separately
 and multiplying the counts is exact.  Plain DFS builds no graph:
 ``search.choose`` reads its degrees off the same scope splits directly.
@@ -50,11 +51,10 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
         scope_set = set(scope)
     nodes = frozenset(x for x in scope_set if not state.is_assigned(x))
     edges = []
-    slots = state.slots
     for handle, prop in state.propagators.items():
         if not any(x in scope_set for x in prop.vars):
             continue
-        for edge in prop.hyperedges(state, slots.get(handle)):
+        for edge in prop.hyperedges(state, handle):
             edge = edge & nodes
             if len(edge) >= 2:
                 edges.append(edge)

@@ -98,7 +98,7 @@ def _resolve(names: dict[str, int], raw_vars, where: str) -> tuple[int, ...]:
         raise ModelError(f"{where}: 'vars' must be a non-empty list")
     out = []
     for name in raw_vars:
-        if name not in names:
+        if not isinstance(name, str) or name not in names:
             raise ModelError(f"{where}: unknown variable {name!r}")
         out.append(names[name])
     return tuple(out)

@@ -10,12 +10,12 @@ Each constraint class plays three roles:
 * ``satisfied(values)`` checks one full tuple against the constraint's
   declarative semantics.  This path never touches the filtering code, so
   brute-force oracles built on it stay independent of propagation.
-* ``hyperedges(state, slot=None)`` reports the constraint's scope split
+* ``hyperedges(state, handle=None)`` reports the constraint's scope split
   into the finest fragments its structure currently justifies, restricted
   to unassigned variables.  The fragments partition the unassigned scope;
-  the graph layer drops fragments smaller than two variables.  ``slot`` is
-  the propagator's state slot, ``state.slots.get(handle)``; a split read
-  from it equals the one computed from the domains.
+  the graph layer drops fragments smaller than two variables.  The handle
+  is the one the propagator is stored under, as for ``filter``; a split
+  read from its slot equals the one computed from the domains.
 
 Constraint instances are immutable: clones of a problem state share them.
 What a filter learns about one state lives in that state's slot for the
@@ -71,9 +71,10 @@ def _keep(state, handle, vars: Sequence[int], product) -> None:
         state.keep(handle, (tuple([domains[x] for x in vars]), product))
 
 
-def _kept(state, vars: Sequence[int], slot):
-    """The by-product in ``slot`` if no domain of ``vars`` has changed since
-    it was kept, else None."""
+def _kept(state, handle, vars: Sequence[int]):
+    """The by-product in the slot of ``handle`` if no domain of ``vars`` has
+    changed since it was kept, else None."""
+    slot = state.slots.get(handle)
     if slot is None:
         return None
     doms, product = slot
@@ -82,6 +83,22 @@ def _kept(state, vars: Sequence[int], slot):
         if domains[x] is not d:
             return None
     return product
+
+
+def _runs(vars: Sequence[int], doms, cuts: Iterable[int]) -> list[frozenset[int]]:
+    """The unassigned variables of ``vars`` cut before each position in
+    ``cuts``, as one fragment per non-empty run, in position order."""
+    cuts = set(cuts)
+    edges, run = [], []
+    for p, x in enumerate(vars):
+        if p in cuts and run:
+            edges.append(frozenset(run))
+            run = []
+        if len(doms[p]) != 1:
+            run.append(x)
+    if run:
+        edges.append(frozenset(run))
+    return edges
 
 
 @dataclass(frozen=True, eq=True)
@@ -117,7 +134,7 @@ class Neq:
     def satisfied(self, values: Sequence[int]) -> bool:
         return values[0] != values[1]
 
-    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         free = _unassigned(state, self.vars)
         return [frozenset(free)] if free else []
 
@@ -197,7 +214,7 @@ class Linear:
         total = sum(a * v for a, v in zip(self.coeffs, values))
         return total == self.rhs if self.rel == EQ else total <= self.rhs
 
-    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         free = _unassigned(state, self.vars)
         return [frozenset(free)] if free else []
 
@@ -300,7 +317,7 @@ class AllDifferent:
     def satisfied(self, values: Sequence[int]) -> bool:
         return len(set(values)) == len(values)
 
-    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         # connected components of the variable-value graph, found by a
         # union-find over the variables: a value joins the first variable
         # that holds it with every later one; reported restricted to the
@@ -456,15 +473,14 @@ class Table:
             return FAILED
         for x, sup in zip(self.vars, support):
             state.restrict(x, sup)
-        if state.failed:
-            return FAILED
+        # a live tuple supports every position, so no domain empties, and
         # the domains are now exactly the supports
         return ENTAILED if valid == math.prod(map(len, support)) else STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return tuple(values) in self.tuples
 
-    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         free = _unassigned(state, self.vars)
         return [frozenset(free)] if free else []
 
@@ -528,8 +544,10 @@ class Regular:
     def _layers(self, doms):
         """Forward/backward pruned unfolding.
 
-        Returns (alive_states_per_layer, alive_arcs_per_position) where an
-        arc is (state, symbol, next_state).
+        Returns (live_per_layer, live_arcs_per_position): each layer maps
+        its live automaton states to their number of accepted suffixes,
+        counted on the backward pass as in Pesant's layered graph (CP 2004),
+        and an arc is (state, symbol, next_state).
         """
         n = len(doms)
         fwd: list[set[int]] = [set() for _ in range(n + 1)]
@@ -544,66 +562,47 @@ class Regular:
                     if r is not None:
                         arcs[i].append((q, s, r))
                         nxt.add(r)
-        alive: list[set[int]] = [set() for _ in range(n + 1)]
-        alive[n] = fwd[n] & self.dfa.finals
-        alive_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        live: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        live[n] = dict.fromkeys(fwd[n] & self.dfa.finals, 1)
+        live_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for i in range(n - 1, -1, -1):
-            keep = alive[i]
+            ways, after = live[i], live[i + 1]
             for q, s, r in arcs[i]:
-                if r in alive[i + 1]:
-                    alive_arcs[i].append((q, s, r))
-                    keep.add(q)
-        return alive, alive_arcs
+                w = after.get(r)
+                if w:
+                    live_arcs[i].append((q, s, r))
+                    ways[q] = ways.get(q, 0) + w
+        return live, live_arcs
 
     def filter(self, state, handle=None) -> PropagationResult:
-        doms = [state.domains[x] for x in self.vars]
-        alive, alive_arcs = self._layers(doms)
-        if not alive[len(doms)]:
+        live, live_arcs = self._layers([state.domains[x] for x in self.vars])
+        accepted = live[0].get(self.dfa.start, 0)
+        if not accepted:
             return FAILED
-        for i, x in enumerate(self.vars):
-            state.restrict(x, {s for _q, s, _r in alive_arcs[i]})
-        if state.failed:
-            return FAILED
-        # exact entailment: number of accepted words equals the size of
-        # the domain product
-        ways = {self.dfa.start: 1}
-        for i in range(len(doms)):
-            nxt: dict[int, int] = {}
-            for q, _s, r in alive_arcs[i]:
-                w = ways.get(q)
-                if w:
-                    nxt[r] = nxt.get(r, 0) + w
-            ways = nxt
-        accepted = sum(ways.values())
-        prod = math.prod(len(state.domains[x]) for x in self.vars)
-        if accepted == prod:
+        # every position keeps a live arc, so no domain empties
+        for x, arcs in zip(self.vars, live_arcs):
+            state.restrict(x, {s for _q, s, _r in arcs})
+        # exact entailment: the pruned domains hold no value outside an
+        # accepted word, so every word is accepted iff the counts agree
+        if accepted == math.prod(len(state.domains[x]) for x in self.vars):
             return ENTAILED
-        _keep(state, handle, self.vars, self._cuts(alive))
+        _keep(state, handle, self.vars, self._cuts(live))
         return STABLE
 
     @staticmethod
-    def _cuts(alive) -> list[int]:
+    def _cuts(live) -> list[int]:
         """Positions before which only one automaton state is live."""
-        return [i for i in range(1, len(alive) - 1) if len(alive[i]) == 1]
+        return [i for i in range(1, len(live) - 1) if len(live[i]) == 1]
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return self.dfa.accepts(values)
 
-    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         doms = [state.domains[x] for x in self.vars]
-        n = len(doms)
-        cuts = _kept(state, self.vars, slot)
+        cuts = _kept(state, handle, self.vars)
         if cuts is None:
             cuts = self._cuts(self._layers(doms)[0])
-        edges = []
-        start = 0
-        for cut in cuts + [n]:
-            run = [self.vars[p] for p in range(start, cut)
-                   if len(doms[p]) != 1]
-            if run:
-                edges.append(frozenset(run))
-            start = cut
-        return edges
+        return _runs(self.vars, doms, cuts)
 
 
 @dataclass(frozen=True, eq=True)
@@ -636,20 +635,15 @@ class Slide:
         if any(len(t) != self.width for t in ts):
             raise ValueError("Slide: tuple arity mismatch")
 
-    def _window_count(self) -> int:
-        return len(self.vars) - self.width + 1
-
-    def _window_doms(self, state, w: int) -> list[frozenset[int]]:
-        """Current domains of window w's positions."""
-        return [state.domains[x] for x in self.vars[w:w + self.width]]
-
     def filter(self, state, handle=None) -> PropagationResult:
-        m = self._window_count()
+        k = self.width
+        m = len(self.vars) - k + 1
         # entailed: whether each window's last scan found every combination
         # of its supports live; restricting to the supports keeps every
         # live tuple, and a window whose positions change later is stale
         # and scanned again
-        slot = None if handle is None else state.slots.get(handle)
+        slot = state.slots.get(handle)
+        domains = state.domains
         if slot is None:
             entailed, stale = [False] * m, [True] * m
         else:
@@ -657,36 +651,39 @@ class Slide:
             # none of whose domains changed since would scan to the same
             # supports and flag, so it is skipped where it would be scanned
             kept_doms, flags = slot
-            domains = state.domains
             changed = [domains[x] is not d
                        for x, d in zip(self.vars, kept_doms)]
             entailed = list(flags)
-            stale = [any(changed[w:w + self.width]) for w in range(m)]
-        pending = deque(range(m))
-        queued = set(pending)
-        while pending:
-            w = pending.popleft()
-            queued.discard(w)
-            if not stale[w]:
-                continue
+            stale = [any(changed[w:w + k]) for w in range(m)]
+        # sweep the windows in order, then rescan, first in first out, those
+        # made stale behind the sweep: the order of a FIFO queue that starts
+        # with every window and takes in each window made stale outside it
+        behind: deque[int] = deque()
+        sweep = 0
+        while sweep < m or behind:
+            if sweep < m:
+                w = sweep
+                sweep += 1
+                if not stale[w]:
+                    continue
+            else:
+                w = behind.popleft()
             stale[w] = False
-            valid, support = _supports(self._masks, self._window_doms(state, w))
+            window = self.vars[w:w + k]
+            valid, support = _supports(self._masks,
+                                       [domains[x] for x in window])
             if valid == 0:
                 return FAILED
             entailed[w] = valid == math.prod(map(len, support))
-            changed_pos = []
-            for j in range(self.width):
-                if state.restrict(self.vars[w + j], support[j]):
-                    changed_pos.append(w + j)
-            if state.failed:
-                return FAILED
-            for p in changed_pos:
-                for w2 in range(max(0, p - self.width + 1), min(m - 1, p) + 1):
-                    if w2 != w:
-                        stale[w2] = True
-                        if w2 not in queued:
-                            pending.append(w2)
-                            queued.add(w2)
+            # a live window supports a value at every position, so no
+            # domain empties
+            for p, (x, sup) in enumerate(zip(window, support), w):
+                if state.restrict(x, sup):
+                    for w2 in range(max(0, p - k + 1), min(m - 1, p) + 1):
+                        if w2 != w and not stale[w2]:
+                            stale[w2] = True
+                            if w2 < sweep:
+                                behind.append(w2)
         if all(entailed):
             return ENTAILED
         _keep(state, handle, self.vars, entailed)
@@ -697,34 +694,19 @@ class Slide:
         return all(tuple(values[i:i + k]) in self.tuples
                    for i in range(len(values) - k + 1))
 
-    def hyperedges(self, state, slot=None) -> list[frozenset[int]]:
-        n = len(self.vars)
-        entailed = _kept(state, self.vars, slot)
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+        k = self.width
+        doms = [state.domains[x] for x in self.vars]
+        entailed = _kept(state, handle, self.vars)
         if entailed is None:
-            entailed = []
-            for w in range(self._window_count()):
-                doms = self._window_doms(state, w)
-                valid, _support = _supports(self._masks, doms)
-                entailed.append(valid == math.prod(map(len, doms)))
+            entailed = [_supports(self._masks, doms[w:w + k])[0]
+                        == math.prod(map(len, doms[w:w + k]))
+                        for w in range(len(doms) - k + 1)]
         # a position splits the sequence when every window covering it is
-        # entailed; such positions are no longer tied to their neighbours
-        split = [True] * n
+        # entailed; such a position is cut off from both neighbours
+        split = [True] * len(doms)
         for w, flag in enumerate(entailed):
             if not flag:
-                split[w:w + self.width] = [False] * self.width
-        doms = [state.domains[x] for x in self.vars]
-        edges = []
-        run: list[int] = []
-        for p in range(n):
-            if split[p]:
-                if run:
-                    edges.append(frozenset(run))
-                    run = []
-                if len(doms[p]) != 1:
-                    edges.append(frozenset([self.vars[p]]))
-            else:
-                if len(doms[p]) != 1:
-                    run.append(self.vars[p])
-        if run:
-            edges.append(frozenset(run))
-        return edges
+                split[w:w + k] = [False] * k
+        cuts = [c for p, alone in enumerate(split) if alone for c in (p, p + 1)]
+        return _runs(self.vars, doms, cuts)

@@ -202,9 +202,8 @@ def _degrees(state: ProblemState, cands, graph) -> Optional[dict[int, int]]:
     if not state.propagators:
         return None
     degree = dict.fromkeys(cands, 0)
-    slots = state.slots
     for h, prop in state.propagators.items():
-        for edge in prop.hyperedges(state, slots.get(h)):
+        for edge in prop.hyperedges(state, h):
             inside = [x for x in edge if x in degree]
             if len(inside) >= 2:
                 for x in inside:

@@ -87,6 +87,22 @@ def test_enumerate(intro_path, capsys):
     assert all(len(set(s.values())) == 4 for s in payload["solutions"])
 
 
+@pytest.mark.parametrize("limit", [5, 6, 7])
+def test_enumerate_engines_agree_on_complete(intro_path, capsys, limit):
+    # the intro model has 6 solutions: the list is whole from 6 on
+    for engine in ("dfs", "dds"):
+        assert main(["enumerate", "--model", intro_path, "--engine", engine,
+                     "--max-solutions", str(limit), "--report", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload["solutions"]) == min(limit, 6)
+        assert payload["complete"] is (limit >= 6)
+    assert main(["enumerate", "--model", intro_path, "--engine", "dfs",
+                 "--max-solutions", str(limit)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"# {min(limit, 6)} solution(s), "
+        f"complete={'true' if limit >= 6 else 'false'}")
+
+
 @pytest.mark.parametrize("engine", ["dfs", "dds"])
 def test_enumerate_rejects_max_solutions_below_one(intro_path, capsys, engine):
     for bad in ("0", "-3"):
@@ -161,6 +177,22 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: variables[0]: range [0, 1000000000000000000]")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+@pytest.mark.parametrize("ref", [["B"], {"name": "B"}, 1, None, True])
+def test_non_string_reference_is_a_located_error(tmp_path, capsys, command,
+                                                 ref):
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps({
+        "variables": [{"name": "A", "domain": [0, 1]},
+                      {"name": "B", "domain": [0, 1]}],
+        "constraints": [{"type": "neq", "vars": ["A", ref]}]}))
+    assert main([command, "--model", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: constraints[0]: unknown variable")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdsolve import (ColoringSpec, ModelError, UGraph, WalkSpec, dds_count,
                      dfs_count, parse_model, serialize_model)
@@ -106,6 +108,12 @@ def test_parse_errors():
         parse_model(json.dumps({
             "variables": [{"name": "x", "domain": [0]}],
             "constraints": [{"type": "neq", "vars": ["x", "zz"]}]}))
+    for ref in (["x"], {"x": 0}, 0, None):
+        with pytest.raises(ModelError, match="constraints.0.: unknown var"):
+            parse_model(json.dumps({
+                "variables": [{"name": "x", "domain": [0]}],
+                "constraints": [{"type": "alldifferent",
+                                 "vars": ["x", ref]}]}))
     with pytest.raises(ModelError, match="arity"):
         parse_model(json.dumps({
             "variables": [{"name": "x", "domain": [0]},
@@ -127,6 +135,62 @@ def test_parse_errors():
         parse_model(json.dumps({
             "variables": [{"name": "x", "domain": [0]}],
             "constraints": [{"type": "wat", "vars": ["x"]}]}))
+
+
+# -- mutated documents -----------------------------------------------------------
+
+
+def json_paths(node, path=()):
+    """The path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+# values that fit where they land as often as not
+JSON_VALUES = st.integers(0, 5) | st.sampled_from("ABCD") | st.recursive(
+    st.sampled_from([None, True, False, -3, 1.5, 10 ** 20, "", "E", "neq",
+                     "range", "eq"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["name", "domain", "vars", "type", "range"]), inner,
+        max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The canonical document after one to three mutations below its root,
+    each replacing a value, dropping a key or list item, or nesting a value
+    in a list or an object."""
+    doc = json.loads(CANONICAL)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        kind = draw(st.sampled_from(["replace", "drop", "list", "object"]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if kind == "replace":
+            parent[key] = draw(JSON_VALUES)
+        elif kind == "drop":
+            del parent[key]
+        else:
+            parent[key] = [parent[key]] if kind == "list" \
+                else {"vars": parent[key]}
+    return json.dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_parse_and_count_or_raise_model_error(text):
+    try:
+        doc = parse_model(text)
+    except ModelError:
+        return
+    assert dfs_count(doc.build_state()).count == \
+        dds_count(doc.build_state()).count
 
 
 def two_var_doc(domain=(0, 1), constraint=None):

@@ -332,6 +332,70 @@ def test_dfa_validation():
         Dfa(1, 0, [0], {(0, 0): 3})
 
 
+def brute_force_runs(vars_, doms, tied):
+    """The unassigned variables of ``vars_`` cut into fragments wherever
+    ``tied[p]`` says position p is not tied to position p + 1."""
+    fragments, run = [], []
+    for p, x in enumerate(vars_):
+        if len(doms[x]) != 1:
+            run.append(x)
+        if (p == len(vars_) - 1 or not tied[p]) and run:
+            fragments.append(frozenset(run))
+            run = []
+    return fragments
+
+
+@st.composite
+def regular_cases(draw):
+    states = draw(st.integers(1, 3))
+    transitions = draw(st.dictionaries(
+        st.tuples(st.integers(0, states - 1), st.integers(0, 2)),
+        st.integers(0, states - 1)))
+    finals = draw(st.sets(st.integers(0, states - 1)))
+    n = draw(st.integers(1, 5))
+    doms = draw(st.lists(st.sets(st.integers(0, 2), min_size=1),
+                         min_size=n, max_size=n))
+    return Dfa(states, 0, finals, transitions), doms
+
+
+@settings(max_examples=300, deadline=None)
+@given(regular_cases())
+def test_regular_filter_and_split_against_brute_force(case):
+    dfa, doms = case
+    n = len(doms)
+    prop = Regular(range(n), dfa)
+    words = [w for w in itertools.product(*map(sorted, doms))
+             if dfa.accepts(w)]
+    state = new_problem(doms)
+    result = prop.filter(state)
+    if not words:
+        assert result is PropagationResult.FAILED
+        return
+    # pruned to the symbols of the accepted words, and entailed exactly
+    # when every word of the pruned domains is accepted
+    assert state.domains == [{w[i] for w in words} for i in range(n)]
+    every = all(map(dfa.accepts, itertools.product(*state.domains)))
+    assert result is (PropagationResult.ENTAILED if every
+                      else PropagationResult.STABLE)
+    # the automaton states the accepted words pass through; the scope
+    # splits after position p when a single state is live there
+    live = [set() for _ in range(n + 1)]
+    for w in words:
+        q = dfa.start
+        for i, symbol in enumerate(w, 1):
+            q = dfa.transitions[q, symbol]
+            live[i].add(q)
+    want = brute_force_runs(prop.vars, state.domains,
+                            [len(live[p + 1]) != 1 for p in range(n)])
+    assert prop.hyperedges(state) == want
+    kept = new_problem(doms)
+    h = kept.post(prop)
+    kept.propagate()
+    assert kept.domains == state.domains
+    if h in kept.propagators:
+        assert prop.hyperedges(kept, h) == want
+
+
 # -- slide ---------------------------------------------------------------------
 
 
@@ -387,6 +451,49 @@ def test_slide_counts_like_chain_of_tables(model):
         chained.post(Table(range(w, w + width), tuples))
     for count in (dds_count, dfs_count):
         assert count(slid).count == count(chained).count
+
+
+@st.composite
+def dense_slide_models(draw):
+    # all but a few tuples allowed: windows entail often, but not all
+    n = draw(st.integers(3, 6))
+    width = draw(st.integers(2, 3))
+    doms = draw(st.lists(st.sets(st.integers(0, 3), min_size=1),
+                         min_size=n, max_size=n))
+    banned = draw(st.sets(st.tuples(*[st.integers(0, 3)] * width),
+                          min_size=1, max_size=8))
+    tuples = set(itertools.product(range(4), repeat=width)) - banned
+    return doms, width, sorted(tuples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(slide_models(), dense_slide_models()), st.data())
+def test_slide_split_against_window_entailment(model, data):
+    doms, width, tuples = model
+    n, m = len(doms), len(doms) - width + 1
+    prop = Slide(range(n), width, tuples)
+    state = new_problem(doms)
+    h = state.post(prop)
+    tells = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                                         st.integers(0, 3)), max_size=3))
+    for tell in [None] + tells:
+        if tell is not None:
+            eq, x, v = tell
+            (state.tell_eq if eq else state.tell_neq)(x, v)
+        if state.propagate() is not StateStatus.BRANCHABLE \
+                or h not in state.propagators:
+            return
+        # a position stands alone when every window over it is entailed,
+        # and is then tied to neither neighbour
+        entailed = [set(itertools.product(*state.domains[w:w + width]))
+                    <= set(tuples) for w in range(m)]
+        alone = [all(entailed[max(0, p - width + 1):p + 1])
+                 for p in range(n)]
+        tied = [p + 1 < n and not alone[p] and not alone[p + 1]
+                for p in range(n)]
+        want = brute_force_runs(prop.vars, state.domains, tied)
+        assert prop.hyperedges(state, h) == want
+        assert prop.hyperedges(state) == want
 
 
 def naive_slide_fixpoint(doms, width, tuples):
@@ -495,8 +602,7 @@ def window_fixpoint(doms, props):
 def assert_slots_agree(state):
     """A split read from a slot equals the one computed from the domains."""
     for h, prop in state.propagators.items():
-        slot = state.slots.get(h)
-        assert prop.hyperedges(state, slot) == prop.hyperedges(state)
+        assert prop.hyperedges(state, h) == prop.hyperedges(state)
 
 
 @settings(max_examples=200, deadline=None)

@@ -87,9 +87,8 @@ def reference_choose(state, heuristic, scope, graph=None):
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
         degree = dict.fromkeys(cands, 0)
         if graph is None:
-            slots = state.slots
             for h, prop in state.propagators.items():
-                for edge in prop.hyperedges(state, slots.get(h)):
+                for edge in prop.hyperedges(state, h):
                     inside = [x for x in edge if x in degree]
                     if len(inside) >= 2:
                         for x in inside:
