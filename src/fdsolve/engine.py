@@ -17,11 +17,18 @@ either side after the clone copies.
 
 Propagators are immutable and shared by every clone, so what one learns
 about a particular state lives in that state's slots: one entry per
-handle, which only the propagator's own ``filter`` reads and writes.
-``propagate`` passes each filter its handle; a filter called without one
-neither reads nor writes a slot.  The slot goes with its propagator when
-that is entailed.  What a slot holds is the propagator's business; it
-must never be changed in place, because clones share it.
+handle, which the propagator's own ``filter`` writes, through ``keep``,
+and which its ``filter`` and ``hyperedges`` read.  ``propagate`` passes
+each filter its handle, and the graph layer and DFS branching pass it to
+``hyperedges``; called without one, either method neither reads nor
+writes a slot, and no other code reads one.  The slot goes with its
+propagator when that is entailed.  What a slot holds is the propagator's
+business; it must never be changed in place, because clones share it,
+so a filter that learns something new keeps a new value.
+
+The subscription lists map each variable to the handles of the
+propagators posted on it; ``propagators_on`` reads them, so the graph of
+a scope is built from the propagators on its variables alone.
 """
 from __future__ import annotations
 
@@ -94,6 +101,12 @@ class ProblemState:
         """The single remaining value; only meaningful when assigned."""
         (v,) = self.domains[x]
         return v
+
+    def propagators_on(self, xs: Iterable[int]) -> dict[int, object]:
+        """The stored propagators on a variable of ``xs``, each once, by
+        handle, found through the subscription lists of ``xs``."""
+        props, subs = self.propagators, self._subs
+        return {h: props[h] for x in xs for h in subs[x] if h in props}
 
     # -- posting -------------------------------------------------------
 

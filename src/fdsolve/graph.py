@@ -1,12 +1,15 @@
 """Constraint-graph reflection and connected-component decomposition.
 
-Decomposing search rebuilds the hypergraph from the propagator store at
-every node it analyses: nodes are the unassigned variables, hyperedges
-come from each active propagator's own scope split, asked for with the
-handle it is stored under, so a propagator may read the split off its
-state slot instead of recomputing it.  Connected components
-of this graph are independent partial problems; solving them separately
-and multiplying the counts is exact.  Plain DFS builds no graph:
+Decomposing search rebuilds the hypergraph of its scope at every node it
+analyses: nodes are the scope's unassigned variables, and hyperedges come
+from the scope split of each active propagator on one of them.  Those
+propagators are reached through the subscription lists of the nodes, not
+by a scan of the whole store, so the work follows the scope; the edges
+are those such a scan finds, in another order.  Each split is asked
+for with the handle the propagator is stored under, so it may be read
+off the propagator's state slot instead of recomputed.  Connected
+components of this graph are independent partial problems; solving them
+separately and multiplying the counts is exact.  Plain DFS builds no graph:
 ``search.choose`` reads its degrees off the same scope splits directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
@@ -42,18 +45,19 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
     """Reflect the current store into an explicit hypergraph.
 
     ``scope`` restricts the graph to a variable subset (used by component
-    sub-searches); by default all variables are considered.  Entailed
-    propagators contribute nothing because the store no longer holds them.
+    sub-searches); by default all variables are considered.  The
+    propagators are reached through the subscription lists of the scope's
+    unassigned variables, so the work follows the scope, not the store;
+    one whose unassigned variables all lie outside the scope has no edge
+    to give.  Entailed propagators contribute nothing because the store
+    no longer holds them.
     """
+    domains = state.domains
     if scope is None:
-        scope_set = set(range(state.num_vars))
-    else:
-        scope_set = set(scope)
-    nodes = frozenset(x for x in scope_set if not state.is_assigned(x))
+        scope = range(len(domains))
+    nodes = frozenset([x for x in scope if len(domains[x]) != 1])
     edges = []
-    for handle, prop in state.propagators.items():
-        if not any(x in scope_set for x in prop.vars):
-            continue
+    for handle, prop in state.propagators_on(nodes).items():
         for edge in prop.hyperedges(state, handle):
             edge = edge & nodes
             if len(edge) >= 2:

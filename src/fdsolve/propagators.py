@@ -33,6 +33,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import is_not
 from typing import Iterable, Sequence
 
 
@@ -510,6 +511,14 @@ class Dfa:
             if not (0 <= q < self.state_count and 0 <= r < self.state_count):
                 raise ValueError("Dfa: transition state out of range")
 
+    @cached_property
+    def _moves(self) -> list[dict[int, int]]:
+        """Per state, its transitions as symbol -> next state."""
+        moves: list[dict[int, int]] = [{} for _ in range(self.state_count)]
+        for (q, s), r in self.transitions.items():
+            moves[q][s] = r
+        return moves
+
     def accepts(self, word: Sequence[int]) -> bool:
         q = self.start
         for s in word:
@@ -526,9 +535,12 @@ class Regular:
     Filtering works on the unfolded automaton: one layer of automaton
     states per position, arcs labelled with domain values, pruned by
     forward/backward reachability.  Layers left with a single live state
-    are the points where the scope splits; a stable filter keeps them in
-    its slot.  Restricting the domains to the live arcs' symbols keeps
-    every live state live, so they hold for the domains it ends with.
+    are the points where the scope splits.  A stable filter keeps the live
+    layers, with their counts, and these cuts in its slot; restricting the
+    domains to the live arcs' symbols keeps every live state and count, so
+    they hold for the domains it ends with.  The next filter recomputes
+    only what the positions changed since can reach, and ``hyperedges``
+    reads the cuts.
     """
 
     vars: tuple[int, ...]
@@ -541,52 +553,105 @@ class Regular:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "dfa", dfa)
 
-    def _layers(self, doms):
-        """Forward/backward pruned unfolding.
+    def _layers(self, doms, bound=None, lo=0, hi=None):
+        """Forward/backward pruned unfolding, in Pesant's layered graph
+        (CP 2004): each layer maps its live automaton states to their
+        number of accepted suffixes.
 
-        Returns (live_per_layer, live_arcs_per_position): each layer maps
-        its live automaton states to their number of accepted suffixes,
-        counted on the backward pass as in Pesant's layered graph (CP 2004),
-        and an arc is (state, symbol, next_state).
+        From scratch, ``bound`` is None.  Otherwise it is the live layers
+        of domains that ``doms`` narrow at positions ``lo`` to ``hi`` only:
+        the live states of a layer can only have become fewer, layers up to
+        ``lo`` keep their forward states, and layers after ``hi`` their
+        counts.  The forward pass then runs from ``lo`` over the bound's
+        states and stops after ``hi`` at the first layer that keeps all of
+        them, above which nothing changed; the backward pass runs from
+        ``hi`` down to 0.
+
+        Returns (live_per_layer, symbols_per_position): the symbols of each
+        position's live arcs, up to the position where the forward pass
+        stopped.
         """
         n = len(doms)
-        fwd: list[set[int]] = [set() for _ in range(n + 1)]
-        fwd[0].add(self.dfa.start)
-        arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        trans = self.dfa.transitions
-        for i in range(n):
-            nxt = fwd[i + 1]
-            for q in fwd[i]:
+        moves = self.dfa._moves
+        if bound is None:
+            # any state may be live between the start and the finals
+            anywhere = range(self.dfa.state_count)
+            bound = [{self.dfa.start: 0}, *[anywhere] * (n - 1),
+                     dict.fromkeys(self.dfa.finals, 1)]
+            hi = n - 1
+        live = bound.copy()
+        states, arcs, top = bound[lo], [], n
+        for i in range(lo, n):
+            allowed, out, nxt = bound[i + 1], [], set()
+            for q in states:
+                move = moves[q]
                 for s in doms[i]:
-                    r = trans.get((q, s))
-                    if r is not None:
-                        arcs[i].append((q, s, r))
+                    r = move.get(s)
+                    if r in allowed:
+                        out.append((q, s, r))
                         nxt.add(r)
-        live: list[dict[int, int]] = [{} for _ in range(n + 1)]
-        live[n] = dict.fromkeys(fwd[n] & self.dfa.finals, 1)
-        live_arcs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for i in range(n - 1, -1, -1):
-            ways, after = live[i], live[i + 1]
-            for q, s, r in arcs[i]:
+            arcs.append(out)
+            if i >= hi:
+                if len(nxt) == len(allowed):
+                    top = i + 1
+                    break
+                # after hi the counts stay, and every forward arc is live
+                live[i + 1] = {q: allowed[q] for q in nxt}
+            states = nxt
+        symbols: list = [None] * top
+        for i in range(hi + 1, top):
+            symbols[i] = {s for _q, s, _r in arcs[i - lo]}
+        for i in range(hi, lo - 1, -1):
+            ways, after, used = {}, live[i + 1], set()
+            for q, s, r in arcs[i - lo]:
                 w = after.get(r)
                 if w:
-                    live_arcs[i].append((q, s, r))
+                    used.add(s)
                     ways[q] = ways.get(q, 0) + w
-        return live, live_arcs
+            live[i], symbols[i] = ways, used
+        # before lo the arcs run between the bound's states
+        for i in range(lo - 1, -1, -1):
+            ways, after, used = {}, live[i + 1], set()
+            for q in bound[i]:
+                move, count = moves[q], 0
+                for s in doms[i]:
+                    w = after.get(move.get(s))
+                    if w:
+                        used.add(s)
+                        count += w
+                if count:
+                    ways[q] = count
+            live[i], symbols[i] = ways, used
+        return live, symbols
 
     def filter(self, state, handle=None) -> PropagationResult:
-        live, live_arcs = self._layers([state.domains[x] for x in self.vars])
+        domains = state.domains
+        doms = [domains[x] for x in self.vars]
+        slot = state.slots.get(handle)
+        if slot is None:
+            live, symbols = self._layers(doms)
+        else:
+            # the last filter's layers bound this one's; only the positions
+            # whose domain changed since can change them
+            kept_doms, (bound, _cuts) = slot
+            changed = list(map(is_not, doms, kept_doms))
+            if True not in changed:
+                return STABLE
+            live, symbols = self._layers(
+                doms, bound, changed.index(True),
+                len(changed) - 1 - changed[::-1].index(True))
         accepted = live[0].get(self.dfa.start, 0)
         if not accepted:
             return FAILED
-        # every position keeps a live arc, so no domain empties
-        for x, arcs in zip(self.vars, live_arcs):
-            state.restrict(x, {s for _q, s, _r in arcs})
+        # every position keeps a live arc, so no domain empties; the
+        # positions past the symbols kept theirs
+        for x, allowed in zip(self.vars, symbols):
+            state.restrict(x, allowed)
         # exact entailment: the pruned domains hold no value outside an
         # accepted word, so every word is accepted iff the counts agree
-        if accepted == math.prod(len(state.domains[x]) for x in self.vars):
+        if accepted == math.prod(len(domains[x]) for x in self.vars):
             return ENTAILED
-        _keep(state, handle, self.vars, self._cuts(live))
+        _keep(state, handle, self.vars, (live, self._cuts(live)))
         return STABLE
 
     @staticmethod
@@ -599,9 +664,8 @@ class Regular:
 
     def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         doms = [state.domains[x] for x in self.vars]
-        cuts = _kept(state, handle, self.vars)
-        if cuts is None:
-            cuts = self._cuts(self._layers(doms)[0])
+        kept = _kept(state, handle, self.vars)
+        cuts = self._cuts(self._layers(doms)[0]) if kept is None else kept[1]
         return _runs(self.vars, doms, cuts)
 
 
@@ -614,9 +678,9 @@ class Slide:
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
     Every window is filtered with the same bitset support masks as ``Table``.
-    A stable filter keeps each window's entailment flag in its slot; the
-    next filter scans only windows over a position whose domain changed,
-    and ``hyperedges`` reads the split off the flags.
+    A stable filter keeps each window's entailment flag in its slot with
+    the cuts they give; the next filter scans only windows over a position
+    whose domain changed, and ``hyperedges`` reads the cuts.
     """
 
     vars: tuple[int, ...]
@@ -650,11 +714,12 @@ class Slide:
             # the last filter left every window at its fixpoint; a window
             # none of whose domains changed since would scan to the same
             # supports and flag, so it is skipped where it would be scanned
-            kept_doms, flags = slot
-            changed = [domains[x] is not d
-                       for x, d in zip(self.vars, kept_doms)]
-            entailed = list(flags)
-            stale = [any(changed[w:w + k]) for w in range(m)]
+            kept_doms, (flags, _cuts) = slot
+            entailed, stale = list(flags), [False] * m
+            for p, (x, d) in enumerate(zip(self.vars, kept_doms)):
+                if domains[x] is not d:
+                    for w in range(max(0, p - k + 1), min(m, p + 1)):
+                        stale[w] = True
         # sweep the windows in order, then rescan, first in first out, those
         # made stale behind the sweep: the order of a FIFO queue that starts
         # with every window and takes in each window made stale outside it
@@ -686,8 +751,18 @@ class Slide:
                                 behind.append(w2)
         if all(entailed):
             return ENTAILED
-        _keep(state, handle, self.vars, entailed)
+        _keep(state, handle, self.vars, (entailed, self._cuts(entailed)))
         return STABLE
+
+    def _cuts(self, entailed) -> list[int]:
+        """The cuts p and p + 1 around each position whose covering windows
+        are all entailed: such a position is cut off from both neighbours."""
+        k = self.width
+        split = [True] * (len(entailed) + k - 1)
+        for w, flag in enumerate(entailed):
+            if not flag:
+                split[w:w + k] = [False] * k
+        return [c for p, alone in enumerate(split) if alone for c in (p, p + 1)]
 
     def satisfied(self, values: Sequence[int]) -> bool:
         k = self.width
@@ -697,16 +772,11 @@ class Slide:
     def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
         k = self.width
         doms = [state.domains[x] for x in self.vars]
-        entailed = _kept(state, handle, self.vars)
-        if entailed is None:
-            entailed = [_supports(self._masks, doms[w:w + k])[0]
-                        == math.prod(map(len, doms[w:w + k]))
-                        for w in range(len(doms) - k + 1)]
-        # a position splits the sequence when every window covering it is
-        # entailed; such a position is cut off from both neighbours
-        split = [True] * len(doms)
-        for w, flag in enumerate(entailed):
-            if not flag:
-                split[w:w + k] = [False] * k
-        cuts = [c for p, alone in enumerate(split) if alone for c in (p, p + 1)]
+        kept = _kept(state, handle, self.vars)
+        if kept is None:
+            cuts = self._cuts([_supports(self._masks, doms[w:w + k])[0]
+                               == math.prod(map(len, doms[w:w + k]))
+                               for w in range(len(doms) - k + 1)])
+        else:
+            cuts = kept[1]
         return _runs(self.vars, doms, cuts)

@@ -1,12 +1,15 @@
 from math import prod
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fdsolve import (EQ, AllDifferent, Linear, Neq, StateStatus,
                      brute_force_count, build_constraint_graph, components,
                      dds_count, new_problem)
 from fdsolve.graph import decompose_analysis
 
 from randcsp import (enumerate_solutions, intro_state, random_clustered_state,
-                     random_state)
+                     random_state, random_state_with_slide)
 
 
 def test_intro_graph_after_root_propagation():
@@ -149,3 +152,51 @@ def test_analysis_classifies_isolated():
     analysis = decompose_analysis(state)
     assert [sorted(c) for c in analysis.linked] == [[2, 3]]
     assert analysis.isolated == (1,)
+
+
+def full_scan_graph(state, scope):
+    """The graph of ``scope`` from every stored propagator's split: its
+    nodes and its sorted edge multiset."""
+    nodes = frozenset(x for x in scope if len(state.domains[x]) != 1)
+    edges = []
+    for h, prop in state.propagators.items():
+        for edge in prop.hyperedges(state, h):
+            if len(edge & nodes) >= 2:
+                edges.append(sorted(edge & nodes))
+    return nodes, sorted(edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_state, random_clustered_state,
+                        random_state_with_slide]),
+       st.integers(0, 10 ** 6), st.data())
+def test_scope_graph_equals_full_store_scan(make, seed, data):
+    # the scopes: every variable, the components a decomposing search
+    # reports, and random subsets; checked through propagate, a clone and
+    # random tells, also on the told clone before it propagates
+    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    state = make(seed)
+    every = range(state.num_vars)
+
+    def check(state):
+        scopes = [None, every, *parts,
+                  data.draw(st.sets(st.sampled_from(every)))]
+        for scope in scopes:
+            graph = build_constraint_graph(state, scope)
+            nodes, edges = full_scan_graph(state,
+                                           every if scope is None else scope)
+            assert graph.nodes == nodes
+            assert sorted(sorted(e) for e in graph.edges) == edges
+
+    status = state.propagate()
+    for _ in range(data.draw(st.integers(0, 3)) + 1):
+        if status is not StateStatus.BRANCHABLE:
+            return
+        check(state)
+        state = state.clone()
+        x = data.draw(st.sampled_from(
+            [x for x in every if len(state.domains[x]) > 1]))
+        v = data.draw(st.sampled_from(sorted(state.domains[x])))
+        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        check(state)
+        status = state.propagate()

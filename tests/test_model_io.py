@@ -163,10 +163,14 @@ JSON_VALUES = st.integers(0, 5) | st.sampled_from("ABCD") | st.recursive(
 def mutated_documents(draw):
     """The canonical document after one to three mutations below its root,
     each replacing a value, dropping a key or list item, or nesting a value
-    in a list or an object."""
+    in a list or an object; the mutations stop once both top-level keys are
+    dropped, since nothing is left below the root."""
     doc = json.loads(CANONICAL)
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(json_paths(doc))))
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
         kind = draw(st.sampled_from(["replace", "drop", "list", "object"]))
         parent = doc
         for key in path[:-1]:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import pytest
@@ -394,6 +395,115 @@ def test_regular_filter_and_split_against_brute_force(case):
     assert kept.domains == state.domains
     if h in kept.propagators:
         assert prop.hyperedges(kept, h) == want
+
+
+@st.composite
+def long_regular_models(draw):
+    """One Regular over 6-10 positions, a random 2-4 state DFA over 3-4
+    symbols, and a few Neq between its variables."""
+    n = draw(st.integers(6, 10))
+    symbols = range(draw(st.integers(3, 4)))
+    states = draw(st.integers(2, 4))
+    # each transition is there with probability states / (states + 1)
+    targets = draw(st.lists(st.integers(-1, states - 1),
+                            min_size=states * len(symbols),
+                            max_size=states * len(symbols)))
+    transitions = {qs: r for qs, r in zip(
+        itertools.product(range(states), symbols), targets) if r >= 0}
+    finals = draw(st.sets(st.integers(0, states - 1), min_size=1))
+    doms = draw(st.lists(st.sets(st.sampled_from(symbols), min_size=1),
+                         min_size=n, max_size=n))
+    # at most 20,000 words, so the oracle can list them
+    while math.prod(map(len, doms)) > 20_000:
+        max(doms, key=len).pop()
+    vars_ = draw(st.permutations(range(n)))
+    neqs = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2,
+                                  max_size=2, unique=True), max_size=3))
+    return Dfa(states, 0, finals, transitions), vars_, doms, neqs
+
+
+def accepted_words(dfa, doms):
+    """Every word over ``doms`` that ``dfa`` accepts, by walking its
+    transitions."""
+    words = []
+
+    def walk(q, prefix):
+        if len(prefix) == len(doms):
+            if q in dfa.finals:
+                words.append(tuple(prefix))
+            return
+        for s in sorted(doms[len(prefix)]):
+            r = dfa.transitions.get((q, s))
+            if r is not None:
+                walk(r, prefix + [s])
+
+    walk(dfa.start, [])
+    return words
+
+
+def regular_neq_fixpoint(doms, prop, neqs):
+    """The domains filtered to the values of the accepted words and by each
+    Neq with a fixed side, over and over until none changes, or None once
+    one empties."""
+    doms = [set(d) for d in doms]
+    while True:
+        words = accepted_words(prop.dfa, [doms[x] for x in prop.vars])
+        if not words:
+            return None
+        before = [set(d) for d in doms]
+        for i, x in enumerate(prop.vars):
+            doms[x] = {w[i] for w in words}
+        for a, b in neqs:
+            for fixed, other in ((a, b), (b, a)):
+                if len(doms[fixed]) == 1:
+                    doms[other] -= doms[fixed]
+        if not all(doms):
+            return None
+        if doms == before:
+            return doms
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_regular_models(), st.data())
+def test_incremental_regular_against_recomputation(model, data):
+    # through clones, one or two tells and propagate, up to 6 times: the
+    # layers kept in the slot are those of the kept domains recomputed
+    # from scratch, and the domains are the joint fixpoint of the words
+    dfa, vars_, doms, neqs = model
+    prop = Regular(vars_, dfa)
+    state = new_problem(doms)
+    h = state.post(prop)
+    for a, b in neqs:
+        state.post(Neq(a, b))
+    status = state.propagate()
+    want = regular_neq_fixpoint(doms, prop, neqs)
+    for _ in range(data.draw(st.integers(1, 6))):
+        assert (status is StateStatus.FAILED) is (want is None)
+        if want is None:
+            return
+        assert state.domains == want
+        if h in state.propagators:
+            kept_doms, (live, cuts) = state.slots[h]
+            assert all(state.domains[x] is d
+                       for x, d in zip(prop.vars, kept_doms))
+            assert live == prop._layers(list(kept_doms))[0]
+            assert cuts == prop._cuts(live)
+        else:
+            assert all(map(dfa.accepts, itertools.product(
+                *(sorted(state.domains[x]) for x in prop.vars))))
+        if status is StateStatus.SOLVED:
+            return
+        state = state.clone()
+        for _ in range(data.draw(st.integers(1, 2))):
+            free = [x for x in range(len(doms)) if len(state.domains[x]) > 1]
+            if not free:
+                break
+            x = data.draw(st.sampled_from(free))
+            v = data.draw(st.sampled_from(sorted(state.domains[x])))
+            (state.tell_eq if data.draw(st.booleans())
+             else state.tell_neq)(x, v)
+        want = regular_neq_fixpoint(state.domains, prop, neqs)
+        status = state.propagate()
 
 
 # -- slide ---------------------------------------------------------------------
