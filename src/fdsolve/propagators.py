@@ -19,19 +19,21 @@ Each constraint class plays three roles:
 
 Constraint instances are immutable: clones of a problem state share them.
 What a filter learns about one state lives in that state's slot for the
-propagator (see ``engine``).  ``Slide`` and ``Regular`` keep the domains
-their last filter ended with and its by-product there; the by-product
-counts only while every one of those domains is still the same object,
-and a change always puts a new frozenset in a domain's place.  The other
-propagators keep nothing: their splits are cheap, and a slot per state
-would cost memory in deep search.
+propagator (see ``engine``).  ``Slide`` and ``Regular`` split their scope
+at cuts, the positions before which a run of variables breaks off; a
+stable filter keeps its cuts there with the domains it ended with, and
+``Slide`` also its window flags.  What a slot holds counts only while
+every one of those domains is still the same object, and a change always
+puts a new frozenset in a domain's place.  The other propagators keep
+nothing: their splits are cheap, and a slot per state would cost memory
+in deep search.
 """
 from __future__ import annotations
 
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import is_not
 from typing import Iterable, Sequence
@@ -60,50 +62,52 @@ def _check_distinct(vars: Sequence[int], what: str) -> tuple[int, ...]:
     return vs
 
 
-def _unassigned(state, vars: Iterable[int]) -> list[int]:
-    return [x for x in vars if len(state.domains[x]) != 1]
-
-
-def _keep(state, handle, vars: Sequence[int], product) -> None:
-    """Keep ``product`` in the slot of ``handle``, if there is one, with the
-    domains of ``vars`` it is valid for."""
+def _keep(state, handle, vars: Sequence[int], cuts, *more) -> None:
+    """Keep ``cuts``, then ``more``, in the slot of ``handle``, if there is
+    one, after the domains of ``vars`` they are valid for."""
     if handle is not None:
         domains = state.domains
-        state.keep(handle, (tuple([domains[x] for x in vars]), product))
+        state.keep(handle, (tuple([domains[x] for x in vars]), cuts, *more))
 
 
-def _kept(state, handle, vars: Sequence[int]):
-    """The by-product in the slot of ``handle`` if no domain of ``vars`` has
-    changed since it was kept, else None."""
-    slot = state.slots.get(handle)
-    if slot is None:
-        return None
-    doms, product = slot
-    domains = state.domains
-    for x, d in zip(vars, doms):
-        if domains[x] is not d:
-            return None
-    return product
+class _Whole:
+    """Base of the propagators whose scope never splits: its unassigned
+    variables are one fragment."""
+
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+        domains = state.domains
+        free = [x for x in self.vars if len(domains[x]) != 1]
+        return [frozenset(free)] if free else []
 
 
-def _runs(vars: Sequence[int], doms, cuts: Iterable[int]) -> list[frozenset[int]]:
-    """The unassigned variables of ``vars`` cut before each position in
-    ``cuts``, as one fragment per non-empty run, in position order."""
-    cuts = set(cuts)
-    edges, run = [], []
-    for p, x in enumerate(vars):
-        if p in cuts and run:
+class _Runs:
+    """Base of the propagators whose scope splits into runs at cuts: their
+    filter keeps the cuts in its slot, and ``_fresh_cuts(doms)`` computes
+    them from the scope's domains when the slot is out of date."""
+
+    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+        # the unassigned variables cut before each position in the cuts,
+        # as one fragment per non-empty run, in position order; kept cuts
+        # hold while each domain is the one they were kept with
+        domains = state.domains
+        doms = [domains[x] for x in self.vars]
+        slot = state.slots.get(handle)
+        fresh = slot is None or any(map(is_not, doms, slot[0]))
+        cuts = set(self._fresh_cuts(doms) if fresh else slot[1])
+        edges, run = [], []
+        for p, x in enumerate(self.vars):
+            if p in cuts and run:
+                edges.append(frozenset(run))
+                run = []
+            if len(doms[p]) != 1:
+                run.append(x)
+        if run:
             edges.append(frozenset(run))
-            run = []
-        if len(doms[p]) != 1:
-            run.append(x)
-    if run:
-        edges.append(frozenset(run))
-    return edges
+        return edges
 
 
 @dataclass(frozen=True, eq=True)
-class Neq:
+class Neq(_Whole):
     """Binary inequality x != y."""
 
     x: int
@@ -135,13 +139,9 @@ class Neq:
     def satisfied(self, values: Sequence[int]) -> bool:
         return values[0] != values[1]
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
-        free = _unassigned(state, self.vars)
-        return [frozenset(free)] if free else []
-
 
 @dataclass(frozen=True, eq=True)
-class Linear:
+class Linear(_Whole):
     """sum(coeffs[i] * vars[i]) == rhs  (rel=EQ)  or  <= rhs  (rel=LEQ).
 
     Filtering is bounds consistency; the scope never splits because every
@@ -214,10 +214,6 @@ class Linear:
     def satisfied(self, values: Sequence[int]) -> bool:
         total = sum(a * v for a, v in zip(self.coeffs, values))
         return total == self.rhs if self.rel == EQ else total <= self.rhs
-
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
-        free = _unassigned(state, self.vars)
-        return [frozenset(free)] if free else []
 
 
 @dataclass(frozen=True, eq=True)
@@ -451,7 +447,7 @@ def _supports(masks, doms) -> tuple[int, list[set[int]]]:
 
 
 @dataclass(frozen=True, eq=True)
-class Table:
+class Table(_Whole):
     """Extensional constraint: the variables' tuple must be in ``tuples``;
     GAC through bitset support masks, built on the first filter call."""
 
@@ -481,10 +477,6 @@ class Table:
     def satisfied(self, values: Sequence[int]) -> bool:
         return tuple(values) in self.tuples
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
-        free = _unassigned(state, self.vars)
-        return [frozenset(free)] if free else []
-
 
 @dataclass(frozen=True, eq=True)
 class Dfa:
@@ -512,11 +504,11 @@ class Dfa:
                 raise ValueError("Dfa: transition state out of range")
 
     @cached_property
-    def _moves(self) -> list[dict[int, int]]:
-        """Per state, its transitions as symbol -> next state."""
-        moves: list[dict[int, int]] = [{} for _ in range(self.state_count)]
+    def _moves(self) -> dict[int, dict[int, int]]:
+        """Per state that has transitions, those as symbol -> next state."""
+        moves: dict[int, dict[int, int]] = {}
         for (q, s), r in self.transitions.items():
-            moves[q][s] = r
+            moves.setdefault(q, {})[s] = r
         return moves
 
     def accepts(self, word: Sequence[int]) -> bool:
@@ -529,18 +521,16 @@ class Dfa:
 
 
 @dataclass(frozen=True, eq=True)
-class Regular:
+class Regular(_Runs):
     """The variables, read as a word, must be accepted by ``dfa``.
 
     Filtering works on the unfolded automaton: one layer of automaton
     states per position, arcs labelled with domain values, pruned by
     forward/backward reachability.  Layers left with a single live state
-    are the points where the scope splits.  A stable filter keeps the live
-    layers, with their counts, and these cuts in its slot; restricting the
-    domains to the live arcs' symbols keeps every live state and count, so
-    they hold for the domains it ends with.  The next filter recomputes
-    only what the positions changed since can reach, and ``hyperedges``
-    reads the cuts.
+    are the points where the scope splits.  Every filter unfolds from
+    scratch.  A stable one keeps these cuts in its slot: restricting the
+    domains to the live arcs' symbols keeps every live state live, so the
+    cuts hold for the domains it ends with, and ``hyperedges`` reads them.
     """
 
     vars: tuple[int, ...]
@@ -553,105 +543,56 @@ class Regular:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "dfa", dfa)
 
-    def _layers(self, doms, bound=None, lo=0, hi=None):
+    def _layers(self, doms):
         """Forward/backward pruned unfolding, in Pesant's layered graph
-        (CP 2004): each layer maps its live automaton states to their
-        number of accepted suffixes.
+        (CP 2004).
 
-        From scratch, ``bound`` is None.  Otherwise it is the live layers
-        of domains that ``doms`` narrow at positions ``lo`` to ``hi`` only:
-        the live states of a layer can only have become fewer, layers up to
-        ``lo`` keep their forward states, and layers after ``hi`` their
-        counts.  The forward pass then runs from ``lo`` over the bound's
-        states and stops after ``hi`` at the first layer that keeps all of
-        them, above which nothing changed; the backward pass runs from
-        ``hi`` down to 0.
-
-        Returns (live_per_layer, symbols_per_position): the symbols of each
-        position's live arcs, up to the position where the forward pass
-        stopped.
+        Returns (live_per_layer, symbols_per_position): each layer maps its
+        live automaton states to their number of accepted suffixes, counted
+        on the backward pass, and each position's symbols are those of its
+        live arcs.
         """
         n = len(doms)
         moves = self.dfa._moves
-        if bound is None:
-            # any state may be live between the start and the finals
-            anywhere = range(self.dfa.state_count)
-            bound = [{self.dfa.start: 0}, *[anywhere] * (n - 1),
-                     dict.fromkeys(self.dfa.finals, 1)]
-            hi = n - 1
-        live = bound.copy()
-        states, arcs, top = bound[lo], [], n
-        for i in range(lo, n):
-            allowed, out, nxt = bound[i + 1], [], set()
+        states, arcs = {self.dfa.start}, []
+        for d in doms:
+            out, nxt = [], set()
             for q in states:
-                move = moves[q]
-                for s in doms[i]:
-                    r = move.get(s)
-                    if r in allowed:
-                        out.append((q, s, r))
-                        nxt.add(r)
+                move = moves.get(q)
+                if move:
+                    for s in d:
+                        r = move.get(s)
+                        if r is not None:
+                            out.append((q, s, r))
+                            nxt.add(r)
             arcs.append(out)
-            if i >= hi:
-                if len(nxt) == len(allowed):
-                    top = i + 1
-                    break
-                # after hi the counts stay, and every forward arc is live
-                live[i + 1] = {q: allowed[q] for q in nxt}
             states = nxt
-        symbols: list = [None] * top
-        for i in range(hi + 1, top):
-            symbols[i] = {s for _q, s, _r in arcs[i - lo]}
-        for i in range(hi, lo - 1, -1):
+        live: list = [None] * n + [dict.fromkeys(states & self.dfa.finals, 1)]
+        symbols: list = [None] * n
+        for i in range(n - 1, -1, -1):
             ways, after, used = {}, live[i + 1], set()
-            for q, s, r in arcs[i - lo]:
+            for q, s, r in arcs[i]:
                 w = after.get(r)
                 if w:
                     used.add(s)
                     ways[q] = ways.get(q, 0) + w
             live[i], symbols[i] = ways, used
-        # before lo the arcs run between the bound's states
-        for i in range(lo - 1, -1, -1):
-            ways, after, used = {}, live[i + 1], set()
-            for q in bound[i]:
-                move, count = moves[q], 0
-                for s in doms[i]:
-                    w = after.get(move.get(s))
-                    if w:
-                        used.add(s)
-                        count += w
-                if count:
-                    ways[q] = count
-            live[i], symbols[i] = ways, used
         return live, symbols
 
     def filter(self, state, handle=None) -> PropagationResult:
         domains = state.domains
-        doms = [domains[x] for x in self.vars]
-        slot = state.slots.get(handle)
-        if slot is None:
-            live, symbols = self._layers(doms)
-        else:
-            # the last filter's layers bound this one's; only the positions
-            # whose domain changed since can change them
-            kept_doms, (bound, _cuts) = slot
-            changed = list(map(is_not, doms, kept_doms))
-            if True not in changed:
-                return STABLE
-            live, symbols = self._layers(
-                doms, bound, changed.index(True),
-                len(changed) - 1 - changed[::-1].index(True))
+        live, symbols = self._layers([domains[x] for x in self.vars])
         accepted = live[0].get(self.dfa.start, 0)
         if not accepted:
             return FAILED
-        # every position keeps a live arc, so no domain empties; the
-        # positions past the symbols kept theirs
+        # every position keeps a live arc, so no domain empties
         for x, allowed in zip(self.vars, symbols):
             state.restrict(x, allowed)
         # exact entailment: the pruned domains hold no value outside an
         # accepted word, so every word is accepted iff the counts agree
         if accepted == math.prod(len(domains[x]) for x in self.vars):
             return ENTAILED
-        _keep(state, handle, self.vars, (live, self._cuts(live)))
+        _keep(state, handle, self.vars, self._cuts(live))
         return STABLE
 
     @staticmethod
@@ -659,18 +600,15 @@ class Regular:
         """Positions before which only one automaton state is live."""
         return [i for i in range(1, len(live) - 1) if len(live[i]) == 1]
 
+    def _fresh_cuts(self, doms) -> list[int]:
+        return self._cuts(self._layers(doms)[0])
+
     def satisfied(self, values: Sequence[int]) -> bool:
         return self.dfa.accepts(values)
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
-        doms = [state.domains[x] for x in self.vars]
-        kept = _kept(state, handle, self.vars)
-        cuts = self._cuts(self._layers(doms)[0]) if kept is None else kept[1]
-        return _runs(self.vars, doms, cuts)
-
 
 @dataclass(frozen=True, eq=True)
-class Slide:
+class Slide(_Runs):
     """One k-ary extensional constraint slid over a variable sequence: each
     window of ``width`` consecutive variables must take a tuple from
     ``tuples``.
@@ -678,9 +616,9 @@ class Slide:
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
     Every window is filtered with the same bitset support masks as ``Table``.
-    A stable filter keeps each window's entailment flag in its slot with
-    the cuts they give; the next filter scans only windows over a position
-    whose domain changed, and ``hyperedges`` reads the cuts.
+    A stable filter keeps the cuts that its windows' entailment flags give
+    in its slot, with the flags; the next filter scans only windows over a
+    position whose domain changed, and ``hyperedges`` reads the cuts.
     """
 
     vars: tuple[int, ...]
@@ -714,7 +652,7 @@ class Slide:
             # the last filter left every window at its fixpoint; a window
             # none of whose domains changed since would scan to the same
             # supports and flag, so it is skipped where it would be scanned
-            kept_doms, (flags, _cuts) = slot
+            kept_doms, _cuts, flags = slot
             entailed, stale = list(flags), [False] * m
             for p, (x, d) in enumerate(zip(self.vars, kept_doms)):
                 if domains[x] is not d:
@@ -751,7 +689,7 @@ class Slide:
                                 behind.append(w2)
         if all(entailed):
             return ENTAILED
-        _keep(state, handle, self.vars, (entailed, self._cuts(entailed)))
+        _keep(state, handle, self.vars, self._cuts(entailed), entailed)
         return STABLE
 
     def _cuts(self, entailed) -> list[int]:
@@ -769,14 +707,8 @@ class Slide:
         return all(tuple(values[i:i + k]) in self.tuples
                    for i in range(len(values) - k + 1))
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+    def _fresh_cuts(self, doms) -> list[int]:
         k = self.width
-        doms = [state.domains[x] for x in self.vars]
-        kept = _kept(state, handle, self.vars)
-        if kept is None:
-            cuts = self._cuts([_supports(self._masks, doms[w:w + k])[0]
-                               == math.prod(map(len, doms[w:w + k]))
-                               for w in range(len(doms) - k + 1)])
-        else:
-            cuts = kept[1]
-        return _runs(self.vars, doms, cuts)
+        return self._cuts([_supports(self._masks, doms[w:w + k])[0]
+                           == math.prod(map(len, doms[w:w + k]))
+                           for w in range(len(doms) - k + 1)])

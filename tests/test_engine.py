@@ -179,7 +179,7 @@ def test_filter_outside_propagate_neither_reads_nor_writes_slots():
     state.tell_eq(0, 1)
     # a slot that claims every window entailed on the current domains;
     # a filter that read it would scan no window and report entailment
-    lie = (tuple(state.domains), ([True] * 3, []))
+    lie = (tuple(state.domains), [], [True] * 3)
     state.slots[hs] = lie
     kept = state.slots[hr]
     assert slide.filter(state) is PropagationResult.STABLE

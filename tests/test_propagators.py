@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +325,22 @@ def test_regular_unreachable_finals_fail():
     assert Regular((0,), dfa).filter(state) is PropagationResult.FAILED
 
 
+def test_regular_memory_follows_transitions_not_declared_states():
+    # two transitions among a million declared states: the unfolding must
+    # not build anything per declared state
+    tracemalloc.start()
+    try:
+        dfa = Dfa(10 ** 6, 0, [0], {(0, 1): 1, (1, 0): 0})
+        state = new_problem([{0, 1}] * 4)
+        result = Regular(range(4), dfa).filter(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is PropagationResult.ENTAILED
+    assert state.domains == [{1}, {0}, {1}, {0}]
+    assert peak < 1 << 20
+
+
 def test_dfa_validation():
     with pytest.raises(ValueError):
         Dfa(1, 1, [0], {})
@@ -465,10 +482,10 @@ def regular_neq_fixpoint(doms, prop, neqs):
 
 @settings(max_examples=200, deadline=None)
 @given(long_regular_models(), st.data())
-def test_incremental_regular_against_recomputation(model, data):
+def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
     # through clones, one or two tells and propagate, up to 6 times: the
-    # layers kept in the slot are those of the kept domains recomputed
-    # from scratch, and the domains are the joint fixpoint of the words
+    # slot holds the current domains and the cuts of their unfolding, and
+    # the domains are the joint fixpoint of the words
     dfa, vars_, doms, neqs = model
     prop = Regular(vars_, dfa)
     state = new_problem(doms)
@@ -483,11 +500,10 @@ def test_incremental_regular_against_recomputation(model, data):
             return
         assert state.domains == want
         if h in state.propagators:
-            kept_doms, (live, cuts) = state.slots[h]
+            kept_doms, cuts = state.slots[h]
             assert all(state.domains[x] is d
                        for x, d in zip(prop.vars, kept_doms))
-            assert live == prop._layers(list(kept_doms))[0]
-            assert cuts == prop._cuts(live)
+            assert cuts == prop._cuts(prop._layers(list(kept_doms))[0])
         else:
             assert all(map(dfa.accepts, itertools.product(
                 *(sorted(state.domains[x]) for x in prop.vars))))
