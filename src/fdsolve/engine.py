@@ -9,11 +9,16 @@ API, which puts a smaller frozenset in its place in ``domains`` and records
 the domain event; a set read from ``domains`` therefore never changes, so
 code that prunes must read the domain again to see its own work.  A domain
 may be empty only transiently, and emptying it marks the state failed.
+Propagators change domains through ``remove_value`` and ``restrict``,
+which mark the variable changed, so ``propagate`` queues its other
+propagators once the filter returns.  Branching goes through ``tell_eq``
+and ``tell_neq`` instead, which do their own bookkeeping: each records
+its domain event and queues the propagators on the variable itself.
 States are cloned before branching.  A clone copies the list of domains,
-the propagator store and the state slots; it shares the domain frozensets
-themselves, the immutable propagators, what the slots hold, the run-level
-statistics sink, and the subscription lists, which the first ``post`` on
-either side after the clone copies.
+the propagator store, the state slots and a non-empty propagation queue;
+it shares the domain frozensets themselves, the immutable propagators,
+what the slots hold, the run-level statistics sink, and the subscription
+lists, which the first ``post`` on either side after the clone copies.
 
 Propagators are immutable and shared by every clone, so what one learns
 about a particular state lives in that state's slots: one entry per
@@ -124,7 +129,9 @@ class ProblemState:
             self._subs_shared = False
         for x in propagator.vars:
             self._subs[x].append(handle)
-        self._enqueue(handle)
+        # a fresh handle is in no queue yet
+        self._queue.append(handle)
+        self._queued.add(handle)
         return handle
 
     # -- domain mutation (propagators and branching go through these) ---
@@ -158,8 +165,9 @@ class ProblemState:
     # -- branching tells ------------------------------------------------
 
     def tell_eq(self, x: int, v: int) -> None:
-        """Branch on ``x = v``.  A tell wakes x's propagators itself, so it
-        records its domain event without marking x changed."""
+        """Branch on ``x = v``.  A tell does its own bookkeeping: it
+        records its domain event and wakes x's propagators itself, without
+        marking x changed."""
         d = self.domains[x]
         if v not in d:
             # telling a value outside the domain empties it; the state then
@@ -175,10 +183,20 @@ class ProblemState:
         self._wake(x)
 
     def tell_neq(self, x: int, v: int) -> None:
-        """Branch on ``x != v``."""
-        if self.remove_value(x, v):
-            self._changed.discard(x)  # the tell wakes x's propagators itself
-            self._wake(x)
+        """Branch on ``x != v``, with the bookkeeping of ``tell_eq``; a
+        value outside the domain changes nothing."""
+        d = self.domains[x]
+        if v not in d:
+            return
+        self.domains[x] = d = d - {v}
+        size = len(d)
+        if size == 1:
+            self._unfixed -= 1
+        elif not size:
+            # the state then fails at the next propagate
+            self._failed = True
+        self.counters.domain_events += 1
+        self._wake(x)
 
     def _wake(self, x: int) -> None:
         """Queue the stored propagators on x, in subscription order."""
@@ -190,11 +208,6 @@ class ProblemState:
             if h in props and h not in queued:
                 queue.append(h)
                 queued.add(h)
-
-    def _enqueue(self, h: int) -> None:
-        if h not in self._queued:
-            self._queue.append(h)
-            self._queued.add(h)
 
     # -- state slots -----------------------------------------------------
 
@@ -214,35 +227,41 @@ class ProblemState:
         Entailed propagators leave the store and are never re-executed in
         this state or any clone of it.
         """
+        queue, queued = self._queue, self._queued
         if self._failed:
-            self._queue.clear()
-            self._queued.clear()
+            queue.clear()
+            queued.clear()
             return StateStatus.FAILED
-        while self._queue:
-            h = self._queue.popleft()
-            self._queued.discard(h)
-            prop = self.propagators.get(h)
+        # no filter posts, so neither the store nor the subscription lists
+        # are replaced while the queue runs
+        props, subs, changed = self.propagators, self._subs, self._changed
+        counters = self.counters
+        while queue:
+            h = queue.popleft()
+            queued.discard(h)
+            prop = props.get(h)
             if prop is None:
                 continue
-            self._changed.clear()
-            self.counters.propagations += 1
+            changed.clear()
+            counters.propagations += 1
             result = prop.filter(self, h)
             if result is PropagationResult.FAILED or self._failed:
                 self._failed = True
-                self._queue.clear()
-                self._queued.clear()
+                queue.clear()
+                queued.clear()
                 return StateStatus.FAILED
             if result is PropagationResult.ENTAILED:
-                del self.propagators[h]
+                del props[h]
                 if h in self.slots:
                     del self.slots[h]
             # each filter call is idempotent, so the running propagator
             # itself is not rescheduled for its own prunings
-            for x in self._changed:
-                for h2 in self._subs[x]:
-                    if h2 != h and h2 in self.propagators:
-                        self._enqueue(h2)
-            self._changed.clear()
+            for x in changed:
+                for h2 in subs[x]:
+                    if h2 != h and h2 not in queued and h2 in props:
+                        queue.append(h2)
+                        queued.add(h2)
+            changed.clear()
         # no domain is empty here, so every variable is assigned exactly
         # when none has more than one value (or there are no variables)
         if not self._unfixed:
@@ -261,8 +280,12 @@ class ProblemState:
         new.slots = self.slots.copy() if self.slots else _NO_SLOTS
         new._subs = self._subs
         new._subs_shared = self._subs_shared = True
-        new._queue = deque(self._queue)
-        new._queued = set(self._queued)
+        if self._queue:
+            new._queue = deque(self._queue)
+            new._queued = set(self._queued)
+        else:
+            new._queue = deque()
+            new._queued = set()
         new._failed = self._failed
         new._next_handle = self._next_handle
         new._changed = set()

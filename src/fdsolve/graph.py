@@ -10,7 +10,7 @@ for with the handle the propagator is stored under, so it may be read
 off the propagator's state slot instead of recomputed.  Connected
 components of this graph are independent partial problems; solving them
 separately and multiplying the counts is exact.  Plain DFS builds no graph:
-``search.choose`` reads its degrees off the same scope splits directly.
+its branching reads the degrees off the same scope splits directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
 frozenset edges, ``components`` the tuple of its connected node sets, and
@@ -68,27 +68,40 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
 def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
     """Maximal connected node sets; isolated nodes are singleton components.
 
-    Components are ordered by their lowest contained variable index.
+    Components are ordered by their lowest contained variable index.  Only
+    the nodes of an edge are joined: each maps to the list of its group,
+    and a merge moves the smaller group into the larger.  A graph with at
+    most one edge needs no merging.
     """
-    parent = {x: x for x in graph.nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for edge in graph.edges:
-        it = iter(edge)
-        first = find(next(it))
-        for other in it:
-            r = find(other)
-            if r != first:
-                parent[r] = first
-    groups: dict[int, list[int]] = {}
-    for x in graph.nodes:
-        groups.setdefault(find(x), []).append(x)
-    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    edges = graph.edges
+    if len(edges) > 1:
+        group_of: dict[int, list[int]] = {}
+        for edge in edges:
+            it = iter(edge)
+            first = next(it)
+            group = group_of.get(first)
+            if group is None:
+                group = group_of[first] = [first]
+            for x in it:
+                other = group_of.get(x)
+                if other is None:
+                    group.append(x)
+                    group_of[x] = group
+                elif other is not group:
+                    if len(other) > len(group):
+                        group, other = other, group
+                    group.extend(other)
+                    for y in other:
+                        group_of[y] = group
+        joined = group_of
+        comps = [frozenset(g) for g in
+                 {id(g): g for g in group_of.values()}.values()]
+    else:
+        joined = edges[0] if edges else ()
+        comps = list(edges)
+    comps.extend(frozenset((x,)) for x in graph.nodes if x not in joined)
+    comps.sort(key=min)
+    return tuple(comps)
 
 
 def decompose_analysis(state, scope=None) -> DecompositionAnalysis:

@@ -14,6 +14,12 @@ algebra (sums and products) or a tree algebra (``Or`` and ``And`` nodes).
 Plain DFS enumeration counts too, keeping each solution as the walk
 reaches it, and builds no tree.
 
+Plain DFS keeps each choice node's open variables, ascending, and its
+children pick among those that are still open, not among all n
+variables: a variable fixed at a node stays fixed below it, so the
+candidates, their order and the decisions are those of a scan over every
+variable.
+
 Cut-offs apply to full solutions only: a partial solution of one
 component is counted against the limit only once every sibling component
 explored before it is complete, so the certified total is a true lower
@@ -161,17 +167,27 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
     candidate is every heuristic's pick; with an empty store (or a graph
     without edges) every degree is 0, so ``maxdeg`` picks the lowest index
     and ``maxdeg-ff`` falls back to first-fail; and the candidates of an
-    ascending ``range`` scope, as plain DFS passes, need no sort.
+    ascending ``range`` scope need no sort.  Plain DFS does not come
+    through here: it keeps each choice node's candidates, ascending, and
+    hands its children's to ``_pick`` directly.
     """
     domains = state.domains
     cands = [x for x in scope if len(domains[x]) != 1]
-    if len(cands) == 1:
-        x = cands[0]
-        return BranchDecision(x, min(domains[x]))
     if not cands:
         raise ValueError("choose() needs at least one unassigned variable in scope")
     if type(scope) is not range or scope.step < 0:
         cands.sort()
+    return BranchDecision(*_pick(state, heuristic, cands, graph))
+
+
+def _pick(state: ProblemState, heuristic: Heuristic, cands,
+          graph=None) -> tuple[int, int]:
+    """``choose``'s decision over ``cands``, the scope's unassigned
+    variables in ascending order (at least one), as a plain pair."""
+    domains = state.domains
+    if len(cands) == 1:
+        x = cands[0]
+        return x, min(domains[x])
     degree = None
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
         degree = _degrees(state, cands, graph)
@@ -185,7 +201,7 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
         x = max(cands, key=degree.__getitem__)
     else:
         x = min(cands, key=lambda c: (-degree[c], len(domains[c])))
-    return BranchDecision(x, min(domains[x]))
+    return x, min(domains[x])
 
 
 def _degrees(state: ProblemState, cands, graph) -> Optional[dict[int, int]]:
@@ -324,7 +340,8 @@ class _Frame:
     """An inner node whose children are being searched.
 
     A choice node (``decision`` set) has two children over its one
-    component ``parts``: ``x = v``, then ``x != v`` of ``decision``.  A
+    component ``parts``: ``x = v``, then ``x != v`` of ``decision``; in
+    plain DFS ``parts`` is the node's open variables, ascending.  A
     decomposition node (``decision`` None) has one child per component in
     the ordered list ``parts``, and ``total`` is ``factor`` times the
     counts of its finished children.  ``values`` collects the finished
@@ -357,8 +374,8 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
     bound by memory rather than by the interpreter's recursion limit; a
     node's depth is the size of the stack when it is entered.  With
     ``decompose`` off this is plain DFS: no graph analysis, unconstrained
-    variables are branched on like any other, and a choice node's
-    context is None.
+    variables are branched on like any other, a choice node's context is
+    None, and its children's scope is its own open variables.
     """
     stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
     zero, solved, context, choice, conjoin, count = algebra
@@ -393,8 +410,12 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
         elif not decompose:
             stats.choice_nodes += 1
             me = trace.add(tparent, "choice", label) if tracing else None
+            # the node's open variables, ascending: its children's scope,
+            # since a variable fixed here stays fixed below
+            domains = state.domains
+            scope = [x for x in scope if len(domains[x]) != 1]
             frame = _Frame(state, mult, me, None, 1, scope,
-                           choose(state, heuristic, scope))
+                           _pick(state, heuristic, scope))
         else:
             analysis = decompose_analysis(state, scope)
             factor = prod(len(state.domains[x]) for x in analysis.isolated)

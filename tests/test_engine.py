@@ -83,6 +83,42 @@ def test_tell_eq_and_neq():
     assert state.propagate() is StateStatus.FAILED
 
 
+def tell_neq_subject(store):
+    """x0 has 3 values, x1 2, x2 1, x3 3; with a store, the propagators on
+    every variable, one of them queued and the rest at their fixpoint."""
+    state = new_problem([{0, 1, 2}, {0, 1}, {5}, {0, 1, 2}])
+    if store:
+        state.post(Neq(0, 3))
+        state.post(AllDifferent([0, 1, 3]))
+        state.post(AllDifferent([1, 2, 3]))
+        state.post(Neq(1, 3))
+        assert state.propagate() is StateStatus.BRANCHABLE
+        state.post(Neq(0, 1))
+    return state
+
+
+def bookkeeping(state):
+    """What a tell leaves behind, then what the next propagate makes of it."""
+    told = (list(state.domains), state.failed, list(state._queue),
+            state.counters.domain_events, state._unfixed)
+    status = state.propagate()
+    return told, (status, list(state.domains), state.counters.domain_events)
+
+
+@pytest.mark.parametrize("store", [False, True])
+@pytest.mark.parametrize("x, v", [(0, 7), (0, 1), (1, 0), (2, 5)],
+                         ids=["outside", "3-value", "2-value", "1-value"])
+def test_tell_neq_keeps_the_books_of_remove_value_and_wake(store, x, v):
+    # tell_neq once removed the value through remove_value and then woke
+    # x's propagators itself; it must leave the same state behind
+    reference = tell_neq_subject(store)
+    if reference.remove_value(x, v):
+        reference._wake(x)
+    state = tell_neq_subject(store)
+    state.tell_neq(x, v)
+    assert bookkeeping(state) == bookkeeping(reference)
+
+
 def test_clone_independence():
     # a clone shares every domain set; a change on either side puts a new
     # set in that side's list and leaves the other side's domain alone

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fdsolve import (EQ, AllDifferent, Linear, Neq, StateStatus,
                      brute_force_count, build_constraint_graph, components,
                      dds_count, new_problem)
-from fdsolve.graph import decompose_analysis
+from fdsolve.graph import ConstraintGraph, decompose_analysis
 
 from randcsp import (enumerate_solutions, intro_state, random_clustered_state,
                      random_state, random_state_with_slide)
@@ -52,6 +52,41 @@ def test_components_examples():
     bare = new_problem([{0, 1}] * 3)
     comps = components(build_constraint_graph(bare))
     assert [sorted(c) for c in comps] == [[0], [1], [2]]
+
+
+def reference_components(nodes, edges):
+    """Connected node sets by a plain union-find over every node, sorted
+    by their lowest node."""
+    parent = {x: x for x in nodes}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for edge in edges:
+        first, *rest = edge
+        for x in rest:
+            parent[find(x)] = find(first)
+    groups = {}
+    for x in nodes:
+        groups.setdefault(find(x), set()).add(x)
+    return sorted(map(frozenset, groups.values()), key=min)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_components_match_reference_union_find(data):
+    # random hypergraphs: no edge, one edge, and many overlapping ones
+    nodes = data.draw(st.frozensets(st.integers(0, 60)))
+    edges = []
+    if len(nodes) >= 2:
+        edges = data.draw(st.lists(st.frozensets(
+            st.sampled_from(sorted(nodes)), min_size=2), max_size=20))
+    got = components(ConstraintGraph(nodes=nodes, edges=tuple(edges)))
+    assert type(got) is tuple
+    assert all(type(c) is frozenset for c in got)
+    assert list(got) == reference_components(nodes, edges)
 
 
 def hook_parts(state):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import re
 import sys
 
 import pytest
@@ -153,6 +154,69 @@ def test_choose_matches_reference(make, seed, data):
         for h in ALL_HEURISTICS:
             assert (choose(state, h, scope, graph=graph)
                     == reference_choose(state, h, scope, graph=graph))
+
+
+def reference_dfs_decisions(root, heuristic, limit):
+    """The decisions, in order, of a recursive plain DFS that clones before
+    the left child, asks ``reference_choose`` over every variable at each
+    choice node and stops once more than ``limit`` solutions are found."""
+    n, decisions, found = root.num_vars, [], [0]
+
+    def visit(state):
+        status = state.propagate()
+        if status is StateStatus.FAILED:
+            return
+        if status is StateStatus.SOLVED:
+            found[0] += 1
+            return
+        x, v = reference_choose(state, heuristic, range(n))
+        decisions.append((x, v))
+        left = state.clone()
+        left.tell_eq(x, v)
+        visit(left)
+        if limit is None or found[0] <= limit:
+            state.tell_neq(x, v)
+            visit(state)
+
+    visit(root.clone())
+    return decisions
+
+
+def traced_decisions(trace):
+    """The ``x = v`` decisions of a recorded search, in the order their left
+    children were entered."""
+    assert not trace.truncated
+    return [(int(m[1]), int(m[2])) for _p, _c, label in trace.edges
+            if (m := re.fullmatch(r"x(\d+)=(-?\d+)", label))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(GENERATORS, SEEDS, st.integers(0, 12), st.integers(1, 12))
+def test_dfs_decisions_match_recursive_reference(make, seed, limit, k):
+    # plain DFS branches over its parent's open variables only; it must
+    # decide as a search that asks every variable at every node
+    state = make(seed)
+    traces = []
+    real_run = search._Run
+
+    def traced_run(heuristic, limit, _trace, hook=None):
+        # dfs_enumerate takes no trace, so its run is handed one
+        traces.append(SearchTrace(max_nodes=10 ** 6))
+        return real_run(heuristic, limit, traces[-1], hook)
+
+    for h in ALL_HEURISTICS:
+        for lim in (None, limit):
+            trace = SearchTrace(max_nodes=10 ** 6)
+            dfs_count(state, h, limit=lim, trace=trace)
+            assert traced_decisions(trace) == reference_dfs_decisions(
+                state, h, lim)
+        for max_solutions in (k, 10 ** 6):
+            traces.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(search, "_Run", traced_run)
+                dfs_enumerate(state, h, max_solutions)
+            assert traced_decisions(traces[0]) == reference_dfs_decisions(
+                state, h, max_solutions - 1)
 
 
 def test_dfs_builds_no_constraint_graph(monkeypatch):
