@@ -4,7 +4,7 @@ deletion-contraction, plus a miniature density sweep.
 Sparse graphs decompose often during search, so the decomposing engine
 wins big there; dense graphs stay connected and the gap narrows.
 """
-from fdsolve import (ColoringSpec, chromatic_oracle, coloring_model,
+from fdsolve import (ColoringSpec, chromatic_oracle, coloring_document,
                      dds_count, dfs_count, erdos_renyi, maximal_cliques)
 from fdsolve.cli import bench_aggregates, run_bench
 
@@ -14,7 +14,7 @@ big = [c for c in maximal_cliques(g) if len(c) > 2]
 print(f"maximal cliques of size > 2: {[sorted(c) for c in big]}")
 
 k = 3
-state = coloring_model(ColoringSpec(g, k))
+state = coloring_document(ColoringSpec(g, k)).build_state()
 print(f"\nproper {k}-colorings:")
 print("  deletion-contraction oracle:", chromatic_oracle(g, k))
 print("  plain DFS:                  ", dfs_count(state).count)

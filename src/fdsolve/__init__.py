@@ -14,8 +14,8 @@ from .model_io import (ModelDocument, ModelError, VariableDecl,
                        coloring_document, parse_model, saw_document,
                        serialize_model)
 from .models import (ColoringSpec, UGraph, WalkSpec, brute_force_count,
-                     chromatic_oracle, coloring_model, erdos_renyi,
-                     lattice_point, maximal_cliques, saw_model, saw_walk_count)
+                     chromatic_oracle, erdos_renyi, lattice_point,
+                     maximal_cliques, saw_walk_count)
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
                           Slide, Table)
 from .search import (And, CountResult, Heuristic, Leaf, Or, SearchStats,
@@ -27,15 +27,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllDifferent", "And", "ColoringSpec", "ConstraintGraph", "CountResult",
-    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ", "Leaf",
-    "Linear", "ModelDocument", "ModelError", "Neq", "Or", "ProblemState",
-    "Regular", "SearchStats", "SearchTrace", "Slide", "SolutionTree",
-    "StateStatus", "Table", "TreeResult", "UGraph", "VariableDecl",
-    "WalkSpec", "brute_force_count", "build_constraint_graph",
-    "chromatic_oracle", "coloring_document", "coloring_model", "components",
-    "dds_count", "dds_tree", "decompose_analysis", "dfs_count",
-    "dfs_enumerate", "erdos_renyi", "lattice_point", "maximal_cliques",
-    "new_problem", "parse_model", "saw_document", "saw_model",
-    "saw_walk_count", "serialize_model", "trace_dot", "tree_count",
-    "tree_expand",
+    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ", "Leaf", "Linear",
+    "ModelDocument", "ModelError", "Neq", "Or", "ProblemState", "Regular",
+    "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",
+    "Table", "TreeResult", "UGraph", "VariableDecl", "WalkSpec",
+    "brute_force_count", "build_constraint_graph", "chromatic_oracle",
+    "coloring_document", "components", "dds_count", "dds_tree",
+    "decompose_analysis", "dfs_count", "dfs_enumerate", "erdos_renyi",
+    "lattice_point", "maximal_cliques", "new_problem", "parse_model",
+    "saw_document", "saw_walk_count", "serialize_model", "trace_dot",
+    "tree_count", "tree_expand",
 ]

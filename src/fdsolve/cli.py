@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .model_io import (ModelDocument, ModelError, coloring_document,
                        parse_model, saw_document, serialize_model)
-from .models import ColoringSpec, WalkSpec, coloring_model, erdos_renyi
+from .models import ColoringSpec, WalkSpec, erdos_renyi
 from .search import (CountResult, Heuristic, SearchStats, SearchTrace,
                      dds_count, dds_tree, dfs_count, dfs_enumerate, trace_dot,
                      tree_count, tree_expand)
@@ -171,7 +171,7 @@ def run_bench(nodes: int, edge_probs: Sequence[float], colors: int,
         for i in range(instances):
             inst_seed = seed + i
             graph = erdos_renyi(nodes, p, inst_seed)
-            root = coloring_model(ColoringSpec(graph, colors))
+            root = coloring_document(ColoringSpec(graph, colors)).build_state()
             dfs = dfs_count(root, heuristic, limit=limit)
             dds = dds_count(root, heuristic, limit=limit)
             if dfs.exact and dds.exact and dfs.count != dds.count:

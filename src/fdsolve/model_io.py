@@ -153,7 +153,9 @@ def parse_model(text: str) -> ModelDocument:
     located message on any defect."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past int()'s digit
+        # limit; RecursionError comes from deeply nested arrays or objects
         raise ModelError(f"syntax error: {exc}") from None
     if not isinstance(raw, dict):
         raise ModelError("document must be a JSON object")

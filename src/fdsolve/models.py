@@ -1,9 +1,11 @@
-"""Benchmark model builders and the independent counting oracles.
+"""Benchmark model layouts and the independent counting oracles.
 
 Two model families: proper graph colorings (one all-different per large
 maximal clique, binary inequalities for the remaining edges) and planar
 self-avoiding walks on the square lattice (neighbour tables along the
-chain plus one global all-different).  The oracles count the same objects
+chain plus one global all-different).  ``model_io.coloring_document`` and
+``model_io.saw_document`` turn a spec into a model document, and its
+``build_state()`` into a problem state.  The oracles count the same objects
 without any propagation: deletion-contraction for colorings, direct walk
 enumeration for walks, and plain assignment enumeration for arbitrary
 states.
@@ -112,13 +114,6 @@ def coloring_plan(g: UGraph) -> tuple[list[frozenset[int]], list[tuple[int, int]
                        for u, v in itertools.combinations(sorted(c), 2))
     rest = sorted(e for e in g.edges if e not in covered)
     return big, rest
-
-
-def coloring_model(spec: ColoringSpec) -> ProblemState:
-    """One variable per node over 0..k-1; an all-different per maximal
-    clique of size > 2, a binary inequality per remaining edge."""
-    from .model_io import coloring_document  # model_io imports this module
-    return coloring_document(spec).build_state()
 
 
 def chromatic_oracle(g: UGraph, k: int, max_nodes: int = 12) -> int:
@@ -267,13 +262,6 @@ def saw_plan(spec: WalkSpec) -> tuple[list[set[int]], set[tuple[int, int]]]:
     domains = [{lattice_code(0, 0, b)}]
     domains.extend(set(all_points) for _ in range(spec.length - 1))
     return domains, steps
-
-
-def saw_model(spec: WalkSpec) -> ProblemState:
-    """Walk model: neighbour table per consecutive pair, one global
-    all-different for self-avoidance."""
-    from .model_io import saw_document  # model_io imports this module
-    return saw_document(spec).build_state()
 
 
 def saw_walk_count(length: int) -> int:

@@ -35,9 +35,7 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
 from .engine import PropagationCounters, ProblemState, StateStatus
-from .graph import decompose_analysis
-# unused here, kept because bench/run.py's traced run patches it in search
-from .graph import build_constraint_graph  # noqa: F401
+from .graph import build_constraint_graph, decompose_analysis
 
 
 class Heuristic(enum.Enum):
@@ -157,40 +155,52 @@ def choose(state: ProblemState, heuristic: Heuristic, scope,
     """Pick the branching variable inside ``scope`` plus its minimum value.
 
     Degree-based strategies count incident hyperedges of the constraint
-    graph over the unassigned variables of ``scope``.  Decomposing search
-    passes the ``graph`` its component analysis already built; without
-    one, the degrees are read straight off each stored propagator's
-    scope split, cut down to the candidates, with the same result as
-    ``build_constraint_graph(state, scope).edges`` and no graph built.
-
-    Three short-cuts give the same decision for less work: a single
-    candidate is every heuristic's pick; with an empty store (or a graph
-    without edges) every degree is 0, so ``maxdeg`` picks the lowest index
-    and ``maxdeg-ff`` falls back to first-fail; and the candidates of an
-    ascending ``range`` scope need no sort.  Plain DFS does not come
-    through here: it keeps each choice node's candidates, ascending, and
-    hands its children's to ``_pick`` directly.
+    graph over the unassigned variables of ``scope``: ``graph`` is that
+    graph, the one decomposing search's component analysis already built,
+    or, without one, ``build_constraint_graph(state, scope)``.  Plain DFS
+    does not come through here: it keeps each choice node's candidates,
+    ascending, and hands its children's to ``_pick`` directly, which reads
+    the degrees off the store.
     """
     domains = state.domains
-    cands = [x for x in scope if len(domains[x]) != 1]
+    cands = sorted([x for x in scope if len(domains[x]) != 1])
     if not cands:
         raise ValueError("choose() needs at least one unassigned variable in scope")
-    if type(scope) is not range or scope.step < 0:
-        cands.sort()
-    return BranchDecision(*_pick(state, heuristic, cands, graph))
+    if graph is None:
+        graph = build_constraint_graph(state, scope)
+    return BranchDecision(*_pick(state, heuristic, cands, graph.edges))
 
 
 def _pick(state: ProblemState, heuristic: Heuristic, cands,
-          graph=None) -> tuple[int, int]:
+          edges=None) -> tuple[int, int]:
     """``choose``'s decision over ``cands``, the scope's unassigned
-    variables in ascending order (at least one), as a plain pair."""
+    variables in ascending order (at least one), as a plain pair.
+
+    A degree is the number of ``edges`` holding the candidate.  Plain DFS
+    passes none: its edges are the stored propagators' splits of two or
+    more variables, the graph over every unassigned variable, since a
+    split holds only unassigned ones.
+
+    Two short-cuts give the same decision for less work: a single
+    candidate is every heuristic's pick, and without an edge (an empty
+    store has none) every degree is 0, so ``maxdeg`` picks the lowest
+    index and ``maxdeg-ff`` falls back to first-fail.
+    """
     domains = state.domains
     if len(cands) == 1:
         x = cands[0]
         return x, min(domains[x])
     degree = None
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
-        degree = _degrees(state, cands, graph)
+        if edges is None and state.propagators:
+            edges = [edge for h, prop in state.propagators.items()
+                     for edge in prop.hyperedges(state, h) if len(edge) >= 2]
+        if edges:
+            degree = dict.fromkeys(cands, 0)
+            for edge in edges:
+                for x in edge:
+                    if x in degree:
+                        degree[x] += 1
     # min and max return the first best candidate, the lowest index
     if heuristic is Heuristic.INPUT_ORDER or (
             heuristic is Heuristic.MAX_DEGREE and degree is None):
@@ -202,29 +212,6 @@ def _pick(state: ProblemState, heuristic: Heuristic, cands,
     else:
         x = min(cands, key=lambda c: (-degree[c], len(domains[c])))
     return x, min(domains[x])
-
-
-def _degrees(state: ProblemState, cands, graph) -> Optional[dict[int, int]]:
-    """Each candidate's degree, or None when there is no edge to count."""
-    if graph is not None:
-        if not graph.edges:
-            return None
-        degree = dict.fromkeys(cands, 0)
-        for edge in graph.edges:
-            for x in edge:
-                if x in degree:
-                    degree[x] += 1
-        return degree
-    if not state.propagators:
-        return None
-    degree = dict.fromkeys(cands, 0)
-    for h, prop in state.propagators.items():
-        for edge in prop.hyperedges(state, h):
-            inside = [x for x in edge if x in degree]
-            if len(inside) >= 2:
-                for x in inside:
-                    degree[x] += 1
-    return degree
 
 
 def order_components(component_list, state: ProblemState, heuristic: Heuristic,

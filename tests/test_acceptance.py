@@ -11,8 +11,9 @@ import pytest
 
 from fdsolve import (AllDifferent, ColoringSpec, Heuristic, Linear, Neq,
                      SearchTrace, UGraph, WalkSpec, brute_force_count,
-                     chromatic_oracle, coloring_model, dds_count, dfs_count,
-                     erdos_renyi, new_problem, saw_model, saw_walk_count)
+                     chromatic_oracle, coloring_document, dds_count,
+                     dfs_count, erdos_renyi, new_problem, saw_document,
+                     saw_walk_count)
 from fdsolve.cli import bench_aggregates, run_bench
 from fdsolve.propagators import EQ
 
@@ -119,7 +120,7 @@ def test_criterion_5_chromatic_agreement():
             k = 2 + seed % 3          # 2..4 colors
             g = erdos_renyi(n, p, seed)
             want = chromatic_oracle(g, k)
-            state = coloring_model(ColoringSpec(g, k))
+            state = coloring_document(ColoringSpec(g, k)).build_state()
             assert dfs_count(state).count == want, (seed, n, p, k)
             assert dds_count(state).count == want, (seed, n, p, k)
         assert time.perf_counter() - t0 < 60.0
@@ -133,7 +134,7 @@ def test_criterion_6_walk_counts():
         expected = [saw_walk_count(length) for length in range(2, 7)]
         assert expected == [4, 12, 36, 100, 284]
         for length, want in zip(range(2, 7), expected):
-            state = saw_model(WalkSpec(length))
+            state = saw_document(WalkSpec(length)).build_state()
             assert dds_count(state).count == want
             assert dfs_count(state).count == want
         assert time.perf_counter() - t0 < 60.0

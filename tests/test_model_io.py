@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +100,19 @@ def test_empty_constraints_count_product_of_domains():
                       {"name": "y", "domain": [0, 1]}],
         "constraints": []}))
     assert dfs_count(doc.build_state()).count == 6
+
+
+def test_deeply_nested_document_is_a_syntax_error():
+    with pytest.raises(ModelError, match="syntax error"):
+        parse_model("[" * 200_000)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="integer string conversion has no digit limit")
+def test_overlong_integer_is_a_syntax_error():
+    with pytest.raises(ModelError, match="syntax error"):
+        parse_model('{"variables": [{"name": "x", "domain": [%s]}], '
+                    '"constraints": []}' % ("9" * 5000))
 
 
 def test_parse_errors():

@@ -4,9 +4,9 @@ import sys
 import pytest
 
 from fdsolve import (ColoringSpec, Neq, UGraph, WalkSpec, brute_force_count,
-                     chromatic_oracle, coloring_model, dds_count, dfs_count,
-                     erdos_renyi, lattice_point, maximal_cliques,
-                     new_problem, saw_model, saw_walk_count)
+                     chromatic_oracle, coloring_document, dds_count,
+                     dfs_count, erdos_renyi, lattice_point, maximal_cliques,
+                     new_problem, saw_document, saw_walk_count)
 from fdsolve.models import coloring_plan, lattice_code
 
 from randcsp import intro_state
@@ -97,7 +97,7 @@ def test_coloring_triangle_layout():
     g = UGraph(3, [(0, 1), (1, 2), (0, 2)])
     big, rest = coloring_plan(g)
     assert len(big) == 1 and rest == []
-    state = coloring_model(ColoringSpec(g, 3))
+    state = coloring_document(ColoringSpec(g, 3)).build_state()
     assert len(state.propagators) == 1
 
 
@@ -105,15 +105,16 @@ def test_coloring_path_layout():
     g = UGraph(3, [(0, 1), (1, 2)])
     big, rest = coloring_plan(g)
     assert big == [] and len(rest) == 2
-    state = coloring_model(ColoringSpec(g, 2))
+    state = coloring_document(ColoringSpec(g, 2)).build_state()
     assert all(isinstance(p, Neq) for p in state.propagators.values())
 
 
 def test_coloring_k4_needs_four_colors():
     g = UGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert chromatic_oracle(g, 3) == 0
-    assert dds_count(coloring_model(ColoringSpec(g, 3))).count == 0
-    assert dds_count(coloring_model(ColoringSpec(g, 4))).count == 24
+    for k, want in ((3, 0), (4, 24)):
+        state = coloring_document(ColoringSpec(g, k)).build_state()
+        assert dds_count(state).count == want
 
 
 def test_clique_edge_coverage():
@@ -179,7 +180,7 @@ def test_solver_agrees_with_chromatic_oracle():
         g = erdos_renyi(5 + seed % 4, 0.35, seed)
         k = 2 + seed % 3
         want = chromatic_oracle(g, k)
-        state = coloring_model(ColoringSpec(g, k))
+        state = coloring_document(ColoringSpec(g, k)).build_state()
         assert dfs_count(state).count == want
         assert dds_count(state).count == want
 
@@ -205,15 +206,16 @@ def test_walk_oracle_known_counts():
 
 
 def test_saw_model_counts():
-    assert dds_count(saw_model(WalkSpec(1))).count == 1
-    assert dds_count(saw_model(WalkSpec(2))).count == 4
-    assert dds_count(saw_model(WalkSpec(4))).count == 36
+    for length, want in ((1, 1), (2, 4), (4, 36)):
+        state = saw_document(WalkSpec(length)).build_state()
+        assert dds_count(state).count == want
 
 
 def test_saw_model_matches_walk_oracle():
     for length in range(1, 6):
         want = saw_walk_count(length)
-        assert dds_count(saw_model(WalkSpec(length))).count == want
+        state = saw_document(WalkSpec(length)).build_state()
+        assert dds_count(state).count == want
 
 
 # -- brute force oracle ----------------------------------------------------------------

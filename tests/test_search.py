@@ -13,7 +13,7 @@ from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
                      dds_count, dds_tree, dfs_count, dfs_enumerate,
                      new_problem, trace_dot, tree_count, tree_expand)
 from fdsolve import graph, search
-from fdsolve.graph import build_constraint_graph
+from fdsolve.graph import build_constraint_graph, decompose_analysis
 from fdsolve.search import choose, order_components
 
 from randcsp import (enumerate_solutions, intro_state, permuted,
@@ -217,6 +217,64 @@ def test_dfs_decisions_match_recursive_reference(make, seed, limit, k):
                 dfs_enumerate(state, h, max_solutions)
             assert traced_decisions(traces[0]) == reference_dfs_decisions(
                 state, h, max_solutions - 1)
+
+
+def reference_dds_decisions(root, heuristic):
+    """The decisions, in order, of a recursive decomposing search without a
+    cut-off that asks ``reference_choose`` at each choice node and orders
+    a decomposition's parts by it: first the part holding its pick over
+    their union, then the rest by minimum, stopping at the first part
+    without solutions."""
+    decisions = []
+
+    def visit(state, scope):
+        # the number of solutions below ``state`` over ``scope``
+        if state.propagate() is StateStatus.FAILED:
+            return 0
+        if all(len(state.domains[x]) == 1 for x in scope):
+            return 1
+        analysis = decompose_analysis(state, scope)
+        free = 1
+        for x in analysis.isolated:
+            free *= len(state.domains[x])
+        linked = analysis.linked
+        if not linked:
+            return free
+        if len(linked) >= 2:
+            union = set().union(*linked)
+            picked, _v = reference_choose(state, heuristic, union)
+            first = next(c for c in linked if picked in c)
+            total = free
+            for part in [first] + sorted((c for c in linked if c is not first),
+                                         key=min):
+                total *= visit(state.clone(), part)
+                if not total:
+                    break
+            return total
+        x, v = reference_choose(state, heuristic, linked[0])
+        decisions.append((x, v))
+        left = state.clone()
+        left.tell_eq(x, v)
+        count = visit(left, linked[0])
+        state.tell_neq(x, v)
+        return free * (count + visit(state, linked[0]))
+
+    visit(root.clone(), frozenset(range(root.num_vars)))
+    return decisions
+
+
+@settings(max_examples=100, deadline=None)
+@given(GENERATORS, SEEDS)
+def test_dds_decisions_match_recursive_reference(make, seed):
+    # the walker's choice nodes and component order must decide as a
+    # recursive search that counts degrees off the store
+    state = make(seed)
+    for h in ALL_HEURISTICS:
+        want = reference_dds_decisions(state, h)
+        for engine in (dds_count, dds_tree):
+            trace = SearchTrace(max_nodes=10 ** 6)
+            engine(state, h, trace=trace)
+            assert traced_decisions(trace) == want
 
 
 def test_dfs_builds_no_constraint_graph(monkeypatch):
