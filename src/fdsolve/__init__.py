@@ -13,9 +13,9 @@ from .graph import (ConstraintGraph, DecompositionAnalysis,
 from .model_io import (ModelDocument, ModelError, VariableDecl,
                        coloring_document, parse_model, saw_document,
                        serialize_model)
-from .models import (ColoringSpec, UGraph, WalkSpec, brute_force_count,
-                     chromatic_oracle, erdos_renyi, lattice_point,
-                     maximal_cliques, saw_walk_count)
+from .models import (ColoringSpec, UGraph, WalkSpec, chromatic_oracle,
+                     erdos_renyi, lattice_point, maximal_cliques,
+                     saw_walk_count)
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
                           Slide, Table)
 from .search import (And, CountResult, Heuristic, Leaf, Or, SearchStats,
@@ -31,10 +31,9 @@ __all__ = [
     "ModelDocument", "ModelError", "Neq", "Or", "ProblemState", "Regular",
     "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",
     "Table", "TreeResult", "UGraph", "VariableDecl", "WalkSpec",
-    "brute_force_count", "build_constraint_graph", "chromatic_oracle",
-    "coloring_document", "components", "dds_count", "dds_tree",
-    "decompose_analysis", "dfs_count", "dfs_enumerate", "erdos_renyi",
-    "lattice_point", "maximal_cliques", "new_problem", "parse_model",
-    "saw_document", "saw_walk_count", "serialize_model", "trace_dot",
-    "tree_count", "tree_expand",
+    "build_constraint_graph", "chromatic_oracle", "coloring_document",
+    "components", "dds_count", "dds_tree", "decompose_analysis", "dfs_count",
+    "dfs_enumerate", "erdos_renyi", "lattice_point", "maximal_cliques",
+    "new_problem", "parse_model", "saw_document", "saw_walk_count",
+    "serialize_model", "trace_dot", "tree_count", "tree_expand",
 ]

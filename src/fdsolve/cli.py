@@ -166,6 +166,8 @@ def run_bench(nodes: int, edge_probs: Sequence[float], colors: int,
     """Count colorings of seeded random graphs with both engines and record
     per-instance search-tree-size and runtime ratios (DFS over the
     decomposing engine)."""
+    if instances < 0:
+        raise ValueError(f"instances must be at least 0, got {instances}")
     records = []
     for p in edge_probs:
         for i in range(instances):

@@ -6,9 +6,8 @@ self-avoiding walks on the square lattice (neighbour tables along the
 chain plus one global all-different).  ``model_io.coloring_document`` and
 ``model_io.saw_document`` turn a spec into a model document, and its
 ``build_state()`` into a problem state.  The oracles count the same objects
-without any propagation: deletion-contraction for colorings, direct walk
-enumeration for walks, and plain assignment enumeration for arbitrary
-states.
+without any propagation: deletion-contraction for colorings and direct
+walk enumeration for walks.
 """
 from __future__ import annotations
 
@@ -17,8 +16,6 @@ import random
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Optional
-
-from .engine import ProblemState
 
 
 # -- undirected graphs ------------------------------------------------------
@@ -33,6 +30,8 @@ class UGraph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         object.__setattr__(self, "n", int(n))
+        if self.n < 0:
+            raise ValueError(f"node count must be at least 0, got {self.n}")
         norm = set()
         for u, v in edges:
             if u == v:
@@ -285,62 +284,3 @@ def saw_walk_count(length: int) -> int:
         return total
 
     return extend([(0, 0)], {(0, 0)})
-
-
-# -- ground-truth assignment enumeration --------------------------------------
-
-
-def brute_force_count(state: ProblemState, scope=None,
-                      max_product: int = 10 ** 7) -> int:
-    """Exact count by enumerating assignments and checking each constraint's
-    tuple semantics directly; no propagation involved.
-
-    With ``scope`` the count is of the state restricted to those variables:
-    constraints crossing the scope boundary are checked by projection
-    (some completion of the outside variables must exist).
-    """
-    if scope is None:
-        vars_ = list(range(state.num_vars))
-    else:
-        vars_ = sorted(scope)
-    scope_set = set(vars_)
-    size = prod(len(state.domains[x]) for x in vars_)
-    if size > max_product:
-        raise ValueError(f"assignment space {size} exceeds guard {max_product}")
-
-    inner = []
-    crossing = []
-    for propagator in state.propagators.values():
-        touched = [x for x in propagator.vars if x in scope_set]
-        if not touched:
-            continue
-        if len(touched) == len(propagator.vars):
-            inner.append(propagator)
-        else:
-            crossing.append(propagator)
-
-    cross_cache: list[dict] = [dict() for _ in crossing]
-
-    def cross_ok(ci: int, propagator, values: dict[int, int]) -> bool:
-        key = tuple(values[x] for x in propagator.vars if x in scope_set)
-        cached = cross_cache[ci].get(key)
-        if cached is not None:
-            return cached
-        outside = [x for x in propagator.vars if x not in scope_set]
-        for completion in itertools.product(*(sorted(state.domains[x]) for x in outside)):
-            filled = dict(zip(outside, completion))
-            tup = [filled[x] if x in filled else values[x] for x in propagator.vars]
-            if propagator.satisfied(tup):
-                cross_cache[ci][key] = True
-                return True
-        cross_cache[ci][key] = False
-        return False
-
-    count = 0
-    domains = [sorted(state.domains[x]) for x in vars_]
-    for combo in itertools.product(*domains):
-        values = dict(zip(vars_, combo))
-        if all(p.satisfied([values[x] for x in p.vars]) for p in inner) and \
-           all(cross_ok(ci, p, values) for ci, p in enumerate(crossing)):
-            count += 1
-    return count

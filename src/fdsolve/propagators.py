@@ -35,7 +35,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import is_not
+from operator import gt, is_not
 from typing import Iterable, Sequence
 
 
@@ -220,15 +220,15 @@ class Linear(_Whole):
 class AllDifferent:
     """All variables take pairwise different values.
 
-    Filtering enforces generalized arc consistency with Régin's matching
-    construction, on a graph over the variables alone: each variable is
-    merged with its matched value, and ``y -> x`` whenever ``x`` can take
-    the value matched to ``y``.  A value survives iff its edge lies in some
-    maximum matching: it is free or matched to ``x`` itself, or its owner is
-    reachable from a variable that can take a free value, or its owner
-    shares an SCC with ``x``.  The SCCs are computed only over the
-    variables no free value reaches.  Variables linked by a shared value
-    form the scope split.
+    Filtering enforces generalized arc consistency in three steps.  Each
+    assigned variable is a Hall set of one: its value leaves every other
+    domain, and two assigned variables on one value fail.  The open
+    variables' residual domains, those values removed, then hold no Hall
+    set if their sizes s_1 <= ... <= s_k pass a size test: s_i > i for
+    every i < k and s_k >= k.  Then the residual domains are the fixpoint.
+    Otherwise Régin's matching construction (``_regin``) runs over the
+    open variables and their residual domains alone.  Variables linked by
+    a shared value form the scope split.
     """
 
     vars: tuple[int, ...]
@@ -239,75 +239,43 @@ class AllDifferent:
             raise ValueError("AllDifferent: need at least 2 variables")
         object.__setattr__(self, "vars", vs)
 
-    def _max_matching(self, doms) -> tuple[list, dict] | None:
-        """A greedy matching completed by Kuhn's augmenting paths; None if
-        some variable stays free."""
-        n = len(doms)
-        match_of_var: list = [None] * n
-        match_of_val: dict = {}
-        # small domains first: fewer values taken from the larger ones
-        order = sorted(range(n), key=lambda i: len(doms[i]))
-        for i in order:
-            for v in doms[i]:
-                if v not in match_of_val:
-                    match_of_var[i] = v
-                    match_of_val[v] = i
-                    break
-        for i in order:
-            if match_of_var[i] is None and not _augment(
-                    doms, i, match_of_var, match_of_val):
-                return None
-        return match_of_var, match_of_val
-
     def filter(self, state, handle=None) -> PropagationResult:
-        n = len(self.vars)
-        doms = [state.domains[x] for x in self.vars]
-        matched = self._max_matching(doms)
-        if matched is None:
-            return FAILED
-        match_of_var, match_of_val = matched
-
-        # Régin's digraph (matched edges var->val, the others val->var)
-        # with each variable merged into its matched value: y -> x iff x
-        # can take m(y); pred[x] lists those y in the order of D(x)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for x, d in enumerate(doms):
-            for v in d:
-                y = match_of_val.get(v)
-                if y is not None and y != x:
-                    succ[y].append(x)
-                    pred[x].append(y)
-        # the seeds: variables that can take a free value, a value of D(x)
-        # other than m(x) and the m(y) of its predecessors
-        reached = [len(d) > len(ys) + 1 for d, ys in zip(doms, pred)]
-        stack = [x for x in range(n) if reached[x]]
-        while stack:
-            for w in succ[stack.pop()]:
-                if not reached[w]:
-                    reached[w] = True
-                    stack.append(w)
-
-        # an edge (x, m(y)) survives iff y is reached or shares x's SCC; a
-        # cycle through an unreached variable stays unreached, so the SCCs
-        # are taken over those alone, and a reached x is in none of them
-        unreached = [u for u in range(n) if not reached[u]]
-        if unreached:
-            # a reached variable's successors are reached too, so only
-            # unreached variables keep arcs here; without any, every SCC is
-            # a single variable
-            arcs = [[w for w in ws if not reached[w]] for ws in succ]
-            scc = _tarjan(arcs, unreached) if any(arcs) else range(n)
-            for i in range(n):
-                for j in pred[i]:
-                    if not reached[j] and scc[i] != scc[j]:
-                        state.remove_value(self.vars[i], match_of_var[j])
-            if state.failed:
+        vars, domains = self.vars, state.domains
+        doms = [domains[x] for x in vars]
+        taken: set = set()
+        free = []
+        for i, d in enumerate(doms):
+            if len(d) != 1:
+                free.append(i)
+            elif taken.isdisjoint(d):
+                taken |= d
+            else:
                 return FAILED
-            doms = [state.domains[x] for x in self.vars]
-
-        # pairwise disjoint domains, assigned ones among them, entail it
-        if sum(map(len, doms)) == len(set().union(*doms)):
+        rest = [doms[i] - taken for i in free] if taken else \
+            [doms[i] for i in free]
+        # the size test: a value is pruned only through a Hall set of
+        # j < k open variables within j values, but any j of them hold at
+        # least s_j > j; a matching needs s_k >= k, which s_k >= s_(k-1) > k-1
+        # gives when k > 1, and a non-empty residual when k = 1
+        sizes = sorted(map(len, rest))
+        if sizes and (not sizes[-1]
+                      or not all(map(gt, sizes, range(1, len(sizes))))):
+            rest = _regin(rest)
+            if rest is None:
+                return FAILED
+        # prune one value at a time, by scope position and then in domain
+        # order, as Régin's pass over the whole scope would; a matching
+        # keeps a value in every domain, so none empties
+        for i, kept in zip(free, rest):
+            d = doms[i]
+            if len(kept) != len(d):
+                x = vars[i]
+                for v in d:
+                    if v not in kept:
+                        state.remove_value(x, v)
+        # with the assigned values distinct and stripped, the domains are
+        # pairwise disjoint iff the open ones are
+        if len(rest) < 2 or sum(map(len, rest)) == len(set().union(*rest)):
             return ENTAILED
         return STABLE
 
@@ -340,6 +308,86 @@ class AllDifferent:
                 continue
             groups.setdefault(find(i), []).append(x)
         return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
+def _max_matching(doms) -> tuple[list, dict] | None:
+    """A greedy matching completed by Kuhn's augmenting paths; None if some
+    variable stays free."""
+    n = len(doms)
+    match_of_var: list = [None] * n
+    match_of_val: dict = {}
+    # small domains first: fewer values taken from the larger ones
+    order = sorted(range(n), key=lambda i: len(doms[i]))
+    for i in order:
+        for v in doms[i]:
+            if v not in match_of_val:
+                match_of_var[i] = v
+                match_of_val[v] = i
+                break
+    for i in order:
+        if match_of_var[i] is None and not _augment(
+                doms, i, match_of_var, match_of_val):
+            return None
+    return match_of_var, match_of_val
+
+
+def _regin(doms) -> list | None:
+    """Régin's filter (AAAI 1994): each domain of ``doms`` cut down to the
+    values that some matching covering every variable gives it, or None if
+    no such matching exists.
+
+    It works on a graph over the variables alone: each variable is merged
+    with its matched value, and ``y -> x`` whenever ``x`` can take the
+    value matched to ``y``.  A value survives iff its edge lies in some
+    maximum matching: it is free or matched to ``x`` itself, or its owner
+    is reachable from a variable that can take a free value, or its owner
+    shares an SCC with ``x``.  The SCCs are computed only over the
+    variables no free value reaches.
+    """
+    n = len(doms)
+    matched = _max_matching(doms)
+    if matched is None:
+        return None
+    match_of_var, match_of_val = matched
+
+    # Régin's digraph (matched edges var->val, the others val->var) with
+    # each variable merged into its matched value: y -> x iff x can take
+    # m(y); pred[x] lists those y
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for x, d in enumerate(doms):
+        for v in d:
+            y = match_of_val.get(v)
+            if y is not None and y != x:
+                succ[y].append(x)
+                pred[x].append(y)
+    # the seeds: variables that can take a free value, a value of D(x)
+    # other than m(x) and the m(y) of its predecessors
+    reached = [len(d) > len(ys) + 1 for d, ys in zip(doms, pred)]
+    stack = [x for x in range(n) if reached[x]]
+    while stack:
+        for w in succ[stack.pop()]:
+            if not reached[w]:
+                reached[w] = True
+                stack.append(w)
+
+    # an edge (x, m(y)) survives iff y is reached or shares x's SCC; a
+    # cycle through an unreached variable stays unreached, so the SCCs are
+    # taken over those alone, and a reached x is in none of them
+    unreached = [u for u in range(n) if not reached[u]]
+    if not unreached:
+        return doms
+    # a reached variable's successors are reached too, so only unreached
+    # variables keep arcs here; without any, every SCC is a single variable
+    arcs = [[w for w in ws if not reached[w]] for ws in succ]
+    scc = _tarjan(arcs, unreached) if any(arcs) else range(n)
+    kept = list(doms)
+    for i, ys in enumerate(pred):
+        gone = {match_of_var[j] for j in ys
+                if not reached[j] and scc[i] != scc[j]}
+        if gone:
+            kept[i] = doms[i] - gone
+    return kept
 
 
 def _augment(doms, root: int, match_of_var: list, match_of_val: dict) -> bool:

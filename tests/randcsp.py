@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import prod
 
 from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular, Slide,
                      Table, new_problem)
@@ -222,6 +223,62 @@ def enumerate_solutions(state, scope=None) -> set[tuple]:
                 all(cross_ok(p, values) for p in crossing):
             out.add(combo)
     return out
+
+
+def brute_force_count(state, scope=None,
+                      max_product: int = 10 ** 7) -> int:
+    """Exact count by enumerating assignments and checking each constraint's
+    tuple semantics directly; no propagation involved.
+
+    With ``scope`` the count is of the state restricted to those variables:
+    constraints crossing the scope boundary are checked by projection
+    (some completion of the outside variables must exist).
+    """
+    if scope is None:
+        vars_ = list(range(state.num_vars))
+    else:
+        vars_ = sorted(scope)
+    scope_set = set(vars_)
+    size = prod(len(state.domains[x]) for x in vars_)
+    if size > max_product:
+        raise ValueError(f"assignment space {size} exceeds guard {max_product}")
+
+    inner = []
+    crossing = []
+    for propagator in state.propagators.values():
+        touched = [x for x in propagator.vars if x in scope_set]
+        if not touched:
+            continue
+        if len(touched) == len(propagator.vars):
+            inner.append(propagator)
+        else:
+            crossing.append(propagator)
+
+    cross_cache: list[dict] = [dict() for _ in crossing]
+
+    def cross_ok(ci: int, propagator, values: dict[int, int]) -> bool:
+        key = tuple(values[x] for x in propagator.vars if x in scope_set)
+        cached = cross_cache[ci].get(key)
+        if cached is not None:
+            return cached
+        outside = [x for x in propagator.vars if x not in scope_set]
+        for completion in itertools.product(*(sorted(state.domains[x]) for x in outside)):
+            filled = dict(zip(outside, completion))
+            tup = [filled[x] if x in filled else values[x] for x in propagator.vars]
+            if propagator.satisfied(tup):
+                cross_cache[ci][key] = True
+                return True
+        cross_cache[ci][key] = False
+        return False
+
+    count = 0
+    domains = [sorted(state.domains[x]) for x in vars_]
+    for combo in itertools.product(*domains):
+        values = dict(zip(vars_, combo))
+        if all(p.satisfied([values[x] for x in p.vars]) for p in inner) and \
+           all(cross_ok(ci, p, values) for ci, p in enumerate(crossing)):
+            count += 1
+    return count
 
 
 def support_filtered_domains(state, prop) -> dict[int, set[int]] | None:

@@ -10,14 +10,14 @@ from math import prod
 import pytest
 
 from fdsolve import (AllDifferent, ColoringSpec, Heuristic, Linear, Neq,
-                     SearchTrace, UGraph, WalkSpec, brute_force_count,
-                     chromatic_oracle, coloring_document, dds_count,
-                     dfs_count, erdos_renyi, new_problem, saw_document,
-                     saw_walk_count)
+                     SearchTrace, UGraph, WalkSpec, chromatic_oracle,
+                     coloring_document, dds_count, dfs_count, erdos_renyi,
+                     new_problem, saw_document, saw_walk_count)
 from fdsolve.cli import bench_aggregates, run_bench
 from fdsolve.propagators import EQ
 
-from randcsp import enumerate_solutions, intro_state, random_state
+from randcsp import (brute_force_count, enumerate_solutions, intro_state,
+                     random_state)
 
 ALL_HEURISTICS = list(Heuristic)
 CORPUS_SIZE = 500

@@ -149,7 +149,14 @@ def test_limit_flag(intro_path, capsys):
      "error: max_nodes must be at least 0, got -1\n"),
     (["bench", "--nodes", "5", "--instances", "1", "--limit", "-3"],
      "error: limit must be at least 0, got -3\n"),
-], ids=["count-limit", "count-trace-max-nodes", "bench-limit"])
+    (["gen-coloring", "--nodes", "-3", "--edge-prob", "0.3", "--colors", "3"],
+     "error: node count must be at least 0, got -3\n"),
+    (["bench", "--nodes", "-3"],
+     "error: node count must be at least 0, got -3\n"),
+    (["bench", "--instances", "-1"],
+     "error: instances must be at least 0, got -1\n"),
+], ids=["count-limit", "count-trace-max-nodes", "bench-limit",
+        "gen-coloring-nodes", "bench-nodes", "bench-instances"])
 def test_negative_limits_exit_nonzero(intro_path, tmp_path, capsys, argv,
                                       message):
     argv = [str(tmp_path / "trace.dot") if a == "TRACE" else a for a in argv]

@@ -5,11 +5,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (AllDifferent, Dfa, Linear, Neq, Regular, Slide,
-                     StateStatus, brute_force_count, new_problem)
+                     StateStatus, new_problem)
 from fdsolve.propagators import EQ, PropagationResult
 
-from randcsp import (enumerate_solutions, intro_state, random_clustered_state,
-                     random_state, random_state_with_slide)
+from randcsp import (brute_force_count, enumerate_solutions, intro_state,
+                     random_clustered_state, random_state,
+                     random_state_with_slide)
 
 
 def test_new_problem_intro():

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (EQ, AllDifferent, Linear, Neq, StateStatus,
-                     brute_force_count, build_constraint_graph, components,
-                     dds_count, new_problem)
+                     build_constraint_graph, components, dds_count,
+                     new_problem)
 from fdsolve.graph import ConstraintGraph, decompose_analysis
 
-from randcsp import (enumerate_solutions, intro_state, random_clustered_state,
-                     random_state, random_state_with_slide)
+from randcsp import (brute_force_count, enumerate_solutions, intro_state,
+                     random_clustered_state, random_state,
+                     random_state_with_slide)
 
 
 def test_intro_graph_after_root_propagation():

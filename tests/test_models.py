@@ -3,13 +3,13 @@ import sys
 
 import pytest
 
-from fdsolve import (ColoringSpec, Neq, UGraph, WalkSpec, brute_force_count,
-                     chromatic_oracle, coloring_document, dds_count,
-                     dfs_count, erdos_renyi, lattice_point, maximal_cliques,
-                     new_problem, saw_document, saw_walk_count)
+from fdsolve import (ColoringSpec, Neq, UGraph, WalkSpec, chromatic_oracle,
+                     coloring_document, dds_count, dfs_count, erdos_renyi,
+                     lattice_point, maximal_cliques, new_problem, saw_document,
+                     saw_walk_count)
 from fdsolve.models import coloring_plan, lattice_code
 
-from randcsp import intro_state
+from randcsp import brute_force_count, intro_state
 
 
 # -- random graphs -------------------------------------------------------------
@@ -33,6 +33,9 @@ def test_ugraph_validation():
         UGraph(3, [(0, 0)])
     with pytest.raises(ValueError):
         UGraph(3, [(0, 5)])
+    with pytest.raises(ValueError, match="node count"):
+        UGraph(-3, [])
+    assert UGraph(0, []).n == 0
 
 
 # -- maximal cliques -------------------------------------------------------------

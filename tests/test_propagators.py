@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular, Slide,
-                     StateStatus, Table, dds_count, dfs_count, new_problem)
-from fdsolve.propagators import PropagationResult
+from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, ProblemState,
+                     Regular, Slide, StateStatus, Table, dds_count, dfs_count,
+                     new_problem, propagators)
+from fdsolve.propagators import (ENTAILED, FAILED, STABLE, PropagationResult,
+                                 _max_matching, _regin, _tarjan)
 
 from randcsp import (product_structure_ok, random_state,
                      random_state_with_slide, support_filtered_domains)
@@ -215,6 +217,139 @@ def test_alldiff_filter_and_split_against_oracles(doms):
     filtered = list(state.domains)
     assert prop.filter(state) is result
     assert all(a is b for a, b in zip(state.domains, filtered))
+
+
+def reference_alldiff_filter(prop, state):
+    """``AllDifferent.filter`` without its short-cuts: Régin's pass over the
+    whole scope on every call, assigned variables included, pruning each
+    variable in scope order and its values in domain iteration order."""
+    n = len(prop.vars)
+    doms = [state.domains[x] for x in prop.vars]
+    matched = _max_matching(doms)
+    if matched is None:
+        return FAILED
+    match_of_var, match_of_val = matched
+
+    # Régin's digraph (matched edges var->val, the others val->var)
+    # with each variable merged into its matched value: y -> x iff x
+    # can take m(y); pred[x] lists those y in the order of D(x)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for x, d in enumerate(doms):
+        for v in d:
+            y = match_of_val.get(v)
+            if y is not None and y != x:
+                succ[y].append(x)
+                pred[x].append(y)
+    # the seeds: variables that can take a free value, a value of D(x)
+    # other than m(x) and the m(y) of its predecessors
+    reached = [len(d) > len(ys) + 1 for d, ys in zip(doms, pred)]
+    stack = [x for x in range(n) if reached[x]]
+    while stack:
+        for w in succ[stack.pop()]:
+            if not reached[w]:
+                reached[w] = True
+                stack.append(w)
+
+    # an edge (x, m(y)) survives iff y is reached or shares x's SCC; a
+    # cycle through an unreached variable stays unreached, so the SCCs
+    # are taken over those alone, and a reached x is in none of them
+    unreached = [u for u in range(n) if not reached[u]]
+    if unreached:
+        # a reached variable's successors are reached too, so only
+        # unreached variables keep arcs here; without any, every SCC is
+        # a single variable
+        arcs = [[w for w in ws if not reached[w]] for ws in succ]
+        scc = _tarjan(arcs, unreached) if any(arcs) else range(n)
+        for i in range(n):
+            for j in pred[i]:
+                if not reached[j] and scc[i] != scc[j]:
+                    state.remove_value(prop.vars[i], match_of_var[j])
+        if state.failed:
+            return FAILED
+        doms = [state.domains[x] for x in prop.vars]
+
+    # pairwise disjoint domains, assigned ones among them, entail it
+    if sum(map(len, doms)) == len(set().union(*doms)):
+        return ENTAILED
+    return STABLE
+
+
+class RemovalLog(ProblemState):
+    """A state that logs every ``(variable, value)`` passed to
+    ``remove_value``, whether or not the value was still there."""
+
+    __slots__ = ("removals",)
+
+    def __init__(self, domains):
+        super().__init__(domains)
+        self.removals = []
+
+    def remove_value(self, x, v):
+        self.removals.append((x, v))
+        return super().remove_value(x, v)
+
+
+def assert_filters_agree(doms, scope):
+    """The filter and ``reference_alldiff_filter`` give the same status, the
+    same removals in the same order, the same final domains in the same
+    iteration order and the same number of domain events."""
+    prop = AllDifferent(scope)
+    got, want = RemovalLog(doms), RemovalLog(doms)
+    result = prop.filter(got)
+    assert result is reference_alldiff_filter(prop, want)
+    assert got.removals == want.removals
+    assert [list(d) for d in got.domains] == [list(d) for d in want.domains]
+    assert got.counters.domain_events == want.counters.domain_events
+    return result, got
+
+
+@st.composite
+def alldiff_domains_with_assigned(draw):
+    # alldiff_domains with 0..n of its variables fixed to a value of the
+    # union of the domains, so two of them may share one
+    doms = draw(alldiff_domains())
+    values = sorted(set().union(*doms))
+    for i in draw(st.sets(st.integers(0, len(doms) - 1))):
+        doms[i] = {draw(st.sampled_from(values))}
+    return doms
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(alldiff_domains(), alldiff_domains_with_assigned()),
+       st.data())
+def test_alldiff_filter_matches_reference_removal_by_removal(doms, data):
+    # a shuffled scope, so scope order and variable order differ
+    assert_filters_agree(doms, data.draw(st.permutations(range(len(doms)))))
+
+
+@pytest.mark.parametrize("doms, result, regin", [
+    ([{1}, {2}, {3}], ENTAILED, False),
+    ([{1}, {1}, {0, 1, 2}], FAILED, False),
+    ([{0}, {1}, {0, 1}], FAILED, True),
+    ([{0}, {0, 1, 2}, {1, 2}, {1, 2}], FAILED, True),
+    ([{2}, {0, 1, 2}, {1, 2, 3}], STABLE, False),
+    ([{0, 1}, {0, 1, 2}, {0, 1, 2}], STABLE, False),
+    ([{0, 1}, {0, 1}, {0, 1, 2}], STABLE, True),
+], ids=["all-assigned-distinct", "assigned-share-a-value",
+        "open-inside-assigned", "hall-set-after-stripping",
+        "stripping-prunes-in-scope-order", "sizes-2-3-3-pass",
+        "sizes-2-2-3-go-to-regin"])
+def test_alldiff_strip_and_size_test_cases(doms, result, regin, monkeypatch):
+    runs = []
+
+    def counted(rest):
+        runs.append(rest)
+        return _regin(rest)
+
+    monkeypatch.setattr(propagators, "_regin", counted)
+    for scope in ([0, 1, 2, 3][:len(doms)], [3, 2, 1, 0][-len(doms):]):
+        runs.clear()
+        got, state = assert_filters_agree(doms, scope)
+        assert got is result
+        assert bool(runs) is regin
+        if result is FAILED:
+            assert state.removals == []
 
 
 # -- table --------------------------------------------------------------------

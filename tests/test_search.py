@@ -9,14 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
-                     SearchTrace, StateStatus, Table, brute_force_count,
-                     dds_count, dds_tree, dfs_count, dfs_enumerate,
-                     new_problem, trace_dot, tree_count, tree_expand)
+                     SearchTrace, StateStatus, Table, dds_count, dds_tree,
+                     dfs_count, dfs_enumerate, new_problem, trace_dot,
+                     tree_count, tree_expand)
 from fdsolve import graph, search
 from fdsolve.graph import build_constraint_graph, decompose_analysis
 from fdsolve.search import choose, order_components
 
-from randcsp import (enumerate_solutions, intro_state, permuted,
+from randcsp import (brute_force_count, enumerate_solutions, intro_state,
+                     permuted,
                      random_clustered_state, random_state,
                      random_state_with_slide, relabelled, table_as_regular)
 
