@@ -117,7 +117,9 @@ def _parse_tuples(raw, arity: int, where: str) -> list[tuple[int, ...]]:
     return rows
 
 
-def _parse_dfa(raw, where: str) -> Dfa:
+def _parse_dfa(raw, where: str, built: dict) -> Dfa:
+    """The automaton ``raw`` describes, validated; one equal to an automaton
+    in ``built`` is that one, so it is built once."""
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: 'dfa' must be an object")
     try:
@@ -142,10 +144,13 @@ def _parse_dfa(raw, where: str) -> Dfa:
         if (q, s) in trans:
             raise ModelError(f"{where}: duplicate dfa transition on ({q}, {s})")
         trans[(q, s)] = r
-    try:
-        return Dfa(states, start, finals, trans)
-    except (ValueError, TypeError) as exc:
-        raise ModelError(f"{where}: malformed automaton: {exc}") from None
+    key = (states, start, frozenset(finals), frozenset(trans.items()))
+    if key not in built:
+        try:
+            built[key] = Dfa(states, start, finals, trans)
+        except (ValueError, TypeError) as exc:
+            raise ModelError(f"{where}: malformed automaton: {exc}") from None
+    return built[key]
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -180,6 +185,9 @@ def parse_model(text: str) -> ModelDocument:
     if not isinstance(raw_cons, list):
         raise ModelError("'constraints' must be a list")
     constraints = []
+    # each distinct automaton once, so the Regular constraints over it
+    # share its step memo
+    automata: dict = {}
     for i, rc in enumerate(raw_cons):
         where = f"constraints[{i}]"
         if not isinstance(rc, dict) or "type" not in rc:
@@ -213,7 +221,8 @@ def parse_model(text: str) -> ModelDocument:
                 constraints.append(Table(vs, rows))
             elif kind == "regular":
                 vs = _resolve(names, rc.get("vars"), where)
-                constraints.append(Regular(vs, _parse_dfa(rc.get("dfa"), where)))
+                dfa = _parse_dfa(rc.get("dfa"), where, automata)
+                constraints.append(Regular(vs, dfa))
             elif kind == "slide":
                 vs = _resolve(names, rc.get("vars"), where)
                 width = rc.get("width")

@@ -27,6 +27,17 @@ every one of those domains is still the same object, and a change always
 puts a new frozenset in a domain's place.  The other propagators keep
 nothing: their splits are cheap, and a slot per state would cost memory
 in deep search.
+
+``Slide`` and ``Dfa`` (the automaton of ``Regular``) each carry a memo of
+a kernel that is a pure function of their own data and the domains passed
+in: ``Slide._scan`` for one window, ``Dfa._step`` for one layer of the
+unfolding.  A memo is not state.  What it returns is what the kernel
+computes, in every state alike, and it stores at most ``_MEMO_CAP``
+entries, past which the kernel computes without storing.  Its sets equal
+the ones the kernel would build, though two equal sets of colliding
+values may iterate in different orders; nothing the solver reports
+depends on that order, since branching takes a domain's smallest value
+and solutions are listed sorted.
 """
 from __future__ import annotations
 
@@ -51,6 +62,22 @@ STABLE = PropagationResult.STABLE
 
 EQ = "eq"
 LEQ = "leq"
+
+# the most entries one kernel memo or intern table stores; past it the
+# kernel computes without storing, so a search over large domains holds a
+# bounded memo
+_MEMO_CAP = 256
+# the default of a memo lookup, told apart from a stored None
+_UNSEEN = object()
+
+
+def _intern(table: dict, value):
+    """The value equal to ``value`` that ``table`` holds, taking ``value`` in
+    if there is none and ``table`` holds fewer than ``_MEMO_CAP`` values: a
+    memo that stores interned sets holds each only once."""
+    if len(table) < _MEMO_CAP:
+        return table.setdefault(value, value)
+    return table.get(value, value)
 
 
 def _check_distinct(vars: Sequence[int], what: str) -> tuple[int, ...]:
@@ -283,12 +310,14 @@ class AllDifferent:
         return len(set(values)) == len(values)
 
     def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
-        # connected components of the variable-value graph, found by a
-        # union-find over the variables: a value joins the first variable
-        # that holds it with every later one; reported restricted to the
-        # unassigned variables
-        doms = [state.domains[x] for x in self.vars]
-        parent = list(range(len(doms)))
+        # connected components of the variable-value graph, restricted to
+        # the unassigned variables, by a union-find over those alone: a
+        # value joins the first of them that holds it with every later one.
+        # An assigned variable holds one value, so it links no two open
+        # variables that this value does not link already.
+        domains = state.domains
+        free = [x for x in self.vars if len(domains[x]) != 1]
+        parent = list(range(len(free)))
 
         def find(a):
             while parent[a] != a:
@@ -296,16 +325,14 @@ class AllDifferent:
             return a
 
         owner: dict = {}
-        for i, d in enumerate(doms):
-            for v in d:
+        for i, x in enumerate(free):
+            for v in domains[x]:
                 j = owner.setdefault(v, i)
                 if j != i:
                     parent[find(j)] = find(i)
 
         groups: dict = {}
-        for i, x in enumerate(self.vars):
-            if len(doms[i]) == 1:
-                continue
+        for i, x in enumerate(free):
             groups.setdefault(find(i), []).append(x)
         return [frozenset(g) for g in sorted(groups.values(), key=min)]
 
@@ -497,7 +524,15 @@ def _supports(masks, doms) -> tuple[int, list[set[int]]]:
 @dataclass(frozen=True, eq=True)
 class Table(_Whole):
     """Extensional constraint: the variables' tuple must be in ``tuples``;
-    GAC through bitset support masks, built on the first filter call."""
+    GAC through bitset support masks, built on the first filter call.
+
+    Unlike a ``Slide`` window, the scan is not memoised, because its keys
+    are large.  In one pass of both counts over the self-avoiding walks
+    (``bench`` workload ``saw``, seed 7), about half of the 4,966 scans
+    repeat a key, but the 2,320 distinct keys hold 1.7 MB of domains of up
+    to 225 values, while all ``Table`` filtering takes about 0.05 s a
+    round.
+    """
 
     vars: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
@@ -529,7 +564,13 @@ class Table(_Whole):
 @dataclass(frozen=True, eq=True)
 class Dfa:
     """Deterministic finite automaton over integer symbols with a partial
-    transition map ``(state, symbol) -> state``."""
+    transition map ``(state, symbol) -> state``.
+
+    Hashed by content, transitions included, so a ``Dfa`` and a
+    ``Regular`` over it hash like the other constraints.  ``_step`` is the
+    forward step of ``Regular``'s unfolding, memoised here, so every
+    ``Regular`` over one automaton object shares the memo.
+    """
 
     state_count: int
     start: int
@@ -551,13 +592,57 @@ class Dfa:
             if not (0 <= q < self.state_count and 0 <= r < self.state_count):
                 raise ValueError("Dfa: transition state out of range")
 
+    def __hash__(self) -> int:
+        return hash((self.state_count, self.start, self.finals,
+                     frozenset(self.transitions.items())))
+
     @cached_property
-    def _moves(self) -> dict[int, dict[int, int]]:
-        """Per state that has transitions, those as symbol -> next state."""
-        moves: dict[int, dict[int, int]] = {}
+    def _arcs(self) -> dict[int, dict[int, tuple[int, int, int]]]:
+        """Per state that has transitions, its arcs ``(state, symbol, next
+        state)`` by symbol, each tuple built once."""
+        arcs: dict[int, dict[int, tuple[int, int, int]]] = {}
         for (q, s), r in self.transitions.items():
-            moves.setdefault(q, {})[s] = r
-        return moves
+            arcs.setdefault(q, {})[s] = (q, s, r)
+        return arcs
+
+    @cached_property
+    def _steps(self) -> dict:
+        """The memo of ``_step``: (live states, symbols) -> its result."""
+        return {}
+
+    @cached_property
+    def _sets(self) -> dict[frozenset[int], frozenset[int]]:
+        """The intern table of the state and symbol sets in ``_steps``."""
+        return {}
+
+    @cached_property
+    def _start_set(self) -> frozenset[int]:
+        return frozenset((self.start,))
+
+    def _step(self, states: frozenset[int], symbols: frozenset[int]):
+        """One layer of the unfolding: the arcs out of ``states`` labelled
+        with a symbol of ``symbols``, by state and then by symbol in
+        iteration order, and the set of states they reach.  Memoised up to
+        ``_MEMO_CAP`` keys."""
+        memo = self._steps
+        key = (states, symbols)
+        step = memo.get(key)
+        if step is None:
+            arcs = self._arcs
+            out, nxt = [], set()
+            for q in states:
+                move = arcs.get(q)
+                if move:
+                    for s in symbols:
+                        arc = move.get(s)
+                        if arc is not None:
+                            out.append(arc)
+                            nxt.add(arc[2])
+            sets = self._sets
+            step = (tuple(out), _intern(sets, frozenset(nxt)))
+            if len(memo) < _MEMO_CAP:
+                memo[_intern(sets, states), _intern(sets, symbols)] = step
+        return step
 
     def accepts(self, word: Sequence[int]) -> bool:
         q = self.start
@@ -576,9 +661,11 @@ class Regular(_Runs):
     states per position, arcs labelled with domain values, pruned by
     forward/backward reachability.  Layers left with a single live state
     are the points where the scope splits.  Every filter unfolds from
-    scratch.  A stable one keeps these cuts in its slot: restricting the
-    domains to the live arcs' symbols keeps every live state live, so the
-    cuts hold for the domains it ends with, and ``hyperedges`` reads them.
+    scratch: each forward step comes from the automaton's ``_step``, which
+    is memoised, and the backward pass counts afresh.  A stable filter
+    keeps the cuts in its slot: restricting the domains to the live arcs'
+    symbols keeps every live state live, so the cuts hold for the domains
+    it ends with, and ``hyperedges`` reads them.
     """
 
     vars: tuple[int, ...]
@@ -600,22 +687,13 @@ class Regular(_Runs):
         on the backward pass, and each position's symbols are those of its
         live arcs.
         """
-        n = len(doms)
-        moves = self.dfa._moves
-        states, arcs = {self.dfa.start}, []
+        n, dfa = len(doms), self.dfa
+        step = dfa._step
+        states, arcs = dfa._start_set, []
         for d in doms:
-            out, nxt = [], set()
-            for q in states:
-                move = moves.get(q)
-                if move:
-                    for s in d:
-                        r = move.get(s)
-                        if r is not None:
-                            out.append((q, s, r))
-                            nxt.add(r)
+            out, states = step(states, d)
             arcs.append(out)
-            states = nxt
-        live: list = [None] * n + [dict.fromkeys(states & self.dfa.finals, 1)]
+        live: list = [None] * n + [dict.fromkeys(states & dfa.finals, 1)]
         symbols: list = [None] * n
         for i in range(n - 1, -1, -1):
             ways, after, used = {}, live[i + 1], set()
@@ -663,10 +741,12 @@ class Slide(_Runs):
 
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
-    Every window is filtered with the same bitset support masks as ``Table``.
-    A stable filter keeps the cuts that its windows' entailment flags give
-    in its slot, with the flags; the next filter scans only windows over a
-    position whose domain changed, and ``hyperedges`` reads the cuts.
+    Every window is filtered with the same bitset support masks as ``Table``,
+    through ``_scan``, which is memoised per ``Slide`` on the window's
+    domains.  A stable filter keeps the cuts that its windows' entailment
+    flags give in its slot, with the flags; the next filter scans only
+    windows over a position whose domain changed, and ``hyperedges`` reads
+    the cuts.
     """
 
     vars: tuple[int, ...]
@@ -685,9 +765,55 @@ class Slide(_Runs):
         if any(len(t) != self.width for t in ts):
             raise ValueError("Slide: tuple arity mismatch")
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[tuple[int, ...], ...],
+                             tuple[tuple[int, ...], ...]]:
+        """The variables of each window, and per position the windows
+        over it."""
+        vars, k = self.vars, self.width
+        m = len(vars) - k + 1
+        return (tuple(vars[w:w + k] for w in range(m)),
+                tuple(tuple(range(max(0, p - k + 1), min(m, p + 1)))
+                      for p in range(len(vars))))
+
+    @cached_property
+    def _scans(self) -> dict:
+        """The memo of ``_scan``: window domains -> its result."""
+        return {}
+
+    @cached_property
+    def _sets(self) -> dict[frozenset[int], frozenset[int]]:
+        """The intern table of the domains in ``_scans``."""
+        return {}
+
+    def _scan(self, doms: tuple[frozenset[int], ...]):
+        """One window over the domains ``doms``: None if no tuple of it is
+        live, else whether every combination of its supports is live, and
+        the cut: None if every value of ``doms`` has a support, else each
+        domain cut down to its supports, the domain itself where the cut
+        drops nothing.  Memoised up to ``_MEMO_CAP`` windows."""
+        memo = self._scans
+        scan = memo.get(doms, _UNSEEN)
+        if scan is _UNSEEN:
+            sets = self._sets
+            doms = tuple([_intern(sets, d) for d in doms])
+            valid, support = _supports(self._masks, doms)
+            if valid:
+                cut = None
+                if any(len(s) != len(d) for d, s in zip(doms, support)):
+                    cut = tuple([d if len(s) == len(d) else
+                                 _intern(sets, frozenset(s))
+                                 for d, s in zip(doms, support)])
+                scan = (valid == math.prod(map(len, support)), cut)
+            else:
+                scan = None
+            if len(memo) < _MEMO_CAP:
+                memo[doms] = scan
+        return scan
+
     def filter(self, state, handle=None) -> PropagationResult:
-        k = self.width
-        m = len(self.vars) - k + 1
+        windows, over = self._plan
+        m = len(windows)
         # entailed: whether each window's last scan found every combination
         # of its supports live; restricting to the supports keeps every
         # live tuple, and a window whose positions change later is stale
@@ -702,15 +828,16 @@ class Slide(_Runs):
             # supports and flag, so it is skipped where it would be scanned
             kept_doms, _cuts, flags = slot
             entailed, stale = list(flags), [False] * m
-            for p, (x, d) in enumerate(zip(self.vars, kept_doms)):
+            for x, d, ws in zip(self.vars, kept_doms, over):
                 if domains[x] is not d:
-                    for w in range(max(0, p - k + 1), min(m, p + 1)):
+                    for w in ws:
                         stale[w] = True
         # sweep the windows in order, then rescan, first in first out, those
         # made stale behind the sweep: the order of a FIFO queue that starts
         # with every window and takes in each window made stale outside it
         behind: deque[int] = deque()
         sweep = 0
+        scan = self._scan
         while sweep < m or behind:
             if sweep < m:
                 w = sweep
@@ -720,17 +847,21 @@ class Slide(_Runs):
             else:
                 w = behind.popleft()
             stale[w] = False
-            window = self.vars[w:w + k]
-            valid, support = _supports(self._masks,
-                                       [domains[x] for x in window])
-            if valid == 0:
+            window = windows[w]
+            doms = tuple([domains[x] for x in window])
+            result = scan(doms)
+            if result is None:
                 return FAILED
-            entailed[w] = valid == math.prod(map(len, support))
+            entailed[w], cut = result
+            if cut is None:
+                continue
             # a live window supports a value at every position, so no
-            # domain empties
-            for p, (x, sup) in enumerate(zip(window, support), w):
-                if state.restrict(x, sup):
-                    for w2 in range(max(0, p - k + 1), min(m - 1, p) + 1):
+            # domain empties; a cut domain is a subset, smaller iff it drops
+            # a value
+            for p, (x, d, c) in enumerate(zip(window, doms, cut), w):
+                if len(c) != len(d):
+                    state.restrict(x, c)
+                    for w2 in over[p]:
                         if w2 != w and not stale[w2]:
                             stale[w2] = True
                             if w2 < sweep:
@@ -756,7 +887,12 @@ class Slide(_Runs):
                    for i in range(len(values) - k + 1))
 
     def _fresh_cuts(self, doms) -> list[int]:
+        # a window is entailed on its domains as they are when its scan
+        # cuts nothing and finds every combination live
         k = self.width
-        return self._cuts([_supports(self._masks, doms[w:w + k])[0]
-                           == math.prod(map(len, doms[w:w + k]))
-                           for w in range(len(doms) - k + 1)])
+        flags = []
+        for w in range(len(doms) - k + 1):
+            window = tuple(doms[w:w + k])
+            scan = self._scan(window)
+            flags.append(scan is not None and scan[0] and scan[1] is None)
+        return self._cuts(flags)

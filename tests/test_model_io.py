@@ -57,6 +57,23 @@ def test_parse_canonical_document():
     assert len(state.propagators) == 6
 
 
+def test_equal_automata_are_parsed_once():
+    # the rows of one document share an automaton object, and with it the
+    # automaton's step memo; a different automaton stays apart
+    raw = json.loads(CANONICAL)
+    regular = raw["constraints"][4]
+    other = json.loads(json.dumps(regular))
+    other["dfa"]["transitions"].reverse()
+    third = json.loads(json.dumps(regular))
+    third["dfa"]["finals"] = [1]
+    raw["constraints"] += [{**other, "vars": ["A", "B"]}, third]
+    doc = parse_model(json.dumps(raw))
+    first, second, last = doc.constraints[4], doc.constraints[6], \
+        doc.constraints[7]
+    assert second.dfa is first.dfa
+    assert last.dfa != first.dfa and last.dfa is not first.dfa
+
+
 def test_roundtrip():
     for text in (CANONICAL, intro_document_text()):
         doc = parse_model(text)

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +353,44 @@ def test_alldiff_strip_and_size_test_cases(doms, result, regin, monkeypatch):
             assert state.removals == []
 
 
+def reference_alldiff_split(prop, state):
+    """The split by a union-find over every scope variable, assigned ones
+    and their values included, restricted to the unassigned variables."""
+    doms = [state.domains[x] for x in prop.vars]
+    parent = list(range(len(doms)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    owner = {}
+    for i, d in enumerate(doms):
+        for v in d:
+            j = owner.setdefault(v, i)
+            if j != i:
+                parent[find(j)] = find(i)
+    groups = {}
+    for i, x in enumerate(prop.vars):
+        if len(doms[i]) != 1:
+            groups.setdefault(find(i), []).append(x)
+    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(alldiff_domains(), alldiff_domains_with_assigned()),
+       st.data())
+def test_alldiff_split_matches_union_find_over_whole_scope(doms, data):
+    # the split takes the open variables alone, on states where an open
+    # domain may hold an assigned value and at the filter's fixpoint, where
+    # none does
+    prop = AllDifferent(data.draw(st.permutations(range(len(doms)))))
+    state = new_problem(doms)
+    assert prop.hyperedges(state) == reference_alldiff_split(prop, state)
+    if prop.filter(state) is not FAILED:
+        assert prop.hyperedges(state) == reference_alldiff_split(prop, state)
+
+
 # -- table --------------------------------------------------------------------
 
 
@@ -483,6 +522,27 @@ def test_dfa_validation():
         Dfa(1, 0, [2], {})
     with pytest.raises(ValueError):
         Dfa(1, 0, [0], {(0, 0): 3})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                          st.integers(0, 2)), max_size=9),
+       st.lists(st.integers(0, 2), max_size=3), st.randoms())
+def test_dfa_and_regular_hash_agrees_with_eq(states, moves, finals, rng):
+    # the same automaton, its transitions and finals given in another
+    # order, is equal and hashes equal; so does a Regular over it
+    transitions = {(q % states, s): r % states for q, s, r in moves}
+    finals = [f % states for f in finals]
+    shuffled = list(transitions.items())
+    rng.shuffle(shuffled)
+    a = Dfa(states, 0, finals, transitions)
+    b = Dfa(states, 0, reversed(finals), dict(shuffled))
+    assert a == b and hash(a) == hash(b)
+    assert hash(Regular((0, 1), a)) == hash(Regular([0, 1], b))
+    other = Dfa(states, 0, finals, {**transitions, (0, 3): 0})
+    assert other != a
+    assert len({a, b, other}) == 2
 
 
 def brute_force_runs(vars_, doms, tied):
@@ -825,6 +885,153 @@ def test_slide_split_on_entailed_windows():
     if prop in state.propagators.values():
         edges = prop.hyperedges(state)
         assert all(len(e) == 1 for e in edges)
+
+
+# -- kernel memos -------------------------------------------------------------------
+
+
+class ChangeLog(ProblemState):
+    """A state that logs each domain change its filters make, in order: the
+    variable and the values it lost."""
+
+    __slots__ = ("changes",)
+
+    def __init__(self, domains):
+        super().__init__(domains)
+        self.changes = []
+
+    def remove_value(self, x, v):
+        before = self.domains[x]
+        if super().remove_value(x, v):
+            self.changes.append((x, before - self.domains[x]))
+            return True
+        return False
+
+    def restrict(self, x, allowed):
+        before = self.domains[x]
+        if super().restrict(x, allowed):
+            self.changes.append((x, before - self.domains[x]))
+            return True
+        return False
+
+
+def unmemoised(make):
+    """``make()`` with every memo capped at 0 entries, so it stores nothing
+    while it runs."""
+    with mock.patch.object(propagators, "_MEMO_CAP", 0):
+        return make()
+
+
+def memo_run(prop, doms, tells):
+    """What filtering ``prop`` shows: one call without a handle, then
+    ``prop`` alone through ``propagate`` on ``doms`` and after each tell.
+    Per step: the status, the changes, the domains in iteration order, the
+    domain events and the slot."""
+    state = ChangeLog(doms)
+    steps = [(prop.filter(state), state.changes,
+              [list(d) for d in state.domains], state.counters.domain_events)]
+    state = ChangeLog(doms)
+    h = state.post(prop)
+    for tell in [None] + tells:
+        if tell is not None:
+            eq, x, v = tell
+            x %= len(doms)
+            (state.tell_eq if eq else state.tell_neq)(x, v)
+        status = state.propagate()
+        steps.append((status, list(state.changes),
+                      [list(d) for d in state.domains],
+                      state.counters.domain_events, state.slots.get(h)))
+        if status is not StateStatus.BRANCHABLE:
+            break
+    return steps
+
+
+@st.composite
+def memo_slide_models(draw):
+    # slide_models with width 1 and width == len(vars) drawn as often as
+    # any other width, and dense tables where windows entail
+    n = draw(st.integers(1, 5))
+    width = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    doms = draw(st.lists(st.sets(st.integers(0, 3), min_size=1),
+                         min_size=n, max_size=n))
+    if width <= 3 and draw(st.booleans()):
+        banned = draw(st.sets(st.tuples(*[st.integers(0, 3)] * width),
+                              max_size=6))
+        tuples = set(itertools.product(range(4), repeat=width)) - banned
+    else:
+        tuples = draw(st.lists(st.tuples(*[st.integers(0, 3)] * width),
+                               max_size=30))
+    return doms, width, sorted(tuples)
+
+
+TELLS = st.lists(st.tuples(st.booleans(), st.integers(0, 9),
+                           st.integers(0, 3)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(memo_slide_models(), st.lists(st.lists(st.sets(
+    st.integers(0, 3), min_size=1), min_size=5, max_size=5), max_size=3),
+       TELLS)
+def test_slide_warm_memo_filters_like_a_fresh_instance(model, other, tells):
+    # the memo warmed on other states and on this very run, against an
+    # equal instance run with its memo capped at 0, so recomputing each
+    # window scan
+    doms, width, tuples = model
+    prop = Slide(range(len(doms)), width, tuples)
+    for warm in other:
+        prop.filter(new_problem(warm[:len(doms)]))
+    memo_run(prop, doms, tells)
+    assert prop._scans
+    fresh = Slide(range(len(doms)), width, tuples)
+    assert memo_run(prop, doms, tells) \
+        == unmemoised(lambda: memo_run(fresh, doms, tells))
+    assert not fresh._scans
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_cases(), st.lists(st.lists(st.sets(
+    st.integers(0, 2), min_size=1), min_size=5, max_size=5), max_size=3),
+       TELLS)
+def test_regular_warm_memo_filters_like_a_fresh_instance(case, other, tells):
+    # as for Slide, with the memo on the automaton
+    dfa, doms = case
+    prop = Regular(range(len(doms)), dfa)
+    for warm in other:
+        prop.filter(new_problem(warm[:len(doms)]))
+    memo_run(prop, doms, tells)
+    assert dfa._steps
+    fresh = Regular(range(len(doms)), Dfa(
+        dfa.state_count, dfa.start, dfa.finals, dict(dfa.transitions)))
+    assert memo_run(prop, doms, tells) \
+        == unmemoised(lambda: memo_run(fresh, doms, tells))
+    assert not fresh.dfa._steps
+
+
+def test_memos_stay_under_their_cap():
+    # a search over 100-value domains meets far more window domains and
+    # live-state sets than a memo stores; the counts still hold.  Each next
+    # value is the last plus 1 or 3 (Slide) or plus 1 or 2 (Regular), mod
+    # 100, so n variables take 100 * 2 ** (n - 1) words
+    n, values = 4, range(100)
+    words = 100 * 2 ** (n - 1)
+    pairs = [(a, (a + step) % 100) for a in values for step in (1, 3)]
+    slide = Slide(range(n), 2, pairs)
+    state = new_problem([values] * n)
+    state.post(slide)
+    assert dfs_count(state).count == words
+    assert len(slide._scans) == propagators._MEMO_CAP
+
+    # state 0 starts; state q + 1 has just read symbol q
+    dfa = Dfa(101, 0, range(1, 101), {
+        **{(0, s): s + 1 for s in values},
+        **{(q + 1, (q + step) % 100): (q + step) % 100 + 1
+           for q in values for step in (1, 2)}})
+    state = new_problem([values] * n)
+    state.post(Regular(range(n), dfa))
+    assert dfs_count(state).count == words
+    assert len(dfa._steps) == propagators._MEMO_CAP
+    assert len(dfa._sets) <= propagators._MEMO_CAP
+    assert len(slide._sets) <= propagators._MEMO_CAP
 
 
 # -- state slots ------------------------------------------------------------------
