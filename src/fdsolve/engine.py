@@ -15,21 +15,12 @@ propagators once the filter returns.  Branching goes through ``tell_eq``
 and ``tell_neq`` instead, which do their own bookkeeping: each records
 its domain event and queues the propagators on the variable itself.
 States are cloned before branching.  A clone copies the list of domains,
-the propagator store, the state slots and a non-empty propagation queue;
-it shares the domain frozensets themselves, the immutable propagators,
-what the slots hold, the run-level statistics sink, and the subscription
-lists, which the first ``post`` on either side after the clone copies.
-
-Propagators are immutable and shared by every clone, so what one learns
-about a particular state lives in that state's slots: one entry per
-handle, which the propagator's own ``filter`` writes, through ``keep``,
-and which its ``filter`` and ``hyperedges`` read.  ``propagate`` passes
-each filter its handle, and the graph layer and DFS branching pass it to
-``hyperedges``; called without one, either method neither reads nor
-writes a slot, and no other code reads one.  The slot goes with its
-propagator when that is entailed.  What a slot holds is the propagator's
-business; it must never be changed in place, because clones share it,
-so a filter that learns something new keeps a new value.
+the propagator store and a non-empty propagation queue; it shares the
+domain frozensets themselves, the immutable propagators, the run-level
+statistics sink, and the subscription lists, which the first ``post`` on
+either side after the clone copies.  No propagator keeps anything in a
+state: what one caches about domains it has seen lives in its own memo,
+which is not state (see ``propagators``).
 
 The subscription lists map each variable to the handles of the
 propagators posted on it; ``propagators_on`` reads them, so the graph of
@@ -40,8 +31,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .propagators import PropagationResult
 
@@ -60,15 +50,10 @@ class PropagationCounters:
     domain_events: int = 0
 
 
-# the slots of a state that has kept nothing yet: read-only and shared, so
-# a clone in a search that keeps nothing allocates no slot dict
-_NO_SLOTS: Mapping[int, object] = MappingProxyType({})
-
-
 class ProblemState:
     """Variables with finite domains plus the active propagator store."""
 
-    __slots__ = ("domains", "propagators", "slots", "counters",
+    __slots__ = ("domains", "propagators", "counters",
                  "_subs", "_subs_shared", "_queue", "_queued", "_failed",
                  "_next_handle", "_changed", "_unfixed")
 
@@ -76,8 +61,6 @@ class ProblemState:
         self.domains: list[frozenset[int]] = [frozenset(int(v) for v in d)
                                               for d in domains]
         self.propagators: dict[int, object] = {}
-        # handle -> what that propagator's last filter in propagate kept
-        self.slots: Mapping[int, object] = _NO_SLOTS
         self._subs: list[list[int]] = [[] for _ in self.domains]
         self._subs_shared = False
         self._queue: deque[int] = deque()
@@ -209,16 +192,6 @@ class ProblemState:
                 queue.append(h)
                 queued.add(h)
 
-    # -- state slots -----------------------------------------------------
-
-    def keep(self, handle: int, value) -> None:
-        """Put ``value`` in the slot of the propagator stored under
-        ``handle``; only its own ``filter`` does so, with the handle that
-        ``propagate`` passes it."""
-        if self.slots is _NO_SLOTS:
-            self.slots = {}
-        self.slots[handle] = value
-
     # -- propagation -----------------------------------------------------
 
     def propagate(self) -> StateStatus:
@@ -244,7 +217,7 @@ class ProblemState:
                 continue
             changed.clear()
             counters.propagations += 1
-            result = prop.filter(self, h)
+            result = prop.filter(self)
             if result is PropagationResult.FAILED or self._failed:
                 self._failed = True
                 queue.clear()
@@ -252,8 +225,6 @@ class ProblemState:
                 return StateStatus.FAILED
             if result is PropagationResult.ENTAILED:
                 del props[h]
-                if h in self.slots:
-                    del self.slots[h]
             # each filter call is idempotent, so the running propagator
             # itself is not rescheduled for its own prunings
             for x in changed:
@@ -271,13 +242,11 @@ class ProblemState:
     # -- snapshots -------------------------------------------------------
 
     def clone(self) -> "ProblemState":
-        """Independent snapshot; shares the domain frozensets, what the
-        slots hold, the counter sink and, until either side posts, the
-        subscription lists."""
+        """Independent snapshot; shares the domain frozensets, the counter
+        sink and, until either side posts, the subscription lists."""
         new = ProblemState.__new__(ProblemState)
         new.domains = self.domains.copy()
         new.propagators = dict(self.propagators)
-        new.slots = self.slots.copy() if self.slots else _NO_SLOTS
         new._subs = self._subs
         new._subs_shared = self._subs_shared = True
         if self._queue:

@@ -5,12 +5,12 @@ analyses: nodes are the scope's unassigned variables, and hyperedges come
 from the scope split of each active propagator on one of them.  Those
 propagators are reached through the subscription lists of the nodes, not
 by a scan of the whole store, so the work follows the scope; the edges
-are those such a scan finds, in another order.  Each split is asked
-for with the handle the propagator is stored under, so it may be read
-off the propagator's state slot instead of recomputed.  Connected
-components of this graph are independent partial problems; solving them
-separately and multiplying the counts is exact.  Plain DFS builds no graph:
-its branching reads the degrees off the same scope splits directly.
+are those such a scan finds, in another order.  A split is a pure
+function of the domains, so a propagator may read it from its own memo
+(see ``propagators``).  Connected components of this graph are
+independent partial problems; solving them separately and multiplying
+the counts is exact.  Plain DFS builds no graph: its branching reads the
+degrees off the same scope splits directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
 frozenset edges, ``components`` the tuple of its connected node sets, and
@@ -57,8 +57,8 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
         scope = range(len(domains))
     nodes = frozenset([x for x in scope if len(domains[x]) != 1])
     edges = []
-    for handle, prop in state.propagators_on(nodes).items():
-        for edge in prop.hyperedges(state, handle):
+    for prop in state.propagators_on(nodes).values():
+        for edge in prop.hyperedges(state):
             edge = edge & nodes
             if len(edge) >= 2:
                 edges.append(edge)

@@ -2,42 +2,32 @@
 
 Each constraint class plays three roles:
 
-* ``filter(state, handle=None)`` narrows domains through the state's
-  mutation API and reports ``FAILED`` / ``ENTAILED`` / ``STABLE``.
-  ``propagate`` passes the handle the propagator is stored under, which
-  names its state slot; called without one, a filter neither reads nor
-  writes a slot.
+* ``filter(state)`` narrows domains through the state's mutation API and
+  reports ``FAILED`` / ``ENTAILED`` / ``STABLE``.
 * ``satisfied(values)`` checks one full tuple against the constraint's
   declarative semantics.  This path never touches the filtering code, so
   brute-force oracles built on it stay independent of propagation.
-* ``hyperedges(state, handle=None)`` reports the constraint's scope split
-  into the finest fragments its structure currently justifies, restricted
-  to unassigned variables.  The fragments partition the unassigned scope;
-  the graph layer drops fragments smaller than two variables.  The handle
-  is the one the propagator is stored under, as for ``filter``; a split
-  read from its slot equals the one computed from the domains.
+* ``hyperedges(state)`` reports the constraint's scope split into the
+  finest fragments its structure currently justifies, restricted to
+  unassigned variables.  The fragments partition the unassigned scope;
+  the graph layer drops fragments smaller than two variables.
 
-Constraint instances are immutable: clones of a problem state share them.
-What a filter learns about one state lives in that state's slot for the
-propagator (see ``engine``).  ``Slide`` and ``Regular`` split their scope
-at cuts, the positions before which a run of variables breaks off; a
-stable filter keeps its cuts there with the domains it ended with, and
-``Slide`` also its window flags.  What a slot holds counts only while
-every one of those domains is still the same object, and a change always
-puts a new frozenset in a domain's place.  The other propagators keep
-nothing: their splits are cheap, and a slot per state would cost memory
-in deep search.
+Constraint instances are immutable: clones of a problem state share them,
+and no propagator keeps anything in a state.  ``Slide`` and ``Regular``
+split their scope at cuts, the positions before which a run of variables
+breaks off.
 
-``Slide`` and ``Dfa`` (the automaton of ``Regular``) each carry a memo of
-a kernel that is a pure function of their own data and the domains passed
-in: ``Slide._scan`` for one window, ``Dfa._step`` for one layer of the
-unfolding.  A memo is not state.  What it returns is what the kernel
-computes, in every state alike, and it stores at most ``_MEMO_CAP``
-entries, past which the kernel computes without storing.  Its sets equal
-the ones the kernel would build, though two equal sets of colliding
-values may iterate in different orders; nothing the solver reports
-depends on that order, since branching takes a domain's smallest value
-and solutions are listed sorted.
+Three kernels are pure functions of their owner's data and the domains
+passed in, and each is memoised on its owner: ``Slide._scan`` for one
+window, ``Dfa._step`` for one layer of ``Regular``'s unfolding, and the
+cuts of a ``Slide`` or ``Regular`` scope (``_Runs._splits``).  A memo is
+not state.  What it returns is what the kernel computes, in every state
+alike, and it stores at most ``_MEMO_CAP`` entries, past which the kernel
+computes without storing.  Each owner interns the sets its memos store
+(``_sets``), so equal sets are held once.  They equal the ones the kernel
+would build, though two equal sets of colliding values may iterate in
+different orders; nothing the solver reports depends on that order, since
+branching takes a domain's smallest value and solutions are listed sorted.
 """
 from __future__ import annotations
 
@@ -46,7 +36,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import gt, is_not
+from operator import gt
 from typing import Iterable, Sequence
 
 
@@ -89,38 +79,43 @@ def _check_distinct(vars: Sequence[int], what: str) -> tuple[int, ...]:
     return vs
 
 
-def _keep(state, handle, vars: Sequence[int], cuts, *more) -> None:
-    """Keep ``cuts``, then ``more``, in the slot of ``handle``, if there is
-    one, after the domains of ``vars`` they are valid for."""
-    if handle is not None:
-        domains = state.domains
-        state.keep(handle, (tuple([domains[x] for x in vars]), cuts, *more))
-
-
 class _Whole:
     """Base of the propagators whose scope never splits: its unassigned
     variables are one fragment."""
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+    def hyperedges(self, state) -> list[frozenset[int]]:
         domains = state.domains
         free = [x for x in self.vars if len(domains[x]) != 1]
         return [frozenset(free)] if free else []
 
 
 class _Runs:
-    """Base of the propagators whose scope splits into runs at cuts: their
-    filter keeps the cuts in its slot, and ``_fresh_cuts(doms)`` computes
-    them from the scope's domains when the slot is out of date."""
+    """Base of the propagators whose scope splits into runs at cuts:
+    ``_fresh_cuts(doms)`` computes the cuts from the scope's domains, and
+    ``hyperedges`` reads them from the memo ``_splits``."""
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+    @cached_property
+    def _splits(self) -> dict:
+        """The memo of the cuts: scope domains -> the set of cuts."""
+        return {}
+
+    @cached_property
+    def _sets(self) -> dict[frozenset[int], frozenset[int]]:
+        """The intern table of the sets in this propagator's memos."""
+        return {}
+
+    def hyperedges(self, state) -> list[frozenset[int]]:
         # the unassigned variables cut before each position in the cuts,
-        # as one fragment per non-empty run, in position order; kept cuts
-        # hold while each domain is the one they were kept with
+        # as one fragment per non-empty run, in position order
         domains = state.domains
-        doms = [domains[x] for x in self.vars]
-        slot = state.slots.get(handle)
-        fresh = slot is None or any(map(is_not, doms, slot[0]))
-        cuts = set(self._fresh_cuts(doms) if fresh else slot[1])
+        doms = tuple([domains[x] for x in self.vars])
+        memo = self._splits
+        cuts = memo.get(doms)
+        if cuts is None:
+            sets = self._sets
+            cuts = _intern(sets, frozenset(self._fresh_cuts(doms)))
+            if len(memo) < _MEMO_CAP:
+                memo[tuple([_intern(sets, d) for d in doms])] = cuts
         edges, run = [], []
         for p, x in enumerate(self.vars):
             if p in cuts and run:
@@ -147,7 +142,7 @@ class Neq(_Whole):
     def vars(self) -> tuple[int, ...]:
         return (self.x, self.y)
 
-    def filter(self, state, handle=None) -> PropagationResult:
+    def filter(self, state) -> PropagationResult:
         dx = state.domains[self.x]
         dy = state.domains[self.y]
         if len(dx) == 1 and len(dy) == 1:
@@ -204,7 +199,7 @@ class Linear(_Whole):
                 hi += a * min(d)
         return lo, hi
 
-    def filter(self, state, handle=None) -> PropagationResult:
+    def filter(self, state) -> PropagationResult:
         # loop to a local fixpoint so one filter call is idempotent
         while True:
             lo, hi = self._bounds(state)
@@ -266,7 +261,7 @@ class AllDifferent:
             raise ValueError("AllDifferent: need at least 2 variables")
         object.__setattr__(self, "vars", vs)
 
-    def filter(self, state, handle=None) -> PropagationResult:
+    def filter(self, state) -> PropagationResult:
         vars, domains = self.vars, state.domains
         doms = [domains[x] for x in vars]
         taken: set = set()
@@ -309,7 +304,7 @@ class AllDifferent:
     def satisfied(self, values: Sequence[int]) -> bool:
         return len(set(values)) == len(values)
 
-    def hyperedges(self, state, handle=None) -> list[frozenset[int]]:
+    def hyperedges(self, state) -> list[frozenset[int]]:
         # connected components of the variable-value graph, restricted to
         # the unassigned variables, by a union-find over those alone: a
         # value joins the first of them that holds it with every later one.
@@ -546,7 +541,7 @@ class Table(_Whole):
             raise ValueError("Table: tuple arity mismatch")
         object.__setattr__(self, "tuples", ts)
 
-    def filter(self, state, handle=None) -> PropagationResult:
+    def filter(self, state) -> PropagationResult:
         doms = [state.domains[x] for x in self.vars]
         valid, support = _supports(self._masks, doms)
         if valid == 0:
@@ -662,10 +657,8 @@ class Regular(_Runs):
     forward/backward reachability.  Layers left with a single live state
     are the points where the scope splits.  Every filter unfolds from
     scratch: each forward step comes from the automaton's ``_step``, which
-    is memoised, and the backward pass counts afresh.  A stable filter
-    keeps the cuts in its slot: restricting the domains to the live arcs'
-    symbols keeps every live state live, so the cuts hold for the domains
-    it ends with, and ``hyperedges`` reads them.
+    is memoised, and the backward pass counts afresh.  ``hyperedges``
+    unfolds again on a miss of its memo of cuts.
     """
 
     vars: tuple[int, ...]
@@ -705,7 +698,7 @@ class Regular(_Runs):
             live[i], symbols[i] = ways, used
         return live, symbols
 
-    def filter(self, state, handle=None) -> PropagationResult:
+    def filter(self, state) -> PropagationResult:
         domains = state.domains
         live, symbols = self._layers([domains[x] for x in self.vars])
         accepted = live[0].get(self.dfa.start, 0)
@@ -718,16 +711,12 @@ class Regular(_Runs):
         # accepted word, so every word is accepted iff the counts agree
         if accepted == math.prod(len(domains[x]) for x in self.vars):
             return ENTAILED
-        _keep(state, handle, self.vars, self._cuts(live))
         return STABLE
 
-    @staticmethod
-    def _cuts(live) -> list[int]:
-        """Positions before which only one automaton state is live."""
-        return [i for i in range(1, len(live) - 1) if len(live[i]) == 1]
-
     def _fresh_cuts(self, doms) -> list[int]:
-        return self._cuts(self._layers(doms)[0])
+        """Positions before which only one automaton state is live."""
+        live = self._layers(doms)[0]
+        return [i for i in range(1, len(live) - 1) if len(live[i]) == 1]
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return self.dfa.accepts(values)
@@ -743,10 +732,8 @@ class Slide(_Runs):
     scope can split at positions whose covering windows are all entailed.
     Every window is filtered with the same bitset support masks as ``Table``,
     through ``_scan``, which is memoised per ``Slide`` on the window's
-    domains.  A stable filter keeps the cuts that its windows' entailment
-    flags give in its slot, with the flags; the next filter scans only
-    windows over a position whose domain changed, and ``hyperedges`` reads
-    the cuts.
+    domains.  ``hyperedges`` reads the windows' entailment off the same
+    memo on a miss of its memo of cuts.
     """
 
     vars: tuple[int, ...]
@@ -781,11 +768,6 @@ class Slide(_Runs):
         """The memo of ``_scan``: window domains -> its result."""
         return {}
 
-    @cached_property
-    def _sets(self) -> dict[frozenset[int], frozenset[int]]:
-        """The intern table of the domains in ``_scans``."""
-        return {}
-
     def _scan(self, doms: tuple[frozenset[int], ...]):
         """One window over the domains ``doms``: None if no tuple of it is
         live, else whether every combination of its supports is live, and
@@ -811,42 +793,21 @@ class Slide(_Runs):
                 memo[doms] = scan
         return scan
 
-    def filter(self, state, handle=None) -> PropagationResult:
+    def filter(self, state) -> PropagationResult:
         windows, over = self._plan
         m = len(windows)
-        # entailed: whether each window's last scan found every combination
-        # of its supports live; restricting to the supports keeps every
-        # live tuple, and a window whose positions change later is stale
-        # and scanned again
-        slot = state.slots.get(handle)
+        # scan the windows first in first out, from a queue that starts with
+        # every window and takes in each window over a domain that another
+        # window's scan narrows; entailed: whether each window's last scan
+        # found every combination of its supports live, which restricting
+        # to the supports keeps
+        entailed = [False] * m
+        queue, queued = deque(range(m)), [True] * m
         domains = state.domains
-        if slot is None:
-            entailed, stale = [False] * m, [True] * m
-        else:
-            # the last filter left every window at its fixpoint; a window
-            # none of whose domains changed since would scan to the same
-            # supports and flag, so it is skipped where it would be scanned
-            kept_doms, _cuts, flags = slot
-            entailed, stale = list(flags), [False] * m
-            for x, d, ws in zip(self.vars, kept_doms, over):
-                if domains[x] is not d:
-                    for w in ws:
-                        stale[w] = True
-        # sweep the windows in order, then rescan, first in first out, those
-        # made stale behind the sweep: the order of a FIFO queue that starts
-        # with every window and takes in each window made stale outside it
-        behind: deque[int] = deque()
-        sweep = 0
         scan = self._scan
-        while sweep < m or behind:
-            if sweep < m:
-                w = sweep
-                sweep += 1
-                if not stale[w]:
-                    continue
-            else:
-                w = behind.popleft()
-            stale[w] = False
+        while queue:
+            w = queue.popleft()
+            queued[w] = False
             window = windows[w]
             doms = tuple([domains[x] for x in window])
             result = scan(doms)
@@ -862,24 +823,10 @@ class Slide(_Runs):
                 if len(c) != len(d):
                     state.restrict(x, c)
                     for w2 in over[p]:
-                        if w2 != w and not stale[w2]:
-                            stale[w2] = True
-                            if w2 < sweep:
-                                behind.append(w2)
-        if all(entailed):
-            return ENTAILED
-        _keep(state, handle, self.vars, self._cuts(entailed), entailed)
-        return STABLE
-
-    def _cuts(self, entailed) -> list[int]:
-        """The cuts p and p + 1 around each position whose covering windows
-        are all entailed: such a position is cut off from both neighbours."""
-        k = self.width
-        split = [True] * (len(entailed) + k - 1)
-        for w, flag in enumerate(entailed):
-            if not flag:
-                split[w:w + k] = [False] * k
-        return [c for p, alone in enumerate(split) if alone for c in (p, p + 1)]
+                        if w2 != w and not queued[w2]:
+                            queued[w2] = True
+                            queue.append(w2)
+        return ENTAILED if all(entailed) else STABLE
 
     def satisfied(self, values: Sequence[int]) -> bool:
         k = self.width
@@ -887,12 +834,14 @@ class Slide(_Runs):
                    for i in range(len(values) - k + 1))
 
     def _fresh_cuts(self, doms) -> list[int]:
-        # a window is entailed on its domains as they are when its scan
-        # cuts nothing and finds every combination live
+        """The cuts p and p + 1 around each position whose covering windows
+        are all entailed: such a position is cut off from both neighbours.
+        A window is entailed on its domains as they are when its scan cuts
+        nothing and finds every combination live."""
         k = self.width
-        flags = []
+        split = [True] * len(doms)
         for w in range(len(doms) - k + 1):
-            window = tuple(doms[w:w + k])
-            scan = self._scan(window)
-            flags.append(scan is not None and scan[0] and scan[1] is None)
-        return self._cuts(flags)
+            scan = self._scan(doms[w:w + k])
+            if scan is None or not scan[0] or scan[1] is not None:
+                split[w:w + k] = [False] * k
+        return [c for p, alone in enumerate(split) if alone for c in (p, p + 1)]

@@ -193,8 +193,8 @@ def _pick(state: ProblemState, heuristic: Heuristic, cands,
     degree = None
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
         if edges is None and state.propagators:
-            edges = [edge for h, prop in state.propagators.items()
-                     for edge in prop.hyperedges(state, h) if len(edge) >= 2]
+            edges = [edge for prop in state.propagators.values()
+                     for edge in prop.hyperedges(state) if len(edge) >= 2]
         if edges:
             degree = dict.fromkeys(cands, 0)
             for edge in edges:

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (AllDifferent, Dfa, Linear, Neq, Regular, Slide,
-                     StateStatus, new_problem)
-from fdsolve.propagators import EQ, PropagationResult
+from fdsolve import AllDifferent, Linear, Neq, StateStatus, new_problem
+from fdsolve.propagators import EQ
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
                      random_clustered_state, random_state,
@@ -171,59 +170,6 @@ def test_clone_independence():
         assert [sorted(d) for d in state.domains] == \
             [[1, 2], [1, 2, 3], [3], [3]]
         assert [sorted(d) for d in copy.domains] == [[3], [1, 2], [3], [1, 2]]
-    # a clone copies the slot dict and shares what it holds; a filter run
-    # on either side replaces that side's entry only
-    for copy_runs in (True, False):
-        state = new_problem([{0, 1}] * 4)
-        h = state.post(Slide(range(4), 2, NO_TWO_ONES))
-        assert state.propagate() is StateStatus.BRANCHABLE
-        kept = state.slots[h]
-        copy = state.clone()
-        assert copy.slots == {h: kept} and copy.slots[h] is kept
-        runs, other = (copy, state) if copy_runs else (state, copy)
-        runs.tell_eq(0, 1)
-        assert runs.propagate() is StateStatus.BRANCHABLE
-        assert runs.slots[h] is not kept
-        assert other.slots == {h: kept} and other.slots[h] is kept
-
-
-# words over {0, 1} without two 1s in a row, as a slide and as an automaton
-NO_TWO_ONES = [(0, 0), (0, 1), (1, 0)]
-NO_TWO_ONES_DFA = Dfa(2, 0, [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 0})
-
-
-@pytest.mark.parametrize("prop", [Slide(range(4), 2, NO_TWO_ONES),
-                                  Regular(range(4), NO_TWO_ONES_DFA)],
-                         ids=["slide", "regular"])
-def test_entailed_propagator_leaves_no_slot(prop):
-    state = new_problem([{0, 1}] * 4)
-    h = state.post(prop)
-    assert state.propagate() is StateStatus.BRANCHABLE
-    assert h in state.slots
-    # x1 = x2 = 0 leaves every word over x0 and x3 allowed
-    state.tell_eq(1, 0)
-    state.tell_eq(2, 0)
-    assert state.propagate() is StateStatus.BRANCHABLE
-    assert h not in state.propagators and h not in state.slots
-
-
-def test_filter_outside_propagate_neither_reads_nor_writes_slots():
-    state = new_problem([{0, 1}] * 4)
-    slide = Slide(range(4), 2, NO_TWO_ONES)
-    regular = Regular(range(4), NO_TWO_ONES_DFA)
-    hs, hr = state.post(slide), state.post(regular)
-    assert state.propagate() is StateStatus.BRANCHABLE
-    state.tell_eq(0, 1)
-    # a slot that claims every window entailed on the current domains;
-    # a filter that read it would scan no window and report entailment
-    lie = (tuple(state.domains), [], [True] * 3)
-    state.slots[hs] = lie
-    kept = state.slots[hr]
-    assert slide.filter(state) is PropagationResult.STABLE
-    assert sorted(state.domains[1]) == [0]
-    assert regular.filter(state) is PropagationResult.STABLE
-    assert state.slots == {hs: lie, hr: kept}
-    assert state.slots[hs] is lie and state.slots[hr] is kept
 
 
 def test_clone_of_solved_is_solved():

@@ -195,8 +195,8 @@ def full_scan_graph(state, scope):
     nodes and its sorted edge multiset."""
     nodes = frozenset(x for x in scope if len(state.domains[x]) != 1)
     edges = []
-    for h, prop in state.propagators.items():
-        for edge in prop.hyperedges(state, h):
+    for prop in state.propagators.values():
+        for edge in prop.hyperedges(state):
             if len(edge & nodes) >= 2:
                 edges.append(sorted(edge & nodes))
     return nodes, sorted(edges)

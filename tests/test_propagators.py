@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, ProblemState,
-                     Regular, Slide, StateStatus, Table, dds_count, dfs_count,
-                     new_problem, propagators)
+from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Heuristic, Linear, Neq,
+                     ProblemState, Regular, Slide, StateStatus, Table,
+                     dds_count, dfs_count, new_problem, propagators)
 from fdsolve.propagators import (ENTAILED, FAILED, STABLE, PropagationResult,
                                  _max_matching, _regin, _tarjan)
 
@@ -601,12 +602,13 @@ def test_regular_filter_and_split_against_brute_force(case):
     want = brute_force_runs(prop.vars, state.domains,
                             [len(live[p + 1]) != 1 for p in range(n)])
     assert prop.hyperedges(state) == want
+    # through propagate, with the split read from the memo
     kept = new_problem(doms)
     h = kept.post(prop)
     kept.propagate()
     assert kept.domains == state.domains
     if h in kept.propagators:
-        assert prop.hyperedges(kept, h) == want
+        assert prop.hyperedges(kept) == want
 
 
 @st.composite
@@ -679,8 +681,9 @@ def regular_neq_fixpoint(doms, prop, neqs):
 @given(long_regular_models(), st.data())
 def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
     # through clones, one or two tells and propagate, up to 6 times: the
-    # slot holds the current domains and the cuts of their unfolding, and
-    # the domains are the joint fixpoint of the words
+    # split memo holds the current domains with the positions where every
+    # accepted word passes through one automaton state, and the domains
+    # are the joint fixpoint of the words
     dfa, vars_, doms, neqs = model
     prop = Regular(vars_, dfa)
     state = new_problem(doms)
@@ -694,11 +697,17 @@ def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
         if want is None:
             return
         assert state.domains == want
+        scope = tuple(state.domains[x] for x in prop.vars)
         if h in state.propagators:
-            kept_doms, cuts = state.slots[h]
-            assert all(state.domains[x] is d
-                       for x, d in zip(prop.vars, kept_doms))
-            assert cuts == prop._cuts(prop._layers(list(kept_doms))[0])
+            prop.hyperedges(state)
+            live = [{dfa.start}] + [set() for _ in scope]
+            for w in accepted_words(dfa, scope):
+                q = dfa.start
+                for i, symbol in enumerate(w, 1):
+                    q = dfa.transitions[q, symbol]
+                    live[i].add(q)
+            assert prop._splits[scope] == {
+                i for i in range(1, len(scope)) if len(live[i]) == 1}
         else:
             assert all(map(dfa.accepts, itertools.product(
                 *(sorted(state.domains[x]) for x in prop.vars))))
@@ -813,7 +822,6 @@ def test_slide_split_against_window_entailment(model, data):
         tied = [p + 1 < n and not alone[p] and not alone[p + 1]
                 for p in range(n)]
         want = brute_force_runs(prop.vars, state.domains, tied)
-        assert prop.hyperedges(state, h) == want
         assert prop.hyperedges(state) == want
 
 
@@ -923,15 +931,15 @@ def unmemoised(make):
 
 
 def memo_run(prop, doms, tells):
-    """What filtering ``prop`` shows: one call without a handle, then
-    ``prop`` alone through ``propagate`` on ``doms`` and after each tell.
-    Per step: the status, the changes, the domains in iteration order, the
-    domain events and the slot."""
+    """What filtering ``prop`` shows: one direct call, then ``prop`` alone
+    through ``propagate`` on ``doms`` and after each tell.  Per step: the
+    status, the changes, the domains in iteration order, the domain events
+    and, after each propagate, the split."""
     state = ChangeLog(doms)
     steps = [(prop.filter(state), state.changes,
               [list(d) for d in state.domains], state.counters.domain_events)]
     state = ChangeLog(doms)
-    h = state.post(prop)
+    state.post(prop)
     for tell in [None] + tells:
         if tell is not None:
             eq, x, v = tell
@@ -940,7 +948,7 @@ def memo_run(prop, doms, tells):
         status = state.propagate()
         steps.append((status, list(state.changes),
                       [list(d) for d in state.domains],
-                      state.counters.domain_events, state.slots.get(h)))
+                      state.counters.domain_events, prop.hyperedges(state)))
         if status is not StateStatus.BRANCHABLE:
             break
     return steps
@@ -981,11 +989,11 @@ def test_slide_warm_memo_filters_like_a_fresh_instance(model, other, tells):
     for warm in other:
         prop.filter(new_problem(warm[:len(doms)]))
     memo_run(prop, doms, tells)
-    assert prop._scans
+    assert prop._scans and prop._splits
     fresh = Slide(range(len(doms)), width, tuples)
     assert memo_run(prop, doms, tells) \
         == unmemoised(lambda: memo_run(fresh, doms, tells))
-    assert not fresh._scans
+    assert not fresh._scans and not fresh._splits
 
 
 @settings(max_examples=200, deadline=None)
@@ -999,12 +1007,12 @@ def test_regular_warm_memo_filters_like_a_fresh_instance(case, other, tells):
     for warm in other:
         prop.filter(new_problem(warm[:len(doms)]))
     memo_run(prop, doms, tells)
-    assert dfa._steps
+    assert dfa._steps and prop._splits
     fresh = Regular(range(len(doms)), Dfa(
         dfa.state_count, dfa.start, dfa.finals, dict(dfa.transitions)))
     assert memo_run(prop, doms, tells) \
         == unmemoised(lambda: memo_run(fresh, doms, tells))
-    assert not fresh.dfa._steps
+    assert not fresh.dfa._steps and not fresh._splits
 
 
 def test_memos_stay_under_their_cap():
@@ -1016,25 +1024,64 @@ def test_memos_stay_under_their_cap():
     words = 100 * 2 ** (n - 1)
     pairs = [(a, (a + step) % 100) for a in values for step in (1, 3)]
     slide = Slide(range(n), 2, pairs)
-    state = new_problem([values] * n)
-    state.post(slide)
-    assert dfs_count(state).count == words
-    assert len(slide._scans) == propagators._MEMO_CAP
+    for count in (dfs_count, dds_count):
+        state = new_problem([values] * n)
+        state.post(slide)
+        assert count(state).count == words
+    assert len(slide._scans) == len(slide._splits) == propagators._MEMO_CAP
 
     # state 0 starts; state q + 1 has just read symbol q
     dfa = Dfa(101, 0, range(1, 101), {
         **{(0, s): s + 1 for s in values},
         **{(q + 1, (q + step) % 100): (q + step) % 100 + 1
            for q in values for step in (1, 2)}})
-    state = new_problem([values] * n)
-    state.post(Regular(range(n), dfa))
-    assert dfs_count(state).count == words
-    assert len(dfa._steps) == propagators._MEMO_CAP
-    assert len(dfa._sets) <= propagators._MEMO_CAP
-    assert len(slide._sets) <= propagators._MEMO_CAP
+    regular = Regular(range(n), dfa)
+    for count in (dfs_count, dds_count):
+        state = new_problem([values] * n)
+        state.post(regular)
+        assert count(state).count == words
+    assert len(dfa._steps) == len(regular._splits) == propagators._MEMO_CAP
+    for owner in (dfa, slide, regular):
+        assert len(owner._sets) <= propagators._MEMO_CAP
 
 
-# -- state slots ------------------------------------------------------------------
+def test_memos_hold_interned_sets():
+    # after a search whose sets all fit in the intern tables, every domain
+    # in a memo key and every set a memo stores is the one its owner's
+    # intern table holds, so equal sets met in different states are held
+    # once
+    dfa = Dfa(3, 0, [0, 1, 2], {(0, 0): 0, (0, 1): 1, (0, 2): 0,
+                                (1, 0): 0, (1, 1): 2, (1, 2): 0,
+                                (2, 0): 0, (2, 2): 0})
+    slide = Slide(range(8), 2, [(a, b) for a in range(3) for b in range(3)
+                                if a + b != 2])
+    regular = Regular(range(8, 16), dfa)
+    for count in (dfs_count, dds_count):
+        state = new_problem([range(3)] * 16)
+        state.post(slide)
+        state.post(regular)
+        for x in range(8):
+            state.post(Neq(x, x + 8))
+        assert count(state, Heuristic.MAX_DEGREE).count > 0
+
+    def held(owner, sets):
+        return all(owner._sets[d] is d for d in sets)
+
+    for owner in (slide, regular, dfa):
+        assert len(owner._sets) < propagators._MEMO_CAP
+    assert slide._scans and slide._splits and regular._splits and dfa._steps
+    for owner in (slide, regular):
+        for scope, cuts in owner._splits.items():
+            assert held(owner, scope) and held(owner, [cuts])
+    for window, scan in slide._scans.items():
+        assert held(slide, window)
+        if scan is not None and scan[1] is not None:
+            assert held(slide, scan[1])
+    for (states, symbols), (_arcs, after) in dfa._steps.items():
+        assert held(dfa, (states, symbols, after))
+
+
+# -- split memos ------------------------------------------------------------------
 
 
 def window_fixpoint(doms, props):
@@ -1067,10 +1114,20 @@ def window_fixpoint(doms, props):
     return doms
 
 
-def assert_slots_agree(state):
-    """A split read from a slot equals the one computed from the domains."""
-    for h, prop in state.propagators.items():
-        assert prop.hyperedges(state, h) == prop.hyperedges(state)
+def cold(prop):
+    """An instance equal to ``prop`` whose memos, its automaton's included,
+    are empty."""
+    if isinstance(prop, Regular):
+        return Regular(prop.vars, dataclasses.replace(prop.dfa))
+    return dataclasses.replace(prop)
+
+
+def assert_memo_splits_agree(state):
+    """Each split, computed and then read from a warm memo, equals the one
+    an equal instance computes with every memo capped at 0."""
+    for prop in state.propagators.values():
+        want = unmemoised(lambda: cold(prop).hyperedges(state))
+        assert prop.hyperedges(state) == prop.hyperedges(state) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -1079,7 +1136,7 @@ def assert_slots_agree(state):
 def test_slots_agree_with_recomputation(make, seed, data):
     # through propagate, a clone and a random tell, up to 3 times; the
     # splits are also compared on the told clone before it propagates,
-    # where the slots over the told variable are out of date
+    # where the memo has met domains no filter has narrowed
     state = make(seed)
     posted = list(state.propagators.values())
     # neq and each slide window filter to their supports, so propagation
@@ -1098,21 +1155,13 @@ def test_slots_agree_with_recomputation(make, seed, data):
                 assert not all(map(prop.satisfied, combos))
         if status is StateStatus.SOLVED:
             return
-        for h, prop in state.propagators.items():
-            slot = state.slots.get(h)
-            if isinstance(prop, (Slide, Regular)):
-                # a propagated state holds every slot up to date
-                assert all(state.domains[x] is d
-                           for x, d in zip(prop.vars, slot[0]))
-            else:
-                assert slot is None
-        assert_slots_agree(state)
+        assert_memo_splits_agree(state)
         state = state.clone()
         x = data.draw(st.sampled_from(
             [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
         v = data.draw(st.sampled_from(sorted(state.domains[x])))
         (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
-        assert_slots_agree(state)
+        assert_memo_splits_agree(state)
         want = window_fixpoint(state.domains, posted) if windowed else None
         status = state.propagate()
         if windowed:

@@ -89,8 +89,8 @@ def reference_choose(state, heuristic, scope, graph=None):
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
         degree = dict.fromkeys(cands, 0)
         if graph is None:
-            for h, prop in state.propagators.items():
-                for edge in prop.hyperedges(state, h):
+            for prop in state.propagators.values():
+                for edge in prop.hyperedges(state):
                     inside = [x for x in edge if x in degree]
                     if len(inside) >= 2:
                         for x in inside:
@@ -653,7 +653,7 @@ def test_table_as_regular_keeps_counts(make, seed):
 @given(GENERATORS, SEEDS, st.data())
 def test_redundant_constraint_keeps_counts(make, seed, data):
     # the same constraint object under a second handle: each handle has its
-    # own place in the store and its own state slot
+    # own place in the store and its own wake-ups, and both read one memo
     state = make(seed)
     want = brute_force_count(state)
     prop = data.draw(st.sampled_from(list(state.propagators.values())))
