@@ -13,9 +13,9 @@ from typing import Optional, Sequence
 from .model_io import (ModelDocument, ModelError, coloring_document,
                        parse_model, saw_document, serialize_model)
 from .models import ColoringSpec, WalkSpec, erdos_renyi
-from .search import (CountResult, Heuristic, SearchStats, SearchTrace,
-                     dds_count, dds_tree, dfs_count, dfs_enumerate, trace_dot,
-                     tree_count, tree_expand)
+from .search import (DEFAULT_HEURISTIC, CountResult, Heuristic, SearchStats,
+                     SearchTrace, dds_count, dds_tree, dfs_count,
+                     dfs_enumerate, trace_dot, tree_count, tree_expand)
 
 DEFAULT_LIMIT = 10 ** 6
 
@@ -161,7 +161,7 @@ class BenchRecord:
 
 def run_bench(nodes: int, edge_probs: Sequence[float], colors: int,
               instances: int, seed: int,
-              heuristic: Heuristic = Heuristic.MAX_DEGREE_FIRST_FAIL,
+              heuristic: Heuristic = DEFAULT_HEURISTIC,
               limit: Optional[int] = DEFAULT_LIMIT) -> list[BenchRecord]:
     """Count colorings of seeded random graphs with both engines and record
     per-instance search-tree-size and runtime ratios (DFS over the
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--engine", choices=["dfs", "dds"], default="dds")
         p.add_argument("--heuristic",
                        choices=[h.value for h in Heuristic],
-                       default=Heuristic.MAX_DEGREE_FIRST_FAIL.value)
+                       default=DEFAULT_HEURISTIC.value)
         p.add_argument("--report", choices=["text", "json"], default="text")
 
     p_count = sub.add_parser("count", help="count all solutions")
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--heuristic",
                          choices=[h.value for h in Heuristic],
-                         default=Heuristic.MAX_DEGREE_FIRST_FAIL.value)
+                         default=DEFAULT_HEURISTIC.value)
     p_bench.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
     p_bench.add_argument("--report", choices=["text", "json"], default="text")
     p_bench.set_defaults(func=_cmd_bench)

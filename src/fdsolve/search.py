@@ -35,13 +35,14 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
 from .engine import PropagationCounters, ProblemState, StateStatus
-from .graph import build_constraint_graph, decompose_analysis
+# bench/run.py's traced runs patch ``search.build_constraint_graph``, so
+# the name stays here although nothing in this module calls it
+from .graph import build_constraint_graph, decompose_analysis  # noqa: F401
 
 
 class Heuristic(enum.Enum):
-    """Variable selection strategies; the value is chosen in scope order,
-    ties always broken by lowest variable index.  The branching value is
-    the domain minimum."""
+    """Variable selection strategies, ties always broken by lowest variable
+    index.  The branching value is the chosen variable's domain minimum."""
 
     INPUT_ORDER = "input"
     FIRST_FAIL = "ff"
@@ -50,11 +51,6 @@ class Heuristic(enum.Enum):
 
 
 DEFAULT_HEURISTIC = Heuristic.MAX_DEGREE_FIRST_FAIL
-
-
-class BranchDecision(NamedTuple):
-    variable: int
-    value: int
 
 
 @dataclass
@@ -150,42 +146,24 @@ def trace_dot(trace: SearchTrace) -> str:
 # -- heuristics ---------------------------------------------------------
 
 
-def choose(state: ProblemState, heuristic: Heuristic, scope,
-           graph=None) -> BranchDecision:
-    """Pick the branching variable inside ``scope`` plus its minimum value.
+def choose(state: ProblemState, heuristic: Heuristic, cands,
+           edges=None) -> tuple[int, int]:
+    """Pick the branching variable among ``cands``, unassigned variables in
+    ascending order, and its minimum value, as a pair ``(x, v)``.
 
-    Degree-based strategies count incident hyperedges of the constraint
-    graph over the unassigned variables of ``scope``: ``graph`` is that
-    graph, the one decomposing search's component analysis already built,
-    or, without one, ``build_constraint_graph(state, scope)``.  Plain DFS
-    does not come through here: it keeps each choice node's candidates,
-    ascending, and hands its children's to ``_pick`` directly, which reads
-    the degrees off the store.
-    """
-    domains = state.domains
-    cands = sorted([x for x in scope if len(domains[x]) != 1])
-    if not cands:
-        raise ValueError("choose() needs at least one unassigned variable in scope")
-    if graph is None:
-        graph = build_constraint_graph(state, scope)
-    return BranchDecision(*_pick(state, heuristic, cands, graph.edges))
-
-
-def _pick(state: ProblemState, heuristic: Heuristic, cands,
-          edges=None) -> tuple[int, int]:
-    """``choose``'s decision over ``cands``, the scope's unassigned
-    variables in ascending order (at least one), as a plain pair.
-
-    A degree is the number of ``edges`` holding the candidate.  Plain DFS
-    passes none: its edges are the stored propagators' splits of two or
-    more variables, the graph over every unassigned variable, since a
-    split holds only unassigned ones.
+    A degree is the number of ``edges`` holding the candidate.  Decomposing
+    search passes the edges of the graph its component analysis has just
+    built.  Plain DFS passes none: its edges are then the stored
+    propagators' splits of two or more variables, the graph over every
+    unassigned variable, since a split holds only unassigned ones.
 
     Two short-cuts give the same decision for less work: a single
     candidate is every heuristic's pick, and without an edge (an empty
     store has none) every degree is 0, so ``maxdeg`` picks the lowest
     index and ``maxdeg-ff`` falls back to first-fail.
     """
+    if not cands:
+        raise ValueError("choose() needs at least one unassigned variable")
     domains = state.domains
     if len(cands) == 1:
         x = cands[0]
@@ -214,21 +192,12 @@ def _pick(state: ProblemState, heuristic: Heuristic, cands,
     return x, min(domains[x])
 
 
-def order_components(component_list, state: ProblemState, heuristic: Heuristic,
-                     graph=None) -> list[frozenset[int]]:
-    """Order partial problems for exploration.
-
-    The component containing the variable the heuristic would select from
-    the whole undecomposed set goes first, so a failure-seeking heuristic
-    fails inside the first part explored; the rest follow by lowest
-    contained variable index.
-    """
-    comps = [frozenset(c) for c in component_list]
-    union = set().union(*comps)
-    picked = choose(state, heuristic, union, graph=graph).variable
-    first = next(c for c in comps if picked in c)
-    rest = sorted((c for c in comps if c is not first), key=min)
-    return [first] + rest
+def order_components(parts, x: int) -> list[frozenset[int]]:
+    """A decomposition's parts in exploration order: the part holding ``x``,
+    the node's pick over their union, so a failure-seeking heuristic fails
+    inside the first part explored, then the rest in their given order."""
+    first = next(part for part in parts if x in part)
+    return [first] + [part for part in parts if part is not first]
 
 
 # -- the walker -------------------------------------------------------------
@@ -402,7 +371,7 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
             domains = state.domains
             scope = [x for x in scope if len(domains[x]) != 1]
             frame = _Frame(state, mult, me, None, 1, scope,
-                           _pick(state, heuristic, scope))
+                           choose(state, heuristic, scope))
         else:
             analysis = decompose_analysis(state, scope)
             factor = prod(len(state.domains[x]) for x in analysis.isolated)
@@ -415,22 +384,28 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                 if tracing:
                     trace.add(tparent, "solution", label)
                 value = conjoin(ctx, [], factor)
-            elif len(linked) >= 2:
-                stats.decomposition_nodes += 1
-                me = trace.add(tparent, "decomposition", label) if tracing else None
-                if run.hook is not None:
-                    parts = [set(c) for c in linked]
-                    # the components partition the scope's unassigned variables
-                    parts[0] |= scope.difference(*linked)
-                    run.hook(state, parts)
-                frame = _Frame(state, mult, me, ctx, factor, order_components(
-                    linked, state, heuristic, graph=analysis.graph), None)
             else:
-                stats.choice_nodes += 1
-                me = trace.add(tparent, "choice", label) if tracing else None
-                frame = _Frame(state, mult, me, ctx, factor, linked[0],
-                               choose(state, heuristic, linked[0],
-                                      graph=analysis.graph))
+                # one pick over the linked parts' union: a choice node's
+                # decision, or the part a decomposition explores first
+                graph = analysis.graph
+                decision = choose(state, heuristic, sorted(
+                    graph.nodes.difference(analysis.isolated)), graph.edges)
+                if len(linked) == 1:
+                    stats.choice_nodes += 1
+                    kind, parts = "choice", linked[0]
+                else:
+                    stats.decomposition_nodes += 1
+                    kind = "decomposition"
+                    parts = order_components(linked, decision[0])
+                    decision = None
+                    if run.hook is not None:
+                        cover = [set(c) for c in linked]
+                        # the components partition the scope's unassigned
+                        # variables
+                        cover[0] |= scope.difference(*linked)
+                        run.hook(state, cover)
+                me = trace.add(tparent, kind, label) if tracing else None
+                frame = _Frame(state, mult, me, ctx, factor, parts, decision)
         if frame is not None:
             stack.append(frame)
         else:

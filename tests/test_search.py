@@ -13,7 +13,8 @@ from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
                      dfs_count, dfs_enumerate, new_problem, trace_dot,
                      tree_count, tree_expand)
 from fdsolve import graph, search
-from fdsolve.graph import build_constraint_graph, decompose_analysis
+from fdsolve.graph import (build_constraint_graph, components,
+                           decompose_analysis)
 from fdsolve.search import choose, order_components
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
@@ -32,8 +33,7 @@ SEEDS = st.integers(0, 10 ** 6)
 
 def test_choose_first_fail_prefers_small_domain():
     state = new_problem([{3, 5}, {0, 1, 2}])
-    decision = choose(state, Heuristic.FIRST_FAIL, {0, 1})
-    assert decision == (0, 3)
+    assert choose(state, Heuristic.FIRST_FAIL, [0, 1]) == (0, 3)
 
 
 def test_choose_max_degree():
@@ -42,7 +42,7 @@ def test_choose_max_degree():
     state.post(Neq(0, 2))
     state.post(Neq(0, 3))
     state.propagate()
-    assert choose(state, Heuristic.MAX_DEGREE, range(4)).variable == 0
+    assert choose(state, Heuristic.MAX_DEGREE, [0, 1, 2, 3])[0] == 0
 
 
 def test_choose_tie_breaks_by_index():
@@ -52,14 +52,12 @@ def test_choose_tie_breaks_by_index():
     state.post(Neq(0, 2))
     state.propagate()
     for h in ALL_HEURISTICS:
-        assert choose(state, h, range(3)).variable == 0
+        assert choose(state, h, [0, 1, 2])[0] == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(GENERATORS, SEEDS, st.data())
-def test_choose_degrees_match_reflected_graph(make, seed, data):
-    # a few random tells move the state into search, where constraints are
-    # partly entailed and partly split; the scope is a random subset
+def search_state(make, seed, data):
+    """A random state after a few random tells: in search, where
+    constraints are partly entailed and partly split."""
     state = make(seed)
     status = state.propagate()
     for _ in range(data.draw(st.integers(0, 3))):
@@ -71,12 +69,19 @@ def test_choose_degrees_match_reflected_graph(make, seed, data):
         (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
         status = state.propagate()
     assume(status is StateStatus.BRANCHABLE)
-    scope = data.draw(st.sets(st.integers(0, state.num_vars - 1)))
-    assume(any(len(state.domains[x]) > 1 for x in scope))
-    reflected = build_constraint_graph(state, scope)
+    return state
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATORS, SEEDS, st.data())
+def test_choose_degrees_match_reflected_graph(make, seed, data):
+    # the two edge sources over every open variable: plain DFS's store
+    # splits (no edges given) and the graph DDS reflects
+    state = search_state(make, seed, data)
+    cands = [x for x in range(state.num_vars) if len(state.domains[x]) > 1]
+    edges = build_constraint_graph(state).edges
     for h in ALL_HEURISTICS:
-        assert choose(state, h, scope) == choose(state, h, scope,
-                                                 graph=reflected)
+        assert choose(state, h, cands) == choose(state, h, cands, edges)
 
 
 def reference_choose(state, heuristic, scope, graph=None):
@@ -114,19 +119,9 @@ def reference_choose(state, heuristic, scope, graph=None):
 @settings(max_examples=300, deadline=None)
 @given(GENERATORS, SEEDS, st.data())
 def test_choose_matches_reference(make, seed, data):
-    # states from search (a few random tells), with or without their store,
-    # on range and set scopes, some with a single candidate
-    state = make(seed)
-    status = state.propagate()
-    for _ in range(data.draw(st.integers(0, 3))):
-        if status is not StateStatus.BRANCHABLE:
-            break
-        x = data.draw(st.sampled_from(
-            [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
-        v = data.draw(st.sampled_from(sorted(state.domains[x])))
-        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
-        status = state.propagate()
-    assume(status is StateStatus.BRANCHABLE)
+    # states from search, with or without their store, on range and set
+    # scopes, some with a single candidate
+    state = search_state(make, seed, data)
     if data.draw(st.booleans()):
         state = new_problem(state.domains)  # the same domains, an empty store
     n = state.num_vars
@@ -151,9 +146,15 @@ def test_choose_matches_reference(make, seed, data):
             fixed = [x for x in range(n) if len(state.domains[x]) == 1]
             scope = {keep} | data.draw(st.sets(st.sampled_from(fixed))
                                        if fixed else st.just(set()))
-    for graph in (None, build_constraint_graph(state, scope)):
+    cands = sorted(x for x in scope if len(state.domains[x]) > 1)
+    graphs = [build_constraint_graph(state, scope)]
+    if len(cands) == sum(len(d) > 1 for d in state.domains):
+        # the store's splits are the edges over every open variable only
+        graphs.append(None)
+    for graph in graphs:
+        edges = None if graph is None else graph.edges
         for h in ALL_HEURISTICS:
-            assert (choose(state, h, scope, graph=graph)
+            assert (choose(state, h, cands, edges)
                     == reference_choose(state, h, scope, graph=graph))
 
 
@@ -423,25 +424,33 @@ def build_two_components():
 
 
 def test_order_components_moves_selected_first():
-    state = build_two_components()
-    comps = [frozenset({0, 1}), frozenset({2, 3})]
-    # first-fail selects variable 2 (domain size 2): its component leads
-    ordered = order_components(comps, state, Heuristic.FIRST_FAIL)
-    assert [sorted(c) for c in ordered] == [[2, 3], [0, 1]]
+    state = new_problem([{0, 1, 2}] * 2 + [{3, 4}] * 2 + [{0, 1, 2}] * 2)
+    for x in (0, 2, 4):
+        state.post(Neq(x, x + 1))
+    state.propagate()
+    graph = build_constraint_graph(state)
+    parts = components(graph)
+    assert parts == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
+    # first-fail selects variable 2 (domain size 2): its part leads, and
+    # the others keep their order
+    x, _v = choose(state, Heuristic.FIRST_FAIL, sorted(graph.nodes),
+                   graph.edges)
+    assert x == 2
+    assert order_components(parts, x) == [parts[1], parts[0], parts[2]]
 
 
 def test_order_components_keeps_order_when_first_selected():
-    state = build_two_components()
-    comps = [frozenset({2, 3}), frozenset({0, 1})]
-    ordered = order_components(comps, state, Heuristic.FIRST_FAIL)
-    assert [sorted(c) for c in ordered] == [[2, 3], [0, 1]]
+    parts = components(build_constraint_graph(build_two_components()))
+    assert order_components(parts, 1) == list(parts)
 
 
 def test_order_components_input_order_picks_lowest_variable():
     state = build_two_components()
-    comps = [frozenset({2, 3}), frozenset({0, 1})]
-    ordered = order_components(comps, state, Heuristic.INPUT_ORDER)
-    assert [sorted(c) for c in ordered] == [[0, 1], [2, 3]]
+    graph = build_constraint_graph(state)
+    x, _v = choose(state, Heuristic.INPUT_ORDER, sorted(graph.nodes),
+                   graph.edges)
+    assert order_components(components(graph), x) == [frozenset({0, 1}),
+                                                      frozenset({2, 3})]
 
 
 # -- solution trees -----------------------------------------------------------------
@@ -597,7 +606,7 @@ def test_cutoff_counts_full_solutions_only():
 def test_choose_requires_unassigned():
     state = new_problem([{1}])
     with pytest.raises(ValueError):
-        choose(state, Heuristic.FIRST_FAIL, {0})
+        choose(state, Heuristic.FIRST_FAIL, [])
 
 
 # -- metamorphic oracles ----------------------------------------------------------
