@@ -6,11 +6,12 @@ from the scope split of each active propagator on one of them.  Those
 propagators are reached through the subscription lists of the nodes, not
 by a scan of the whole store, so the work follows the scope; the edges
 are those such a scan finds, in another order.  A split is a pure
-function of the domains, so a propagator may read it from its own memo
-(see ``propagators``).  Connected components of this graph are
-independent partial problems; solving them separately and multiplying
-the counts is exact.  Plain DFS builds no graph: its branching reads the
-degrees off the same scope splits directly.
+function of the domains: a ``Slide`` or ``Regular`` reads it from the
+memo entry its filter replays (see ``propagators``).  Connected
+components of this graph are independent partial problems; solving them
+separately and multiplying the counts is exact.  Plain DFS builds no
+graph: its branching reads the degrees off the same scope splits
+directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
 frozenset edges, ``components`` the tuple of its connected node sets, and

@@ -10,7 +10,9 @@ Each constraint class plays three roles:
 * ``hyperedges(state)`` reports the constraint's scope split into the
   finest fragments its structure currently justifies, restricted to
   unassigned variables.  The fragments partition the unassigned scope;
-  the graph layer drops fragments smaller than two variables.
+  the graph layer drops fragments smaller than two variables.  Search
+  asks only at a propagation fixpoint; off one, ``Slide`` and ``Regular``
+  report the split of the domains their filter would leave.
 
 Constraint instances are immutable: clones of a problem state share them,
 and no propagator keeps anything in a state.  ``Slide`` and ``Regular``
@@ -18,9 +20,11 @@ split their scope at cuts, the positions before which a run of variables
 breaks off.
 
 Three kernels are pure functions of their owner's data and the domains
-passed in, and each is memoised on its owner: ``Slide._scan`` for one
-window, ``Dfa._step`` for one layer of ``Regular``'s unfolding, and the
-cuts of a ``Slide`` or ``Regular`` scope (``_Runs._splits``).  A memo is
+passed in, and each is memoised on its owner.  A ``Slide`` or ``Regular``
+keeps one memo (``_Runs._outcomes``) from its scope's domains to the whole
+outcome of its filter, which ``filter`` replays and whose cuts
+``hyperedges`` reads; a miss reads the memoised ``Slide._scan`` of one
+window or ``Dfa._step`` of one layer of ``Regular``'s unfolding.  A memo is
 not state.  What it returns is what the kernel computes, in every state
 alike, and it stores at most ``_MEMO_CAP`` entries, past which the kernel
 computes without storing.  Each owner interns the sets its memos store
@@ -90,35 +94,72 @@ class _Whole:
 
 
 class _Runs:
-    """Base of the propagators whose scope splits into runs at cuts:
-    ``_fresh_cuts(doms)`` computes the cuts from the scope's domains, and
-    ``hyperedges`` reads them from the memo ``_splits``."""
+    """Base of the propagators whose scope splits into runs at cuts.
+
+    ``_narrow(doms)`` computes the whole filter outcome on the scope's
+    domains: the status, the cuts of the domains the filter leaves as a
+    bitmask over positions, and then, flat, each ``restrict(x, allowed)``
+    call made, in order.  ``filter`` replays the calls of the memoised
+    outcome, so domain events and wake order are the computation's, and
+    ``hyperedges`` reads its cuts: at a fixpoint, the domains are what
+    the filter left.
+    """
 
     @cached_property
-    def _splits(self) -> dict:
-        """The memo of the cuts: scope domains -> the set of cuts."""
+    def _outcomes(self) -> dict:
+        """The memo of ``_narrow``: the domains' codes -> its outcome."""
         return {}
 
     @cached_property
-    def _sets(self) -> dict[frozenset[int], frozenset[int]]:
-        """The intern table of the sets in this propagator's memos."""
+    def _codes(self) -> dict[frozenset[int], int]:
+        """A one-byte code per distinct domain met, at most 256 of them."""
         return {}
+
+    @cached_property
+    def _sets(self) -> dict:
+        """The intern table of the sets in this propagator's memos and of
+        its outcomes that restrict nothing."""
+        return {}
+
+    def _outcome(self, doms: list) -> tuple:
+        """``_narrow(doms)``, memoised up to ``_MEMO_CAP`` entries; once
+        256 domains hold a code, one without a code computes unstored."""
+        codes = self._codes
+        try:
+            key = bytes(map(codes.__getitem__, doms))
+        except KeyError:
+            for d in doms:
+                if d not in codes and len(codes) < 256:
+                    codes[_intern(self._sets, d)] = len(codes)
+            key = bytes(map(codes.__getitem__, doms)) \
+                if all(map(codes.__contains__, doms)) else None
+        memo = self._outcomes
+        outcome = memo.get(key)
+        if outcome is None:
+            outcome = self._narrow(list(doms))
+            if len(outcome) == 2:
+                outcome = _intern(self._sets, outcome)
+            if key is not None and len(memo) < _MEMO_CAP:
+                memo[key] = outcome
+        return outcome
+
+    def filter(self, state) -> PropagationResult:
+        domains = state.domains
+        outcome = iter(self._outcome([domains[x] for x in self.vars]))
+        status, _cuts = next(outcome), next(outcome)
+        for x, allowed in zip(outcome, outcome):
+            state.restrict(x, allowed)
+        return status
 
     def hyperedges(self, state) -> list[frozenset[int]]:
         # the unassigned variables cut before each position in the cuts,
         # as one fragment per non-empty run, in position order
         domains = state.domains
-        doms = tuple([domains[x] for x in self.vars])
-        memo = self._splits
-        cuts = memo.get(doms)
-        if cuts is None:
-            sets = self._sets
-            cuts = _intern(sets, frozenset(self._fresh_cuts(doms)))
-            if len(memo) < _MEMO_CAP:
-                memo[tuple([_intern(sets, d) for d in doms])] = cuts
+        doms = [domains[x] for x in self.vars]
+        cuts = self._outcome(doms)[1]
         edges, run = [], []
         for p, x in enumerate(self.vars):
-            if p in cuts and run:
+            if cuts >> p & 1 and run:
                 edges.append(frozenset(run))
                 run = []
             if len(doms[p]) != 1:
@@ -655,10 +696,9 @@ class Regular(_Runs):
     Filtering works on the unfolded automaton: one layer of automaton
     states per position, arcs labelled with domain values, pruned by
     forward/backward reachability.  Layers left with a single live state
-    are the points where the scope splits.  Every filter unfolds from
-    scratch: each forward step comes from the automaton's ``_step``, which
-    is memoised, and the backward pass counts afresh.  ``hyperedges``
-    unfolds again on a miss of its memo of cuts.
+    are the points where the scope splits.  A miss of the outcome memo
+    unfolds from scratch: each forward step comes from the automaton's
+    ``_step``, which is memoised, and the backward pass counts afresh.
     """
 
     vars: tuple[int, ...]
@@ -698,25 +738,23 @@ class Regular(_Runs):
             live[i], symbols[i] = ways, used
         return live, symbols
 
-    def filter(self, state) -> PropagationResult:
-        domains = state.domains
-        live, symbols = self._layers([domains[x] for x in self.vars])
+    def _narrow(self, doms) -> tuple:
+        live, symbols = self._layers(doms)
         accepted = live[0].get(self.dfa.start, 0)
         if not accepted:
-            return FAILED
-        # every position keeps a live arc, so no domain empties
-        for x, allowed in zip(self.vars, symbols):
-            state.restrict(x, allowed)
+            return FAILED, 0
+        # every position keeps a live arc, so no domain empties; the
+        # single-live-state layers stay so on the restricted domains
+        outcome, sets, words = [], self._sets, 1
+        for x, d, allowed in zip(self.vars, doms, symbols):
+            words *= len(allowed)
+            if len(allowed) != len(d):
+                outcome += (x, _intern(sets, frozenset(allowed)))
+        cuts = sum([1 << i for i in range(1, len(live) - 1)
+                    if len(live[i]) == 1])
         # exact entailment: the pruned domains hold no value outside an
         # accepted word, so every word is accepted iff the counts agree
-        if accepted == math.prod(len(domains[x]) for x in self.vars):
-            return ENTAILED
-        return STABLE
-
-    def _fresh_cuts(self, doms) -> list[int]:
-        """Positions before which only one automaton state is live."""
-        live = self._layers(doms)[0]
-        return [i for i in range(1, len(live) - 1) if len(live[i]) == 1]
+        return ENTAILED if accepted == words else STABLE, cuts, *outcome
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return self.dfa.accepts(values)
@@ -732,8 +770,7 @@ class Slide(_Runs):
     scope can split at positions whose covering windows are all entailed.
     Every window is filtered with the same bitset support masks as ``Table``,
     through ``_scan``, which is memoised per ``Slide`` on the window's
-    domains.  ``hyperedges`` reads the windows' entailment off the same
-    memo on a miss of its memo of cuts.
+    domains and serves the misses of the outcome memo.
     """
 
     vars: tuple[int, ...]
@@ -753,15 +790,11 @@ class Slide(_Runs):
             raise ValueError("Slide: tuple arity mismatch")
 
     @cached_property
-    def _plan(self) -> tuple[tuple[tuple[int, ...], ...],
-                             tuple[tuple[int, ...], ...]]:
-        """The variables of each window, and per position the windows
-        over it."""
-        vars, k = self.vars, self.width
-        m = len(vars) - k + 1
-        return (tuple(vars[w:w + k] for w in range(m)),
-                tuple(tuple(range(max(0, p - k + 1), min(m, p + 1)))
-                      for p in range(len(vars))))
+    def _over(self) -> tuple[tuple[int, ...], ...]:
+        """Per position the windows over it."""
+        n, k = len(self.vars), self.width
+        return tuple(tuple(range(max(0, p - k + 1), min(n - k + 1, p + 1)))
+                     for p in range(n))
 
     @cached_property
     def _scans(self) -> dict:
@@ -793,9 +826,9 @@ class Slide(_Runs):
                 memo[doms] = scan
         return scan
 
-    def filter(self, state) -> PropagationResult:
-        windows, over = self._plan
-        m = len(windows)
+    def _narrow(self, doms) -> tuple:
+        k, vars, over = self.width, self.vars, self._over
+        m = len(doms) - k + 1
         # scan the windows first in first out, from a queue that starts with
         # every window and takes in each window over a domain that another
         # window's scan narrows; entailed: whether each window's last scan
@@ -803,45 +836,41 @@ class Slide(_Runs):
         # to the supports keeps
         entailed = [False] * m
         queue, queued = deque(range(m)), [True] * m
-        domains = state.domains
-        scan = self._scan
+        scan, outcome = self._scan, []
         while queue:
             w = queue.popleft()
             queued[w] = False
-            window = windows[w]
-            doms = tuple([domains[x] for x in window])
-            result = scan(doms)
+            window = tuple(doms[w:w + k])
+            result = scan(window)
             if result is None:
-                return FAILED
+                return FAILED, 0, *outcome
             entailed[w], cut = result
             if cut is None:
                 continue
             # a live window supports a value at every position, so no
             # domain empties; a cut domain is a subset, smaller iff it drops
             # a value
-            for p, (x, d, c) in enumerate(zip(window, doms, cut), w):
+            for p, (d, c) in enumerate(zip(window, cut), w):
                 if len(c) != len(d):
-                    state.restrict(x, c)
+                    doms[p] = c
+                    outcome += (vars[p], c)
                     for w2 in over[p]:
                         if w2 != w and not queued[w2]:
                             queued[w2] = True
                             queue.append(w2)
-        return ENTAILED if all(entailed) else STABLE
+        # the cuts p and p + 1 around each position whose covering windows
+        # are all entailed, on the domains left: each window's last scan
+        # cut nothing that is not cut now
+        alone, cuts = [True] * len(doms), 0
+        for w in range(m):
+            if not entailed[w]:
+                alone[w:w + k] = [False] * k
+        for p, a in enumerate(alone):
+            if a:
+                cuts |= 3 << p
+        return ENTAILED if all(entailed) else STABLE, cuts, *outcome
 
     def satisfied(self, values: Sequence[int]) -> bool:
         k = self.width
         return all(tuple(values[i:i + k]) in self.tuples
                    for i in range(len(values) - k + 1))
-
-    def _fresh_cuts(self, doms) -> list[int]:
-        """The cuts p and p + 1 around each position whose covering windows
-        are all entailed: such a position is cut off from both neighbours.
-        A window is entailed on its domains as they are when its scan cuts
-        nothing and finds every combination live."""
-        k = self.width
-        split = [True] * len(doms)
-        for w in range(len(doms) - k + 1):
-            scan = self._scan(doms[w:w + k])
-            if scan is None or not scan[0] or scan[1] is not None:
-                split[w:w + k] = [False] * k
-        return [c for p, alone in enumerate(split) if alone for c in (p, p + 1)]

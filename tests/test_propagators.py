@@ -6,7 +6,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Heuristic, Linear, Neq,
@@ -655,6 +655,12 @@ def accepted_words(dfa, doms):
     return words
 
 
+def memo_outcome(prop, doms):
+    """The outcome that the memo of ``prop`` stores for the scope domains
+    ``doms``."""
+    return prop._outcomes[bytes(prop._codes[d] for d in doms)]
+
+
 def regular_neq_fixpoint(doms, prop, neqs):
     """The domains filtered to the values of the accepted words and by each
     Neq with a fixed side, over and over until none changes, or None once
@@ -681,7 +687,7 @@ def regular_neq_fixpoint(doms, prop, neqs):
 @given(long_regular_models(), st.data())
 def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
     # through clones, one or two tells and propagate, up to 6 times: the
-    # split memo holds the current domains with the positions where every
+    # outcome memo holds the current domains with the positions where every
     # accepted word passes through one automaton state, and the domains
     # are the joint fixpoint of the words
     dfa, vars_, doms, neqs = model
@@ -706,7 +712,8 @@ def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
                 for i, symbol in enumerate(w, 1):
                     q = dfa.transitions[q, symbol]
                     live[i].add(q)
-            assert prop._splits[scope] == {
+            cuts = memo_outcome(prop, scope)[1]
+            assert {i for i in range(cuts.bit_length()) if cuts >> i & 1} == {
                 i for i in range(1, len(scope)) if len(live[i]) == 1}
         else:
             assert all(map(dfa.accepts, itertools.product(
@@ -989,11 +996,11 @@ def test_slide_warm_memo_filters_like_a_fresh_instance(model, other, tells):
     for warm in other:
         prop.filter(new_problem(warm[:len(doms)]))
     memo_run(prop, doms, tells)
-    assert prop._scans and prop._splits
+    assert prop._scans and prop._outcomes
     fresh = Slide(range(len(doms)), width, tuples)
     assert memo_run(prop, doms, tells) \
         == unmemoised(lambda: memo_run(fresh, doms, tells))
-    assert not fresh._scans and not fresh._splits
+    assert not fresh._scans and not fresh._outcomes
 
 
 @settings(max_examples=200, deadline=None)
@@ -1007,12 +1014,12 @@ def test_regular_warm_memo_filters_like_a_fresh_instance(case, other, tells):
     for warm in other:
         prop.filter(new_problem(warm[:len(doms)]))
     memo_run(prop, doms, tells)
-    assert dfa._steps and prop._splits
+    assert dfa._steps and prop._outcomes
     fresh = Regular(range(len(doms)), Dfa(
         dfa.state_count, dfa.start, dfa.finals, dict(dfa.transitions)))
     assert memo_run(prop, doms, tells) \
         == unmemoised(lambda: memo_run(fresh, doms, tells))
-    assert not fresh.dfa._steps and not fresh._splits
+    assert not fresh.dfa._steps and not fresh._outcomes
 
 
 def test_memos_stay_under_their_cap():
@@ -1028,7 +1035,7 @@ def test_memos_stay_under_their_cap():
         state = new_problem([values] * n)
         state.post(slide)
         assert count(state).count == words
-    assert len(slide._scans) == len(slide._splits) == propagators._MEMO_CAP
+    assert len(slide._scans) == len(slide._outcomes) == propagators._MEMO_CAP
 
     # state 0 starts; state q + 1 has just read symbol q
     dfa = Dfa(101, 0, range(1, 101), {
@@ -1040,9 +1047,11 @@ def test_memos_stay_under_their_cap():
         state = new_problem([values] * n)
         state.post(regular)
         assert count(state).count == words
-    assert len(dfa._steps) == len(regular._splits) == propagators._MEMO_CAP
+    assert len(dfa._steps) == len(regular._outcomes) == propagators._MEMO_CAP
     for owner in (dfa, slide, regular):
         assert len(owner._sets) <= propagators._MEMO_CAP
+    for owner in (slide, regular):
+        assert len(owner._codes) == 256
 
 
 def test_memos_hold_interned_sets():
@@ -1069,16 +1078,76 @@ def test_memos_hold_interned_sets():
 
     for owner in (slide, regular, dfa):
         assert len(owner._sets) < propagators._MEMO_CAP
-    assert slide._scans and slide._splits and regular._splits and dfa._steps
+    assert slide._scans and slide._outcomes and regular._outcomes \
+        and dfa._steps
     for owner in (slide, regular):
-        for scope, cuts in owner._splits.items():
-            assert held(owner, scope) and held(owner, [cuts])
+        assert held(owner, owner._codes)
+        for outcome in owner._outcomes.values():
+            assert held(owner, outcome[3::2])
+            if len(outcome) == 2:
+                assert owner._sets[outcome] is outcome
     for window, scan in slide._scans.items():
         assert held(slide, window)
         if scan is not None and scan[1] is not None:
             assert held(slide, scan[1])
     for (states, symbols), (_arcs, after) in dfa._steps.items():
         assert held(dfa, (states, symbols, after))
+
+
+def logged_filter(prop, doms):
+    """One direct filter call on ``doms``: its status, the changes it made
+    in order, the domain events and the domains it left."""
+    state = ChangeLog(doms)
+    status = prop.filter(state)
+    return (status, state.changes, state.counters.domain_events,
+            state.domains)
+
+
+@settings(max_examples=200, deadline=None)
+@example(model=([{0}, {0, 1}, {0}], 2, [(0, 1), (1, 1)]), regular=None,
+         overflow=False)
+@given(memo_slide_models(), st.one_of(st.none(), regular_cases()),
+       st.booleans())
+def test_outcome_memo_hit_replays_the_filter(model, regular, overflow):
+    # a memo hit replays the filter of an equal instance run with every
+    # memo capped at 0: the same changes in the same order, the same status
+    # and domain events, restrictions made before a failure included.  With
+    # overflow, 260 distinct domains take every code first, so the drawn
+    # domains may find no code and compute without storing; the count then
+    # still matches brute force, and nothing is stored past the caps
+    doms, width, tuples = model
+    prop = Slide(range(len(doms)), width, tuples)
+    if regular is not None:
+        dfa, doms = regular
+        prop = Regular(range(len(doms)), dfa)
+    if overflow:
+        for i in range(260):
+            logged_filter(prop, [{0, 1, 2, 3, 10 + i}] * len(doms))
+    first = logged_filter(prop, doms)
+    want = unmemoised(lambda: logged_filter(cold(prop), doms))
+    assert first == want
+    if not overflow:
+        memo_outcome(prop, [frozenset(d) for d in doms])
+    assert logged_filter(prop, doms) == want
+    assert len(prop._outcomes) <= propagators._MEMO_CAP
+    assert len(prop._codes) <= 256
+    if overflow:
+        state = new_problem(doms)
+        state.post(prop)
+        assert dds_count(state).count == sum(map(prop.satisfied,
+                                                 itertools.product(*doms)))
+
+
+def test_slide_replays_restrictions_before_a_failure():
+    # window (0, 1) cuts x1 to {1}, then window (1, 2) has no live tuple:
+    # the hit restricts x1 and fails, as the computation did
+    prop = Slide(range(3), 2, [(0, 1), (1, 1)])
+    doms = [{0}, {0, 1}, {0}]
+    want = (FAILED, [(1, {0})], 1, [{0}, {1}, {0}])
+    assert logged_filter(prop, doms) == want
+    assert memo_outcome(prop, [frozenset(d) for d in doms]) == \
+        (FAILED, 0, 1, frozenset({1}))
+    assert logged_filter(prop, doms) == want
 
 
 # -- split memos ------------------------------------------------------------------
