@@ -1,13 +1,18 @@
 """Constraint-graph reflection and connected-component decomposition.
 
-Decomposing search rebuilds the hypergraph of its scope at every node it
-analyses: nodes are the scope's unassigned variables, and hyperedges come
-from the scope split of each active propagator on one of them.  Those
-propagators are reached through the subscription lists of the nodes, not
-by a scan of the whole store, so the work follows the scope; the edges
-are those such a scan finds, in another order.  A split is a pure
-function of the domains: a ``Slide`` or ``Regular`` reads it from the
-memo entry its filter replays (see ``propagators``).  Connected
+Decomposing search analyses its scope at every branchable node, in one
+pass: ``decompose_analysis`` lists the scope's unassigned variables once
+and answers from them whether the scope is solved (none is open), which
+variables are isolated, which parts are linked and each linked
+variable's degree.  Below two open variables no edge of two or more can
+exist, so the pass asks no propagator.  Otherwise it builds the
+hypergraph of the scope: nodes are its unassigned variables, and
+hyperedges come from the scope split of each active propagator on one of
+them.  Those propagators are reached through the subscription lists of
+the nodes, not by a scan of the whole store, so the work follows the
+scope; the edges are those such a scan finds, in another order.  A split
+is a pure function of the domains: a ``Slide`` or ``Regular`` reads it
+from the memo entry its filter replays (see ``propagators``).  Connected
 components of this graph are independent partial problems; solving them
 separately and multiplying the counts is exact.  Plain DFS builds no
 graph: its branching reads the degrees off the same scope splits
@@ -15,16 +20,14 @@ directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
 frozenset edges, ``components`` the tuple of its connected node sets, and
-``decompose_analysis`` runs both, looking them up as module globals, and
-sorts the components into linked ones and isolated variables.
+``decompose_analysis`` runs both, looking them up as module globals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ConstraintGraph:
+class ConstraintGraph(NamedTuple):
     """Hypergraph over unassigned variables; edges of size < 2 are dropped
     at build time."""
 
@@ -32,14 +35,16 @@ class ConstraintGraph:
     edges: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class DecompositionAnalysis:
-    """Connected components split into constraint-bearing ones and isolated
-    (unconstrained, multi-valued) variables, with the graph they came from."""
+class DecompositionAnalysis(NamedTuple):
+    """A scope's open variables split into the connected components that
+    carry a constraint (``linked``) and isolated (unconstrained,
+    multi-valued) variables, ascending.  ``degree`` maps each variable of
+    a linked part, ascending, to the number of graph edges holding it.  A
+    scope with no open variable has none of the three."""
 
     linked: tuple[frozenset[int], ...]
     isolated: tuple[int, ...]
-    graph: ConstraintGraph
+    degree: dict[int, int]
 
 
 def build_constraint_graph(state, scope=None) -> ConstraintGraph:
@@ -60,10 +65,11 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
     edges = []
     for prop in state.propagators_on(nodes).values():
         for edge in prop.hyperedges(state):
-            edge = edge & nodes
+            if not edge <= nodes:
+                edge &= nodes
             if len(edge) >= 2:
                 edges.append(edge)
-    return ConstraintGraph(nodes=nodes, edges=tuple(edges))
+    return ConstraintGraph(nodes, tuple(edges))
 
 
 def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
@@ -106,21 +112,36 @@ def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
 
 
 def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
-    """Component analysis of a propagated state.
+    """Component analysis of a propagated state over ``scope`` (by default
+    every variable), in one pass over it.
 
-    Splits the components into constraint-bearing ones (``linked``) and
-    isolated unassigned variables, which carry no constraint and only
-    multiply the solution count by their domain size.
+    The linked parts are the components of two or more variables; an
+    isolated variable carries no constraint and only multiplies the
+    solution count by its domain size.  With fewer than two open
+    variables no propagator is asked: a single one is isolated.
     """
-    graph = build_constraint_graph(state, scope)
+    domains = state.domains
+    if scope is None:
+        scope = range(len(domains))
+    free = [x for x in scope if len(domains[x]) != 1]
+    free.sort()
+    if len(free) < 2:
+        return DecompositionAnalysis((), tuple(free), {})
+    graph = build_constraint_graph(state, free)
     linked = []
     isolated = []
+    # singletons in ascending order: the components are sorted by their
+    # lowest variable
     for comp in components(graph):
         if len(comp) >= 2:
             linked.append(comp)
         else:
             isolated.extend(comp)
-    return DecompositionAnalysis(linked=tuple(linked),
-                                 isolated=tuple(sorted(isolated)),
-                                 graph=graph)
-
+    linked = tuple(linked)
+    degree = dict.fromkeys(free, 0)
+    for x in isolated:
+        del degree[x]
+    for edge in graph.edges:
+        for x in edge:
+            degree[x] += 1
+    return DecompositionAnalysis(linked, tuple(isolated), degree)

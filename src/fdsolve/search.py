@@ -6,6 +6,11 @@ the node's own state.  The decomposing engine additionally checks, at
 every branchable node, whether the constraint graph has fallen apart into
 independent partial problems; if so it solves the parts separately and
 multiplies their counts, short-circuiting once a part has no solutions.
+One pass over the node's scope, ``decompose_analysis``, answers all that
+the node asks: whether the scope is solved, its isolated variables (whose
+domain sizes are a factor of the count), the linked variables it picks
+among and their degrees.  Below two open variables that pass asks no
+propagator.
 
 Both engines, for counts and for solution trees alike, run one iterative
 walker over this AND/OR search space: choice nodes are or-nodes,
@@ -147,15 +152,18 @@ def trace_dot(trace: SearchTrace) -> str:
 
 
 def choose(state: ProblemState, heuristic: Heuristic, cands,
-           edges=None) -> tuple[int, int]:
+           degree=None) -> tuple[int, int]:
     """Pick the branching variable among ``cands``, unassigned variables in
     ascending order, and its minimum value, as a pair ``(x, v)``.
 
-    A degree is the number of ``edges`` holding the candidate.  Decomposing
-    search passes the edges of the graph its component analysis has just
-    built.  Plain DFS passes none: its edges are then the stored
-    propagators' splits of two or more variables, the graph over every
-    unassigned variable, since a split holds only unassigned ones.
+    ``degree`` maps each candidate to the number of constraint-graph edges
+    holding it.  Decomposing search passes the degree map of its node's
+    one scope pass (``decompose_analysis``), whose keys are the
+    candidates; a node with fewer than two open variables has no edge
+    and never gets here.  Plain DFS passes none: the degrees are then
+    counted here over the stored propagators' splits of two or more
+    variables, the graph over every unassigned variable, since a split
+    holds only unassigned ones.
 
     Two short-cuts give the same decision for less work: a single
     candidate is every heuristic's pick, and without an edge (an empty
@@ -168,11 +176,10 @@ def choose(state: ProblemState, heuristic: Heuristic, cands,
     if len(cands) == 1:
         x = cands[0]
         return x, min(domains[x])
-    degree = None
-    if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
-        if edges is None and state.propagators:
-            edges = [edge for prop in state.propagators.values()
-                     for edge in prop.hyperedges(state) if len(edge) >= 2]
+    if (heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL)
+            and degree is None and state.propagators):
+        edges = [edge for prop in state.propagators.values()
+                 for edge in prop.hyperedges(state) if len(edge) >= 2]
         if edges:
             degree = dict.fromkeys(cands, 0)
             for edge in edges:
@@ -181,9 +188,9 @@ def choose(state: ProblemState, heuristic: Heuristic, cands,
                         degree[x] += 1
     # min and max return the first best candidate, the lowest index
     if heuristic is Heuristic.INPUT_ORDER or (
-            heuristic is Heuristic.MAX_DEGREE and degree is None):
+            heuristic is Heuristic.MAX_DEGREE and not degree):
         x = cands[0]
-    elif heuristic is Heuristic.FIRST_FAIL or degree is None:
+    elif heuristic is Heuristic.FIRST_FAIL or not degree:
         x = min(cands, key=lambda c: len(domains[c]))
     elif heuristic is Heuristic.MAX_DEGREE:
         x = max(cands, key=degree.__getitem__)
@@ -355,9 +362,7 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
             if tracing:
                 trace.add(tparent, "fail", label)
             value = zero()
-        elif status is SOLVED or (
-                decompose and all(state.is_assigned(x) for x in scope)):
-            # a partial problem is done once its own variables are assigned
+        elif status is SOLVED:
             stats.solutions_found += 1
             cutoff.note(mult)
             if tracing:
@@ -373,23 +378,26 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
             frame = _Frame(state, mult, me, None, 1, scope,
                            choose(state, heuristic, scope))
         else:
-            analysis = decompose_analysis(state, scope)
-            factor = prod(len(state.domains[x]) for x in analysis.isolated)
-            ctx = context(state, scope, analysis.isolated)
-            linked = analysis.linked
+            # the node's one pass over its scope
+            linked, isolated, degree = decompose_analysis(state, scope)
+            domains = state.domains
+            factor = prod([len(domains[x]) for x in isolated])
             if not linked:
-                # only unconstrained variables left: every combination extends
+                # a partial problem is done once its own variables are
+                # assigned, and every combination of unconstrained ones
+                # extends it
                 stats.solutions_found += 1
                 cutoff.note(mult * factor)
                 if tracing:
                     trace.add(tparent, "solution", label)
-                value = conjoin(ctx, [], factor)
+                value = (conjoin(context(state, scope, isolated), [], factor)
+                         if isolated else solved(state, scope))
             else:
-                # one pick over the linked parts' union: a choice node's
-                # decision, or the part a decomposition explores first
-                graph = analysis.graph
-                decision = choose(state, heuristic, sorted(
-                    graph.nodes.difference(analysis.isolated)), graph.edges)
+                ctx = context(state, scope, isolated)
+                # one pick over the linked parts' union, the degree map's
+                # keys: a choice node's decision, or the part a
+                # decomposition explores first
+                decision = choose(state, heuristic, list(degree), degree)
                 if len(linked) == 1:
                     stats.choice_nodes += 1
                     kind, parts = "choice", linked[0]

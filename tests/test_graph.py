@@ -3,14 +3,18 @@ from math import prod
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (EQ, AllDifferent, Linear, Neq, StateStatus,
-                     build_constraint_graph, components, dds_count,
-                     new_problem)
-from fdsolve.graph import ConstraintGraph, decompose_analysis
+from fdsolve import (EQ, AllDifferent, Linear, Neq, ProblemState,
+                     StateStatus, build_constraint_graph, components,
+                     dds_count, new_problem)
+from fdsolve.graph import (ConstraintGraph, DecompositionAnalysis,
+                           decompose_analysis)
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
                      random_clustered_state, random_state,
                      random_state_with_slide)
+
+GENERATORS = st.sampled_from([random_state, random_clustered_state,
+                              random_state_with_slide])
 
 
 def test_intro_graph_after_root_propagation():
@@ -202,37 +206,94 @@ def full_scan_graph(state, scope):
     return nodes, sorted(edges)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([random_state, random_clustered_state,
-                        random_state_with_slide]),
-       st.integers(0, 10 ** 6), st.data())
-def test_scope_graph_equals_full_store_scan(make, seed, data):
-    # the scopes: every variable, the components a decomposing search
-    # reports, and random subsets; checked through propagate, a clone and
-    # random tells, also on the told clone before it propagates
-    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+def search_states(make, seed, data):
+    """A random state through propagate, a clone and random tells, also
+    each told clone before it propagates."""
     state = make(seed)
-    every = range(state.num_vars)
+    status = state.propagate()
+    for _ in range(data.draw(st.integers(0, 3)) + 1):
+        if status is not StateStatus.BRANCHABLE:
+            return
+        yield state
+        state = state.clone()
+        x = data.draw(st.sampled_from(
+            [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
+        v = data.draw(st.sampled_from(sorted(state.domains[x])))
+        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        yield state
+        status = state.propagate()
 
-    def check(state):
-        scopes = [None, every, *parts,
-                  data.draw(st.sets(st.sampled_from(every)))]
-        for scope in scopes:
+
+def drawn_scopes(state, parts, data):
+    """Every variable (None and a range), the components a decomposing
+    search reports, and a random subset."""
+    every = range(state.num_vars)
+    return [None, every, *parts, data.draw(st.sets(st.sampled_from(every)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATORS, st.integers(0, 10 ** 6), st.data())
+def test_scope_graph_equals_full_store_scan(make, seed, data):
+    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    for state in search_states(make, seed, data):
+        every = range(state.num_vars)
+        for scope in drawn_scopes(state, parts, data):
             graph = build_constraint_graph(state, scope)
             nodes, edges = full_scan_graph(state,
                                            every if scope is None else scope)
             assert graph.nodes == nodes
             assert sorted(sorted(e) for e in graph.edges) == edges
 
-    status = state.propagate()
-    for _ in range(data.draw(st.integers(0, 3)) + 1):
-        if status is not StateStatus.BRANCHABLE:
-            return
-        check(state)
-        state = state.clone()
-        x = data.draw(st.sampled_from(
-            [x for x in every if len(state.domains[x]) > 1]))
-        v = data.draw(st.sampled_from(sorted(state.domains[x])))
-        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
-        check(state)
-        status = state.propagate()
+
+def reference_analysis(state, scope):
+    """``decompose_analysis`` from the full store scan: the parts of two
+    or more variables, the sorted singletons, and per linked variable the
+    number of edges holding it."""
+    nodes, edges = full_scan_graph(state, scope)
+    parts = reference_components(nodes, edges)
+    linked = tuple(part for part in parts if len(part) >= 2)
+    isolated = tuple(sorted(x for part in parts if len(part) == 1
+                            for x in part))
+    degree = {x: sum(x in edge for edge in edges)
+              for part in linked for x in part}
+    return DecompositionAnalysis(linked, isolated, degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATORS, st.integers(0, 10 ** 6), st.data())
+def test_analysis_equals_reference(make, seed, data):
+    # the scopes of the graph oracle above, plus one with no open variable
+    # and one with exactly one
+    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    for state in search_states(make, seed, data):
+        every = range(state.num_vars)
+        fixed = [x for x in every if len(state.domains[x]) == 1]
+        unfixed = [x for x in every if len(state.domains[x]) != 1]
+        closed = data.draw(st.sets(st.sampled_from(fixed))) if fixed else set()
+        scopes = [*drawn_scopes(state, parts, data), closed]
+        if unfixed:
+            scopes.append(closed | {data.draw(st.sampled_from(unfixed))})
+        for scope in scopes:
+            analysis = decompose_analysis(state, scope)
+            assert analysis == reference_analysis(
+                state, every if scope is None else scope)
+            # the candidates of choose, ascending
+            assert list(analysis.degree) == sorted(analysis.degree)
+
+
+def test_one_open_variable_asks_no_propagator(monkeypatch):
+    # Neq(1, 2) is stored, but the scope holds only one of its variables
+    state = new_problem([{5}, {0, 1}, {0, 1, 2}])
+    state.post(Neq(1, 2))
+    assert state.propagate() is StateStatus.BRANCHABLE
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the analysis asked the store")
+
+    monkeypatch.setattr(ProblemState, "propagators_on", refuse)
+    monkeypatch.setattr("fdsolve.graph.build_constraint_graph", refuse)
+    assert decompose_analysis(state, {2}) == ((), (2,), {})
+    assert decompose_analysis(state, {0, 1}) == ((), (1,), {})
+    # a fully assigned scope has no nodes
+    assert decompose_analysis(state, {0}) == ((), (), {})
+    assert decompose_analysis(state, set()) == ((), (), {})

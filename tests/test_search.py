@@ -72,16 +72,26 @@ def search_state(make, seed, data):
     return state
 
 
+def edge_degrees(cands, edges):
+    """Each candidate's number of ``edges`` holding it."""
+    degree = dict.fromkeys(cands, 0)
+    for edge in edges:
+        for x in edge:
+            if x in degree:
+                degree[x] += 1
+    return degree
+
+
 @settings(max_examples=200, deadline=None)
 @given(GENERATORS, SEEDS, st.data())
 def test_choose_degrees_match_reflected_graph(make, seed, data):
-    # the two edge sources over every open variable: plain DFS's store
-    # splits (no edges given) and the graph DDS reflects
+    # the two degree sources over every open variable: plain DFS's store
+    # splits (no degrees given) and the graph DDS reflects
     state = search_state(make, seed, data)
     cands = [x for x in range(state.num_vars) if len(state.domains[x]) > 1]
-    edges = build_constraint_graph(state).edges
+    degree = edge_degrees(cands, build_constraint_graph(state).edges)
     for h in ALL_HEURISTICS:
-        assert choose(state, h, cands) == choose(state, h, cands, edges)
+        assert choose(state, h, cands) == choose(state, h, cands, degree)
 
 
 def reference_choose(state, heuristic, scope, graph=None):
@@ -152,9 +162,9 @@ def test_choose_matches_reference(make, seed, data):
         # the store's splits are the edges over every open variable only
         graphs.append(None)
     for graph in graphs:
-        edges = None if graph is None else graph.edges
+        degree = None if graph is None else edge_degrees(cands, graph.edges)
         for h in ALL_HEURISTICS:
-            assert (choose(state, h, cands, edges)
+            assert (choose(state, h, cands, degree)
                     == reference_choose(state, h, scope, graph=graph))
 
 
