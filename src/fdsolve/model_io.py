@@ -119,7 +119,7 @@ def _parse_tuples(raw, arity: int, where: str) -> list[tuple[int, ...]]:
 
 def _parse_dfa(raw, where: str, built: dict) -> Dfa:
     """The automaton ``raw`` describes, validated; one equal to an automaton
-    in ``built`` is that one, so it is built once."""
+    in ``built`` is that one, so equal automata are held once."""
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: 'dfa' must be an object")
     try:
@@ -144,13 +144,11 @@ def _parse_dfa(raw, where: str, built: dict) -> Dfa:
         if (q, s) in trans:
             raise ModelError(f"{where}: duplicate dfa transition on ({q}, {s})")
         trans[(q, s)] = r
-    key = (states, start, frozenset(finals), frozenset(trans.items()))
-    if key not in built:
-        try:
-            built[key] = Dfa(states, start, finals, trans)
-        except (ValueError, TypeError) as exc:
-            raise ModelError(f"{where}: malformed automaton: {exc}") from None
-    return built[key]
+    try:
+        dfa = Dfa(states, start, finals, trans)
+    except (ValueError, TypeError) as exc:
+        raise ModelError(f"{where}: malformed automaton: {exc}") from None
+    return built.setdefault(dfa, dfa)
 
 
 def parse_model(text: str) -> ModelDocument:

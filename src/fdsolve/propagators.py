@@ -19,19 +19,22 @@ and no propagator keeps anything in a state.  ``Slide`` and ``Regular``
 split their scope at cuts, the positions before which a run of variables
 breaks off.
 
-Three kernels are pure functions of their owner's data and the domains
-passed in, and each is memoised on its owner.  A ``Slide`` or ``Regular``
-keeps one memo (``_Runs._outcomes``) from its scope's domains to the whole
-outcome of its filter, which ``filter`` replays and whose cuts
-``hyperedges`` reads; a miss reads the memoised ``Slide._scan`` of one
-window or ``Dfa._step`` of one layer of ``Regular``'s unfolding.  A memo is
-not state.  What it returns is what the kernel computes, in every state
+Three kernels are pure functions of their owner's data and a tuple of
+domains, and each is memoised on its owner in a ``_Memo``, a dict keyed by
+the domains themselves.  A ``Slide`` or ``Regular`` keeps one memo
+(``_Runs._outcomes``) from its scope's domains to the whole outcome of its
+filter, which ``filter`` replays and whose cuts ``hyperedges`` reads; a
+miss reads ``Slide._scans``, the memo of one window's scan, or
+``Dfa._steps``, the memo of one layer of ``Regular``'s unfolding.  A memo
+is not state.  What it returns is what the kernel computes, in every state
 alike, and it stores at most ``_MEMO_CAP`` entries, past which the kernel
-computes without storing.  Each owner interns the sets its memos store
-(``_sets``), so equal sets are held once.  They equal the ones the kernel
-would build, though two equal sets of colliding values may iterate in
-different orders; nothing the solver reports depends on that order, since
-branching takes a domain's smallest value and solutions are listed sorted.
+computes without storing.  Each owner interns the sets in its memos' keys
+and results, and the results themselves (``_sets``), so equal ones are
+held once.  A kernel may thus be handed and hand back sets equal to, not
+the same as, the ones it would otherwise meet or build.  Two equal sets
+of colliding values may iterate in different orders; nothing the solver
+reports depends on that order, since branching takes a domain's smallest
+value and solutions are listed sorted.
 """
 from __future__ import annotations
 
@@ -61,8 +64,6 @@ LEQ = "leq"
 # kernel computes without storing, so a search over large domains holds a
 # bounded memo
 _MEMO_CAP = 256
-# the default of a memo lookup, told apart from a stored None
-_UNSEEN = object()
 
 
 def _intern(table: dict, value):
@@ -72,6 +73,28 @@ def _intern(table: dict, value):
     if len(table) < _MEMO_CAP:
         return table.setdefault(value, value)
     return table.get(value, value)
+
+
+class _Memo(dict):
+    """The memo of a kernel, a pure function of a tuple of sets: ``memo[key]``
+    is ``kernel(key)``.  While the memo holds fewer than ``_MEMO_CAP``
+    entries, a miss interns the key's sets and the result in ``sets`` and
+    stores the result under the key; past that it computes without
+    storing."""
+
+    __slots__ = ("kernel", "sets")
+
+    def __init__(self, kernel, sets: dict):
+        super().__init__()
+        self.kernel, self.sets = kernel, sets
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_CAP:
+            return self.kernel(key)
+        sets = self.sets
+        key = tuple([_intern(sets, s) for s in key])
+        self[key] = value = _intern(sets, self.kernel(key))
+        return value
 
 
 def _check_distinct(vars: Sequence[int], what: str) -> tuple[int, ...]:
@@ -106,46 +129,19 @@ class _Runs:
     """
 
     @cached_property
-    def _outcomes(self) -> dict:
-        """The memo of ``_narrow``: the domains' codes -> its outcome."""
-        return {}
-
-    @cached_property
-    def _codes(self) -> dict[frozenset[int], int]:
-        """A one-byte code per distinct domain met, at most 256 of them."""
-        return {}
-
-    @cached_property
     def _sets(self) -> dict:
-        """The intern table of the sets in this propagator's memos and of
-        its outcomes that restrict nothing."""
+        """The intern table of the sets and results in this propagator's
+        memos."""
         return {}
 
-    def _outcome(self, doms: list) -> tuple:
-        """``_narrow(doms)``, memoised up to ``_MEMO_CAP`` entries; once
-        256 domains hold a code, one without a code computes unstored."""
-        codes = self._codes
-        try:
-            key = bytes(map(codes.__getitem__, doms))
-        except KeyError:
-            for d in doms:
-                if d not in codes and len(codes) < 256:
-                    codes[_intern(self._sets, d)] = len(codes)
-            key = bytes(map(codes.__getitem__, doms)) \
-                if all(map(codes.__contains__, doms)) else None
-        memo = self._outcomes
-        outcome = memo.get(key)
-        if outcome is None:
-            outcome = self._narrow(list(doms))
-            if len(outcome) == 2:
-                outcome = _intern(self._sets, outcome)
-            if key is not None and len(memo) < _MEMO_CAP:
-                memo[key] = outcome
-        return outcome
+    @cached_property
+    def _outcomes(self) -> _Memo:
+        """The memo of ``_narrow``: the scope's domains -> its outcome."""
+        return _Memo(self._narrow, self._sets)
 
     def filter(self, state) -> PropagationResult:
         domains = state.domains
-        outcome = iter(self._outcome([domains[x] for x in self.vars]))
+        outcome = iter(self._outcomes[tuple([domains[x] for x in self.vars])])
         status, _cuts = next(outcome), next(outcome)
         for x, allowed in zip(outcome, outcome):
             state.restrict(x, allowed)
@@ -155,8 +151,8 @@ class _Runs:
         # the unassigned variables cut before each position in the cuts,
         # as one fragment per non-empty run, in position order
         domains = state.domains
-        doms = [domains[x] for x in self.vars]
-        cuts = self._outcome(doms)[1]
+        doms = tuple([domains[x] for x in self.vars])
+        cuts = self._outcomes[doms][1]
         edges, run = [], []
         for p, x in enumerate(self.vars):
             if cuts >> p & 1 and run:
@@ -604,8 +600,8 @@ class Dfa:
 
     Hashed by content, transitions included, so a ``Dfa`` and a
     ``Regular`` over it hash like the other constraints.  ``_step`` is the
-    forward step of ``Regular``'s unfolding, memoised here, so every
-    ``Regular`` over one automaton object shares the memo.
+    forward step of ``Regular``'s unfolding, memoised here in ``_steps``,
+    so every ``Regular`` over one automaton object shares the memo.
     """
 
     state_count: int
@@ -642,43 +638,37 @@ class Dfa:
         return arcs
 
     @cached_property
-    def _steps(self) -> dict:
+    def _steps(self) -> _Memo:
         """The memo of ``_step``: (live states, symbols) -> its result."""
-        return {}
+        return _Memo(self._step, self._sets)
 
     @cached_property
-    def _sets(self) -> dict[frozenset[int], frozenset[int]]:
-        """The intern table of the state and symbol sets in ``_steps``."""
+    def _sets(self) -> dict:
+        """The intern table of the state and symbol sets and the results in
+        ``_steps``."""
         return {}
 
     @cached_property
     def _start_set(self) -> frozenset[int]:
         return frozenset((self.start,))
 
-    def _step(self, states: frozenset[int], symbols: frozenset[int]):
-        """One layer of the unfolding: the arcs out of ``states`` labelled
-        with a symbol of ``symbols``, by state and then by symbol in
-        iteration order, and the set of states they reach.  Memoised up to
-        ``_MEMO_CAP`` keys."""
-        memo = self._steps
-        key = (states, symbols)
-        step = memo.get(key)
-        if step is None:
-            arcs = self._arcs
-            out, nxt = [], set()
-            for q in states:
-                move = arcs.get(q)
-                if move:
-                    for s in symbols:
-                        arc = move.get(s)
-                        if arc is not None:
-                            out.append(arc)
-                            nxt.add(arc[2])
-            sets = self._sets
-            step = (tuple(out), _intern(sets, frozenset(nxt)))
-            if len(memo) < _MEMO_CAP:
-                memo[_intern(sets, states), _intern(sets, symbols)] = step
-        return step
+    def _step(self, key: tuple[frozenset[int], frozenset[int]]):
+        """One layer of the unfolding from the live states over the symbols
+        of ``key``: the arcs out of those states labelled with one of those
+        symbols, by state and then by symbol in iteration order, and the set
+        of states they reach."""
+        states, symbols = key
+        arcs = self._arcs
+        out, nxt = [], set()
+        for q in states:
+            move = arcs.get(q)
+            if move:
+                for s in symbols:
+                    arc = move.get(s)
+                    if arc is not None:
+                        out.append(arc)
+                        nxt.add(arc[2])
+        return tuple(out), _intern(self._sets, frozenset(nxt))
 
     def accepts(self, word: Sequence[int]) -> bool:
         q = self.start
@@ -698,7 +688,7 @@ class Regular(_Runs):
     forward/backward reachability.  Layers left with a single live state
     are the points where the scope splits.  A miss of the outcome memo
     unfolds from scratch: each forward step comes from the automaton's
-    ``_step``, which is memoised, and the backward pass counts afresh.
+    memo ``_steps``, and the backward pass counts afresh.
     """
 
     vars: tuple[int, ...]
@@ -721,10 +711,10 @@ class Regular(_Runs):
         live arcs.
         """
         n, dfa = len(doms), self.dfa
-        step = dfa._step
+        steps = dfa._steps
         states, arcs = dfa._start_set, []
         for d in doms:
-            out, states = step(states, d)
+            out, states = steps[states, d]
             arcs.append(out)
         live: list = [None] * n + [dict.fromkeys(states & dfa.finals, 1)]
         symbols: list = [None] * n
@@ -769,8 +759,8 @@ class Slide(_Runs):
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
     Every window is filtered with the same bitset support masks as ``Table``,
-    through ``_scan``, which is memoised per ``Slide`` on the window's
-    domains and serves the misses of the outcome memo.
+    through ``_scan``, which is memoised per ``Slide`` in ``_scans`` on the
+    window's domains and serves the misses of the outcome memo.
     """
 
     vars: tuple[int, ...]
@@ -797,37 +787,30 @@ class Slide(_Runs):
                      for p in range(n))
 
     @cached_property
-    def _scans(self) -> dict:
+    def _scans(self) -> _Memo:
         """The memo of ``_scan``: window domains -> its result."""
-        return {}
+        return _Memo(self._scan, self._sets)
 
     def _scan(self, doms: tuple[frozenset[int], ...]):
         """One window over the domains ``doms``: None if no tuple of it is
         live, else whether every combination of its supports is live, and
         the cut: None if every value of ``doms`` has a support, else each
         domain cut down to its supports, the domain itself where the cut
-        drops nothing.  Memoised up to ``_MEMO_CAP`` windows."""
-        memo = self._scans
-        scan = memo.get(doms, _UNSEEN)
-        if scan is _UNSEEN:
+        drops nothing."""
+        valid, support = _supports(self._masks, doms)
+        if not valid:
+            return None
+        cut = None
+        if any(len(s) != len(d) for d, s in zip(doms, support)):
             sets = self._sets
-            doms = tuple([_intern(sets, d) for d in doms])
-            valid, support = _supports(self._masks, doms)
-            if valid:
-                cut = None
-                if any(len(s) != len(d) for d, s in zip(doms, support)):
-                    cut = tuple([d if len(s) == len(d) else
-                                 _intern(sets, frozenset(s))
-                                 for d, s in zip(doms, support)])
-                scan = (valid == math.prod(map(len, support)), cut)
-            else:
-                scan = None
-            if len(memo) < _MEMO_CAP:
-                memo[doms] = scan
-        return scan
+            cut = tuple([d if len(s) == len(d) else
+                         _intern(sets, frozenset(s))
+                         for d, s in zip(doms, support)])
+        return valid == math.prod(map(len, support)), cut
 
     def _narrow(self, doms) -> tuple:
         k, vars, over = self.width, self.vars, self._over
+        doms = list(doms)
         m = len(doms) - k + 1
         # scan the windows first in first out, from a queue that starts with
         # every window and takes in each window over a domain that another
@@ -836,12 +819,12 @@ class Slide(_Runs):
         # to the supports keeps
         entailed = [False] * m
         queue, queued = deque(range(m)), [True] * m
-        scan, outcome = self._scan, []
+        scans, outcome = self._scans, []
         while queue:
             w = queue.popleft()
             queued[w] = False
             window = tuple(doms[w:w + k])
-            result = scan(window)
+            result = scans[window]
             if result is None:
                 return FAILED, 0, *outcome
             entailed[w], cut = result

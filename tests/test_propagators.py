@@ -13,7 +13,7 @@ from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Heuristic, Linear, Neq,
                      ProblemState, Regular, Slide, StateStatus, Table,
                      dds_count, dfs_count, new_problem, propagators)
 from fdsolve.propagators import (ENTAILED, FAILED, STABLE, PropagationResult,
-                                 _max_matching, _regin, _tarjan)
+                                 _max_matching, _Memo, _regin, _tarjan)
 
 from randcsp import (product_structure_ok, random_state,
                      random_state_with_slide, support_filtered_domains)
@@ -658,7 +658,9 @@ def accepted_words(dfa, doms):
 def memo_outcome(prop, doms):
     """The outcome that the memo of ``prop`` stores for the scope domains
     ``doms``."""
-    return prop._outcomes[bytes(prop._codes[d] for d in doms)]
+    key = tuple(doms)
+    assert key in prop._outcomes
+    return prop._outcomes[key]
 
 
 def regular_neq_fixpoint(doms, prop, neqs):
@@ -1050,15 +1052,13 @@ def test_memos_stay_under_their_cap():
     assert len(dfa._steps) == len(regular._outcomes) == propagators._MEMO_CAP
     for owner in (dfa, slide, regular):
         assert len(owner._sets) <= propagators._MEMO_CAP
-    for owner in (slide, regular):
-        assert len(owner._codes) == 256
 
 
 def test_memos_hold_interned_sets():
     # after a search whose sets all fit in the intern tables, every domain
-    # in a memo key and every set a memo stores is the one its owner's
-    # intern table holds, so equal sets met in different states are held
-    # once
+    # in a memo key, every set a memo stores and every stored result is the
+    # one its owner's intern table holds, so equal ones met in different
+    # states are held once
     dfa = Dfa(3, 0, [0, 1, 2], {(0, 0): 0, (0, 1): 1, (0, 2): 0,
                                 (1, 0): 0, (1, 1): 2, (1, 2): 0,
                                 (2, 0): 0, (2, 2): 0})
@@ -1081,17 +1081,43 @@ def test_memos_hold_interned_sets():
     assert slide._scans and slide._outcomes and regular._outcomes \
         and dfa._steps
     for owner in (slide, regular):
-        assert held(owner, owner._codes)
-        for outcome in owner._outcomes.values():
+        for doms, outcome in owner._outcomes.items():
+            assert held(owner, doms)
             assert held(owner, outcome[3::2])
-            if len(outcome) == 2:
-                assert owner._sets[outcome] is outcome
+            assert owner._sets[outcome] is outcome
     for window, scan in slide._scans.items():
         assert held(slide, window)
+        assert slide._sets[scan] is scan
         if scan is not None and scan[1] is not None:
             assert held(slide, scan[1])
-    for (states, symbols), (_arcs, after) in dfa._steps.items():
-        assert held(dfa, (states, symbols, after))
+    for (states, symbols), step in dfa._steps.items():
+        assert held(dfa, (states, symbols, step[1]))
+        assert dfa._sets[step] is step
+
+
+def test_memo_keys_on_equal_domains_and_stops_storing_at_its_cap():
+    # equal keys built from distinct set objects hit one entry, stored with
+    # the interned sets and result, and the kernel runs once; a full memo
+    # hands back what the kernel computes and stores nothing more
+    calls = []
+
+    def kernel(key):
+        calls.append(key)
+        return frozenset().union(*key)
+
+    sets = {}
+    memo = _Memo(kernel, sets)
+    first = (frozenset({1, 2}), frozenset({3}))
+    again = (frozenset([2, 1]), frozenset([3]))
+    assert again[0] is not first[0]
+    assert memo[first] == memo[again] == {1, 2, 3}
+    assert calls == [first] and list(memo) == [first]
+    key, = memo
+    assert all(sets[d] is d for d in key)
+    assert sets[memo[first]] is memo[first]
+    with mock.patch.object(propagators, "_MEMO_CAP", 1):
+        assert memo[frozenset({4}),] == {4}
+    assert len(calls) == 2 and list(memo) == [first]
 
 
 def logged_filter(prop, doms):
@@ -1112,9 +1138,9 @@ def test_outcome_memo_hit_replays_the_filter(model, regular, overflow):
     # a memo hit replays the filter of an equal instance run with every
     # memo capped at 0: the same changes in the same order, the same status
     # and domain events, restrictions made before a failure included.  With
-    # overflow, 260 distinct domains take every code first, so the drawn
-    # domains may find no code and compute without storing; the count then
-    # still matches brute force, and nothing is stored past the caps
+    # overflow, 260 distinct scopes fill the memo first, so the drawn
+    # domains compute without storing; the count then still matches brute
+    # force, and nothing is stored past the cap
     doms, width, tuples = model
     prop = Slide(range(len(doms)), width, tuples)
     if regular is not None:
@@ -1130,7 +1156,6 @@ def test_outcome_memo_hit_replays_the_filter(model, regular, overflow):
         memo_outcome(prop, [frozenset(d) for d in doms])
     assert logged_filter(prop, doms) == want
     assert len(prop._outcomes) <= propagators._MEMO_CAP
-    assert len(prop._codes) <= 256
     if overflow:
         state = new_problem(doms)
         state.post(prop)
