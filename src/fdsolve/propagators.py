@@ -286,8 +286,8 @@ class AllDifferent:
     set if their sizes s_1 <= ... <= s_k pass a size test: s_i > i for
     every i < k and s_k >= k.  Then the residual domains are the fixpoint.
     Otherwise Régin's matching construction (``_regin``) runs over the
-    open variables and their residual domains alone.  Variables linked by
-    a shared value form the scope split.
+    open variables and their residual domains alone.  Open variables linked
+    by shared values form the scope split, with pairwise disjoint value sets.
     """
 
     vars: tuple[int, ...]
@@ -342,31 +342,31 @@ class AllDifferent:
         return len(set(values)) == len(values)
 
     def hyperedges(self, state) -> list[frozenset[int]]:
-        # connected components of the variable-value graph, restricted to
-        # the unassigned variables, by a union-find over those alone: a
-        # value joins the first of them that holds it with every later one.
-        # An assigned variable holds one value, so it links no two open
-        # variables that this value does not link already.
+        # connected components of the variable-value graph over the open
+        # variables: each, in scope order, joins the first group whose value
+        # set meets its domain and pours every other such group into it, so
+        # the value sets stay pairwise disjoint.  An assigned variable holds
+        # one value: it links no two open variables that value does not.
         domains = state.domains
-        free = [x for x in self.vars if len(domains[x]) != 1]
-        parent = list(range(len(free)))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            return a
-
-        owner: dict = {}
-        for i, x in enumerate(free):
-            for v in domains[x]:
-                j = owner.setdefault(v, i)
-                if j != i:
-                    parent[find(j)] = find(i)
-
-        groups: dict = {}
-        for i, x in enumerate(free):
-            groups.setdefault(find(i), []).append(x)
-        return [frozenset(g) for g in sorted(groups.values(), key=min)]
+        groups: list = []  # [value set, members] pairs
+        for x in self.vars:
+            d = domains[x]
+            if len(d) == 1:
+                continue
+            joined, apart = None, []
+            for group in groups:
+                if d.isdisjoint(group[0]):
+                    apart.append(group)
+                elif joined:
+                    joined[0] |= group[0]
+                    joined[1] += group[1]
+                else:
+                    joined = group
+                    group[0] |= d
+                    group[1].append(x)
+            apart.append(joined or [set(d), [x]])
+            groups = apart
+        return sorted((frozenset(m) for _, m in groups), key=min)
 
 
 def _max_matching(doms) -> tuple[list, dict] | None:

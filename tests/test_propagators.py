@@ -1361,6 +1361,28 @@ def test_hyperedges_examples():
     state.propagate()
     assert [sorted(e) for e in ad.hyperedges(state)] == [[0, 1], [2, 3]]
 
+    # each AllDifferent split below also equals the union-find oracle's;
+    # first, a shuffled scope whose first group seen has the larger minimum
+    cases = [([{10, 11}, {0, 1}, {10, 11}, {0, 1}], [3, 2, 0, 1],
+              [[0, 2], [1, 3]])]
+    # a late variable whose domain bridges two groups formed before it,
+    # with a group apart from both seen between them; then one that meets
+    # the merged group on a value of its second part only, and one that
+    # meets it on a value only that one brought
+    cases.append(([{0, 1}, {2, 3}, {1, 2}, {7, 8}, {3, 4}, {4, 5}],
+                  [0, 3, 1, 2, 4, 5], [[0, 1, 2, 4, 5], [3]]))
+    # 25 groups of two, over {2i, 2i + 1}, in a scope that interleaves them,
+    # plus an assigned variable on a value of the last group
+    doms = [{2 * (i // 2), 2 * (i // 2) + 1} for i in range(50)] + [{49}]
+    cases.append((doms, [*range(0, 51, 2), *range(49, 0, -2)],
+                  [[2 * i, 2 * i + 1] for i in range(25)]))
+    for doms, scope, want in cases:
+        state = new_problem(doms)
+        ad = AllDifferent(scope)
+        got = ad.hyperedges(state)
+        assert [sorted(e) for e in got] == want
+        assert got == reference_alldiff_split(ad, state)
+
     state = new_problem([{0, 1, 2}] * 3)
     lin = Linear((1, 1, 1), (0, 1, 2), EQ, 3)
     state.post(lin)
