@@ -324,10 +324,15 @@ class AllDifferent:
                 return FAILED
         # prune one value at a time, by scope position and then in domain
         # order, as Régin's pass over the whole scope would; a matching
-        # keeps a value in every domain, so none empties
+        # keeps a value in every domain, so none empties.  A single removed
+        # value is the set difference, with no scan of the domain.
         for i, kept in zip(free, rest):
             d = doms[i]
-            if len(kept) != len(d):
+            gone = len(d) - len(kept)
+            if gone == 1:
+                (v,) = d - kept
+                state.remove_value(vars[i], v)
+            elif gone:
                 x = vars[i]
                 for v in d:
                     if v not in kept:

@@ -12,12 +12,15 @@ domain sizes are a factor of the count), the linked variables it picks
 among and their degrees.  Below two open variables that pass asks no
 propagator.
 
-Both engines, for counts and for solution trees alike, run one iterative
-walker over this AND/OR search space: choice nodes are or-nodes,
-decomposition nodes and-nodes, and the result is folded by a count
-algebra (sums and products) or a tree algebra (``Or`` and ``And`` nodes).
-Plain DFS enumeration counts too, keeping each solution as the walk
-reaches it, and builds no tree.
+Each engine runs its own iterative walker.  Plain DFS, for counts and
+enumeration alike, is an OR-only loop: a choice node pushes its pending
+right branch and searches its left child, and each leaf pops the newest
+pending branch.  Its count is the number of solution leaves, so it folds
+no values, and it keeps each solution as it reaches it and builds no
+tree.  The decomposing engine runs an AND/OR walker: choice nodes are
+or-nodes, decomposition nodes and-nodes, and the result is folded by a
+count algebra (sums and products) or a tree algebra (``Or`` and ``And``
+nodes).
 
 Plain DFS keeps each choice node's open variables, ascending, and its
 children pick among those that are still open, not among all n
@@ -207,7 +210,7 @@ def order_components(parts, x: int) -> list[frozenset[int]]:
     return [first] + [part for part in parts if part is not first]
 
 
-# -- the walker -------------------------------------------------------------
+# -- the walkers ------------------------------------------------------------
 
 
 class _Cutoff:
@@ -242,9 +245,10 @@ class _Run:
 
 
 class _Algebra(NamedTuple):
-    """How the walker folds the tree it explores into a result.  ``factor``
-    is the number of combinations of a node's unconstrained variables, and
-    ``total`` is ``factor`` times the counts of a decomposition's parts."""
+    """How the AND/OR walker folds the tree it explores into a result.
+    ``factor`` is the number of combinations of a node's unconstrained
+    variables, and ``total`` is ``factor`` times the counts of a
+    decomposition's parts."""
 
     zero: Callable     # () -> value of a failed node
     solved: Callable   # (state, scope) -> value of a fully assigned scope
@@ -300,11 +304,10 @@ _TREES = _Algebra(
 
 
 class _Frame:
-    """An inner node whose children are being searched.
+    """An inner node of the AND/OR walker whose children are being searched.
 
     A choice node (``decision`` set) has two children over its one
-    component ``parts``: ``x = v``, then ``x != v`` of ``decision``; in
-    plain DFS ``parts`` is the node's open variables, ascending.  A
+    component ``parts``: ``x = v``, then ``x != v`` of ``decision``.  A
     decomposition node (``decision`` None) has one child per component in
     the ordered list ``parts``, and ``total`` is ``factor`` times the
     counts of its finished children.  ``values`` collects the finished
@@ -328,17 +331,78 @@ class _Frame:
         self.total = factor
 
 
-def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
-    """Search the tree below ``state`` depth-first and fold it with
-    ``algebra``: ``_COUNTS``, perhaps with its own ``solved``, or, with
-    ``decompose`` on, ``_TREES``.
+def _dfs(state: ProblemState, run: _Run, solutions: Optional[list] = None):
+    """Plain DFS below ``state``: count its solution leaves in
+    ``run.cutoff`` and, given ``solutions``, append each full assignment.
+
+    An OR-only loop over a stack of pending right branches.  A choice node
+    pushes ``(state, x, v, open variables, depth, trace id)`` and searches
+    its left child ``x = v`` on a clone; a leaf stops the search once the
+    cut-off is hit and otherwise pops the newest entry, whose right child
+    ``x != v`` takes that node's own state.  Both children sit one level
+    below their node, and a node's children pick among its open variables.
+    """
+    stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
+    FAILED, SOLVED = StateStatus.FAILED, StateStatus.SOLVED
+    # nodes are recorded and edge labels built only for a trace
+    trace = run.trace
+    tracing = trace is not None
+    pending: list[tuple] = []
+    scope = range(state.num_vars)
+    depth, tparent, label = 0, None, "root"
+    while True:
+        status = state.propagate()
+        stats.nodes += 1
+        if status is FAILED:
+            stats.fails += 1
+            if tracing:
+                trace.add(tparent, "fail", label)
+        elif status is SOLVED:
+            stats.solutions_found += 1
+            cutoff.note(1)
+            if tracing:
+                trace.add(tparent, "solution", label)
+            if solutions is not None:
+                solutions.append(state.solution())
+            if cutoff.hit:
+                return
+        else:
+            stats.choice_nodes += 1
+            me = trace.add(tparent, "choice", label) if tracing else None
+            # the node's open variables, ascending: its children's scope,
+            # since a variable fixed here stays fixed below
+            domains = state.domains
+            scope = [x for x in scope if len(domains[x]) != 1]
+            x, v = choose(state, heuristic, scope)
+            pending.append((state, x, v, scope, depth, me))
+            state = state.clone()
+            state.tell_eq(x, v)
+            # only a left child can raise max_depth: its right sibling, at
+            # the same depth, is entered after it
+            depth += 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            tparent = me
+            if tracing:
+                label = f"x{x}={v}"
+            continue
+        if not pending:
+            return
+        state, x, v, scope, depth, tparent = pending.pop()
+        state.tell_neq(x, v)
+        depth += 1
+        if tracing:
+            label = f"x{x}!={v}"
+
+
+def _walk(state: ProblemState, run: _Run, algebra):
+    """Search the AND/OR tree below ``state`` depth-first, decomposing
+    wherever the constraint graph falls apart, and fold it with
+    ``algebra``: ``_COUNTS`` or ``_TREES``.
 
     Open inner nodes live on an explicit stack, so the search depth is
     bound by memory rather than by the interpreter's recursion limit; a
-    node's depth is the size of the stack when it is entered.  With
-    ``decompose`` off this is plain DFS: no graph analysis, unconstrained
-    variables are branched on like any other, a choice node's context is
-    None, and its children's scope is its own open variables.
+    node's depth is the size of the stack when it is entered.
     """
     stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
     zero, solved, context, choice, conjoin, count = algebra
@@ -347,8 +411,7 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
     trace = run.trace
     tracing = trace is not None
     stack: list[_Frame] = []
-    n = state.num_vars
-    scope = frozenset(range(n)) if decompose else range(n)
+    scope = frozenset(range(state.num_vars))
     mult, tparent, label = 1, None, "root"
     while True:
         status = state.propagate()
@@ -368,15 +431,6 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
             if tracing:
                 trace.add(tparent, "solution", label)
             value = solved(state, scope)
-        elif not decompose:
-            stats.choice_nodes += 1
-            me = trace.add(tparent, "choice", label) if tracing else None
-            # the node's open variables, ascending: its children's scope,
-            # since a variable fixed here stays fixed below
-            domains = state.domains
-            scope = [x for x in scope if len(domains[x]) != 1]
-            frame = _Frame(state, mult, me, None, 1, scope,
-                           choose(state, heuristic, scope))
         else:
             # the node's one pass over its scope
             linked, isolated, degree = decompose_analysis(state, scope)
@@ -469,21 +523,16 @@ def _walk(state: ProblemState, run: _Run, algebra, decompose: bool):
                     label = f"x{x}!={v}"
 
 
-def _search(root: ProblemState, run: _Run, algebra, decompose: bool):
+def _search(root: ProblemState, run: _Run, walk, *args):
+    """Run ``walk(state, run, *args)`` on a clone of ``root`` with fresh
+    propagation counters, and time it into ``run.stats``."""
     state = root.clone()
     state.counters = PropagationCounters()
     t0 = time.perf_counter()
-    value = _walk(state, run, algebra, decompose)
+    value = walk(state, run, *args)
     run.stats.wall_time = time.perf_counter() - t0
     run.stats.propagations = state.counters.propagations
     return value
-
-
-def _count(root: ProblemState, run: _Run, decompose: bool) -> CountResult:
-    count = _search(root, run, _COUNTS, decompose)
-    if run.cutoff.hit:
-        return CountResult(run.cutoff.certified, False, run.stats)
-    return CountResult(count, True, run.stats)
 
 
 # -- public engines ------------------------------------------------------------
@@ -493,7 +542,9 @@ def dfs_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
               limit: Optional[int] = None,
               trace: Optional[SearchTrace] = None) -> CountResult:
     """Count all solutions by plain depth-first search."""
-    return _count(root, _Run(heuristic, limit, trace), decompose=False)
+    run = _Run(heuristic, limit, trace)
+    _search(root, run, _dfs)
+    return CountResult(run.cutoff.certified, not run.cutoff.hit, run.stats)
 
 
 def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -506,14 +557,9 @@ def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     if max_solutions < 1:
         raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
     solutions: list[dict[int, int]] = []
-
-    def keep(state, _scope):
-        solutions.append(state.solution())
-        return 1
-
     # the cut-off trips at the max_solutions-th solution and stops the walk
     run = _Run(heuristic, max_solutions - 1, None)
-    _search(root, run, _COUNTS._replace(solved=keep), decompose=False)
+    _search(root, run, _dfs, solutions)
     return solutions, not run.cutoff.hit, run.stats
 
 
@@ -531,8 +577,11 @@ def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     keep ``state.clone()``.  The first part also holds the scope's assigned
     and unconstrained variables, so the parts cover the whole scope.
     """
-    return _count(root, _Run(heuristic, limit, trace, decompose_hook),
-                  decompose=True)
+    run = _Run(heuristic, limit, trace, decompose_hook)
+    count = _search(root, run, _walk, _COUNTS)
+    if run.cutoff.hit:
+        return CountResult(run.cutoff.certified, False, run.stats)
+    return CountResult(count, True, run.stats)
 
 
 def dds_tree(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -545,7 +594,7 @@ def dds_tree(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     truncated tree still expands to valid full assignments.
     """
     run = _Run(heuristic, limit, trace)
-    tree, _n = _search(root, run, _TREES, decompose=True)
+    tree, _n = _search(root, run, _walk, _TREES)
     return TreeResult(tree, not run.cutoff.hit, run.stats)
 
 

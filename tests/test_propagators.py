@@ -325,6 +325,10 @@ def test_alldiff_filter_matches_reference_removal_by_removal(doms, data):
     assert_filters_agree(doms, data.draw(st.permutations(range(len(doms)))))
 
 
+# 25 values whose iteration order is not ascending: 512 comes before 135
+LARGE = set(range(0, 200, 9)) | {512, 1000}
+
+
 @pytest.mark.parametrize("doms, result, regin", [
     ([{1}, {2}, {3}], ENTAILED, False),
     ([{1}, {1}, {0, 1, 2}], FAILED, False),
@@ -333,10 +337,15 @@ def test_alldiff_filter_matches_reference_removal_by_removal(doms, data):
     ([{2}, {0, 1, 2}, {1, 2, 3}], STABLE, False),
     ([{0, 1}, {0, 1, 2}, {0, 1, 2}], STABLE, False),
     ([{0, 1}, {0, 1}, {0, 1, 2}], STABLE, True),
+    ([{1000}, LARGE], ENTAILED, False),
+    ([{512}, {135}, LARGE], ENTAILED, False),
+    ([{135, 512}, {135, 512}, LARGE], STABLE, True),
 ], ids=["all-assigned-distinct", "assigned-share-a-value",
         "open-inside-assigned", "hall-set-after-stripping",
         "stripping-prunes-in-scope-order", "sizes-2-3-3-pass",
-        "sizes-2-2-3-go-to-regin"])
+        "sizes-2-2-3-go-to-regin", "one-value-leaves-a-large-domain",
+        "stripped-values-leave-in-domain-order",
+        "regin-prunes-in-domain-order"])
 def test_alldiff_strip_and_size_test_cases(doms, result, regin, monkeypatch):
     runs = []
 

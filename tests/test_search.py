@@ -168,30 +168,48 @@ def test_choose_matches_reference(make, seed, data):
                     == reference_choose(state, h, scope, graph=graph))
 
 
-def reference_dfs_decisions(root, heuristic, limit):
-    """The decisions, in order, of a recursive plain DFS that clones before
-    the left child, asks ``reference_choose`` over every variable at each
-    choice node and stops once more than ``limit`` solutions are found."""
-    n, decisions, found = root.num_vars, [], [0]
+def reference_dfs(root, heuristic, limit):
+    """A recursive plain DFS that clones before the left child, asks
+    ``reference_choose`` over every variable at each choice node and stops
+    once more than ``limit`` solutions are found: its decisions in order,
+    its solutions in order, and the count, ``exact`` flag and statistics
+    it should report (a node's depth is its number of decisions)."""
+    n, decisions, solutions = root.num_vars, [], []
+    stats = dict.fromkeys(["nodes", "choice_nodes", "fails", "max_depth"], 0)
 
-    def visit(state):
+    def visit(state, depth):
+        stats["nodes"] += 1
+        stats["max_depth"] = max(stats["max_depth"], depth)
         status = state.propagate()
         if status is StateStatus.FAILED:
+            stats["fails"] += 1
             return
         if status is StateStatus.SOLVED:
-            found[0] += 1
+            solutions.append(state.solution())
             return
+        stats["choice_nodes"] += 1
         x, v = reference_choose(state, heuristic, range(n))
         decisions.append((x, v))
         left = state.clone()
         left.tell_eq(x, v)
-        visit(left)
-        if limit is None or found[0] <= limit:
+        visit(left, depth + 1)
+        if limit is None or len(solutions) <= limit:
             state.tell_neq(x, v)
-            visit(state)
+            visit(state, depth + 1)
 
-    visit(root.clone())
-    return decisions
+    visit(root.clone(), 0)
+    found = len(solutions)
+    return decisions, solutions, dict(
+        count=found, exact=limit is None or found <= limit,
+        solutions_found=found, **stats)
+
+
+def dfs_report(count, exact, stats):
+    """What a DFS run reports, in ``reference_dfs``'s terms."""
+    return dict(count=count, exact=exact, nodes=stats.nodes,
+                choice_nodes=stats.choice_nodes, fails=stats.fails,
+                solutions_found=stats.solutions_found,
+                max_depth=stats.max_depth)
 
 
 def traced_decisions(trace):
@@ -206,7 +224,8 @@ def traced_decisions(trace):
 @given(GENERATORS, SEEDS, st.integers(0, 12), st.integers(1, 12))
 def test_dfs_decisions_match_recursive_reference(make, seed, limit, k):
     # plain DFS branches over its parent's open variables only; it must
-    # decide as a search that asks every variable at every node
+    # decide as a search that asks every variable at every node, and count,
+    # list and report statistics as that recursive search does
     state = make(seed)
     traces = []
     real_run = search._Run
@@ -219,16 +238,22 @@ def test_dfs_decisions_match_recursive_reference(make, seed, limit, k):
     for h in ALL_HEURISTICS:
         for lim in (None, limit):
             trace = SearchTrace(max_nodes=10 ** 6)
-            dfs_count(state, h, limit=lim, trace=trace)
-            assert traced_decisions(trace) == reference_dfs_decisions(
-                state, h, lim)
+            result = dfs_count(state, h, limit=lim, trace=trace)
+            decisions, _solutions, report = reference_dfs(state, h, lim)
+            assert traced_decisions(trace) == decisions
+            assert dfs_report(result.count, result.exact,
+                              result.stats) == report
         for max_solutions in (k, 10 ** 6):
             traces.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(search, "_Run", traced_run)
-                dfs_enumerate(state, h, max_solutions)
-            assert traced_decisions(traces[0]) == reference_dfs_decisions(
+                listed, complete, stats = dfs_enumerate(state, h,
+                                                        max_solutions)
+            decisions, solutions, report = reference_dfs(
                 state, h, max_solutions - 1)
+            assert traced_decisions(traces[0]) == decisions
+            assert listed == solutions
+            assert dfs_report(len(listed), complete, stats) == report
 
 
 def reference_dds_decisions(root, heuristic):
