@@ -14,13 +14,17 @@ scope; the edges are those such a scan finds, in another order.  A split
 is a pure function of the domains: a ``Slide`` or ``Regular`` reads it
 from the memo entry its filter replays (see ``propagators``).  Connected
 components of this graph are independent partial problems; solving them
-separately and multiplying the counts is exact.  Plain DFS builds no
-graph: its branching reads the degrees off the same scope splits
-directly.
+separately and multiplying the counts is exact.  When one edge holds
+every node, the scope is one linked part and no component search runs:
+that is most nodes of a search that seldom splits.  The degrees are
+counted only when asked for, since only the degree heuristics read
+them.  Plain DFS builds no graph: its branching reads the degrees off
+the same scope splits directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
 frozenset edges, ``components`` the tuple of its connected node sets, and
-``decompose_analysis`` runs both, looking them up as module globals.
+``decompose_analysis`` runs the first and, unless one edge holds every
+node, the second, looking them up as module globals.
 """
 from __future__ import annotations
 
@@ -39,8 +43,9 @@ class DecompositionAnalysis(NamedTuple):
     """A scope's open variables split into the connected components that
     carry a constraint (``linked``) and isolated (unconstrained,
     multi-valued) variables, ascending.  ``degree`` maps each variable of
-    a linked part, ascending, to the number of graph edges holding it.  A
-    scope with no open variable has none of the three."""
+    a linked part, ascending, to the number of graph edges holding it, or
+    to None where the degrees were not asked for.  A scope with no open
+    variable has none of the three."""
 
     linked: tuple[frozenset[int], ...]
     isolated: tuple[int, ...]
@@ -111,14 +116,19 @@ def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
     return tuple(comps)
 
 
-def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
+def decompose_analysis(state, scope=None,
+                       degrees: bool = True) -> DecompositionAnalysis:
     """Component analysis of a propagated state over ``scope`` (by default
     every variable), in one pass over it.
 
     The linked parts are the components of two or more variables; an
     isolated variable carries no constraint and only multiplies the
     solution count by its domain size.  With fewer than two open
-    variables no propagator is asked: a single one is isolated.
+    variables no propagator is asked: a single one is isolated.  When
+    one edge holds every open variable, they are one linked part and no
+    component search runs.  Without ``degrees`` each linked variable's
+    degree is None: the keys are still the linked variables, ascending,
+    but no edge is counted.
     """
     domains = state.domains
     if scope is None:
@@ -128,20 +138,27 @@ def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
     if len(free) < 2:
         return DecompositionAnalysis((), tuple(free), {})
     graph = build_constraint_graph(state, free)
-    linked = []
-    isolated = []
-    # singletons in ascending order: the components are sorted by their
-    # lowest variable
-    for comp in components(graph):
-        if len(comp) >= 2:
-            linked.append(comp)
-        else:
-            isolated.extend(comp)
-    linked = tuple(linked)
-    degree = dict.fromkeys(free, 0)
-    for x in isolated:
-        del degree[x]
-    for edge in graph.edges:
-        for x in edge:
-            degree[x] += 1
-    return DecompositionAnalysis(linked, tuple(isolated), degree)
+    edges = graph.edges
+    degree = dict.fromkeys(free, 0 if degrees else None)
+    if len(free) in map(len, edges):
+        # an edge is cut down to the nodes, so one of their size holds
+        # them all
+        linked, isolated = (graph.nodes,), ()
+    else:
+        linked = []
+        isolated = []
+        # singletons in ascending order: the components are sorted by
+        # their lowest variable
+        for comp in components(graph):
+            if len(comp) >= 2:
+                linked.append(comp)
+            else:
+                isolated.extend(comp)
+        linked, isolated = tuple(linked), tuple(isolated)
+        for x in isolated:
+            del degree[x]
+    if degrees:
+        for edge in edges:
+            for x in edge:
+                degree[x] += 1
+    return DecompositionAnalysis(linked, isolated, degree)

@@ -12,7 +12,8 @@ Each constraint class plays three roles:
   unassigned variables.  The fragments partition the unassigned scope;
   the graph layer drops fragments smaller than two variables.  Search
   asks only at a propagation fixpoint; off one, ``Slide`` and ``Regular``
-  report the split of the domains their filter would leave.
+  break the positions open in the domains asked about at the cuts of the
+  domains their filter would leave.
 
 Constraint instances are immutable: clones of a problem state share them,
 and no propagator keeps anything in a state.  ``Slide`` and ``Regular``
@@ -23,12 +24,13 @@ Three kernels are pure functions of their owner's data and a tuple of
 domains, and each is memoised on its owner in a ``_Memo``, a dict keyed by
 the domains themselves.  A ``Slide`` or ``Regular`` keeps one memo
 (``_Runs._outcomes``) from its scope's domains to the whole outcome of its
-filter, which ``filter`` replays and whose cuts ``hyperedges`` reads; a
-miss reads ``Slide._scans``, the memo of one window's scan, or
-``Dfa._steps``, the memo of one layer of ``Regular``'s unfolding.  A memo
-is not state.  What it returns is what the kernel computes, in every state
-alike, and it stores at most ``_MEMO_CAP`` entries, past which the kernel
-computes without storing.  Each owner interns the sets in its memos' keys
+filter, which ``filter`` replays and whose split ``hyperedges`` reads
+(an outcome off a fixpoint keeps its cuts instead); a miss reads
+``Slide._scans``, the memo of one window's scan, or ``Dfa._steps``, the
+memo of one layer of ``Regular``'s unfolding.  A memo is not state.
+What it returns is what the kernel computes, in every state alike, and
+it stores at most ``_MEMO_CAP`` entries, past which the kernel computes
+without storing.  Each owner interns the sets in its memos' keys
 and results, and the results themselves (``_sets``), so equal ones are
 held once.  A kernel may thus be handed and hand back sets equal to, not
 the same as, the ones it would otherwise meet or build.  Two equal sets
@@ -120,12 +122,18 @@ class _Runs:
     """Base of the propagators whose scope splits into runs at cuts.
 
     ``_narrow(doms)`` computes the whole filter outcome on the scope's
-    domains: the status, the cuts of the domains the filter leaves as a
-    bitmask over positions, and then, flat, each ``restrict(x, allowed)``
-    call made, in order.  ``filter`` replays the calls of the memoised
-    outcome, so domain events and wake order are the computation's, and
-    ``hyperedges`` reads its cuts: at a fixpoint, the domains are what
-    the filter left.
+    domains: the status, the split or the cuts, and then, flat, each
+    ``restrict(x, allowed)`` call made, in order.  ``filter`` replays the
+    calls of the memoised outcome, so domain events and wake order are the
+    computation's.  An outcome that is stable and restricts nothing is a
+    fixpoint's, and it holds the split that ``_split`` makes of ``doms``
+    and their cuts.  Search asks for splits only at a fixpoint, from the
+    propagators it stores, so ``hyperedges`` reads that split with one
+    memo lookup and no pass over the positions.  Any other outcome keeps
+    the cuts of the domains its filter leaves, a bitmask over positions
+    (0 for a failure, which has no cuts), and ``hyperedges`` splits the
+    domains asked about at those.  Holding the split only where search
+    reads it, each fragment interned, keeps the memo small.
     """
 
     @cached_property
@@ -142,27 +150,33 @@ class _Runs:
     def filter(self, state) -> PropagationResult:
         domains = state.domains
         outcome = iter(self._outcomes[tuple([domains[x] for x in self.vars])])
-        status, _cuts = next(outcome), next(outcome)
+        status, _ = next(outcome), next(outcome)
         for x, allowed in zip(outcome, outcome):
             state.restrict(x, allowed)
         return status
 
     def hyperedges(self, state) -> list[frozenset[int]]:
-        # the unassigned variables cut before each position in the cuts,
-        # as one fragment per non-empty run, in position order
         domains = state.domains
         doms = tuple([domains[x] for x in self.vars])
-        cuts = self._outcomes[doms][1]
-        edges, run = [], []
+        split = self._outcomes[doms][1]
+        if split.__class__ is int:
+            split = self._split(doms, split)
+        return list(split)
+
+    def _split(self, doms, cuts: int) -> tuple[frozenset[int], ...]:
+        """The variables open in ``doms``, cut before each position in the
+        bitmask ``cuts``, as one fragment per non-empty run, in position
+        order, each fragment interned."""
+        sets, edges, run = self._sets, [], []
         for p, x in enumerate(self.vars):
             if cuts >> p & 1 and run:
-                edges.append(frozenset(run))
+                edges.append(_intern(sets, frozenset(run)))
                 run = []
             if len(doms[p]) != 1:
                 run.append(x)
         if run:
-            edges.append(frozenset(run))
-        return edges
+            edges.append(_intern(sets, frozenset(run)))
+        return tuple(edges)
 
 
 @dataclass(frozen=True, eq=True)
@@ -749,7 +763,11 @@ class Regular(_Runs):
                     if len(live[i]) == 1])
         # exact entailment: the pruned domains hold no value outside an
         # accepted word, so every word is accepted iff the counts agree
-        return ENTAILED if accepted == words else STABLE, cuts, *outcome
+        if accepted == words:
+            return ENTAILED, cuts, *outcome
+        if outcome:
+            return STABLE, cuts, *outcome
+        return STABLE, self._split(doms, cuts)
 
     def satisfied(self, values: Sequence[int]) -> bool:
         return self.dfa.accepts(values)
@@ -856,7 +874,12 @@ class Slide(_Runs):
         for p, a in enumerate(alone):
             if a:
                 cuts |= 3 << p
-        return ENTAILED if all(entailed) else STABLE, cuts, *outcome
+        if all(entailed):
+            return ENTAILED, cuts, *outcome
+        if outcome:
+            return STABLE, cuts, *outcome
+        # nothing restricted: the domains left are the ones asked about
+        return STABLE, self._split(doms, cuts)
 
     def satisfied(self, values: Sequence[int]) -> bool:
         k = self.width

@@ -1,4 +1,5 @@
 from math import prod
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from fdsolve import (EQ, AllDifferent, Linear, Neq, ProblemState,
                      StateStatus, build_constraint_graph, components,
                      dds_count, new_problem)
+from fdsolve import graph as graph_module
 from fdsolve.graph import (ConstraintGraph, DecompositionAnalysis,
                            decompose_analysis)
 
@@ -279,6 +281,59 @@ def test_analysis_equals_reference(make, seed, data):
                 state, every if scope is None else scope)
             # the candidates of choose, ascending
             assert list(analysis.degree) == sorted(analysis.degree)
+
+
+def graph_analysis(state, scope, degrees):
+    """``decompose_analysis`` as ``build_constraint_graph`` and
+    ``components`` give it over the scope's sorted open variables: the
+    linked parts, the isolated variables, and the degree map's items in
+    order, each None without ``degrees``."""
+    free = sorted(x for x in scope if len(state.domains[x]) != 1)
+    if len(free) < 2:
+        return (), tuple(free), []
+    graph = build_constraint_graph(state, free)
+    comps = components(graph)
+    linked = tuple(c for c in comps if len(c) >= 2)
+    isolated = tuple(x for c in comps if len(c) == 1 for x in c)
+    degree = [(x, sum(x in e for e in graph.edges) if degrees else None)
+              for x in free if x not in isolated]
+    return linked, isolated, degree
+
+
+def refuse(*_args, **_kwargs):
+    raise AssertionError("the analysis searched for components")
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATORS, st.integers(0, 10 ** 6), st.data())
+def test_spanning_edge_analysis_equals_graph_reference(make, seed, data):
+    # on the drawn scopes, and on scopes whose open variables are one
+    # stored propagator's fragment, the degree map's items are compared in
+    # order, with and without degrees; a fragment scope is one linked part
+    # found without a component search
+    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    for state in search_states(make, seed, data):
+        every = range(state.num_vars)
+        fixed = [x for x in every if len(state.domains[x]) == 1]
+        scopes = [(scope, False) for scope in drawn_scopes(state, parts, data)]
+        for prop in state.propagators.values():
+            for edge in prop.hyperedges(state):
+                if len(edge) >= 2:
+                    riders = (data.draw(st.sets(st.sampled_from(fixed)))
+                              if fixed else set())
+                    scopes.append((edge | riders, True))
+        for scope, spanning in scopes:
+            for degrees in (True, False):
+                want = graph_analysis(state, every if scope is None else scope,
+                                      degrees)
+                with mock.patch.object(graph_module, "components",
+                                       refuse if spanning else components):
+                    linked, isolated, degree = decompose_analysis(
+                        state, scope, degrees)
+                assert (linked, isolated, list(degree.items())) == want
+                if spanning:
+                    assert linked == (scope - set(fixed),)
+                    assert isolated == ()
 
 
 def test_one_open_variable_asks_no_propagator(monkeypatch):

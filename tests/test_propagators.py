@@ -664,6 +664,18 @@ def accepted_words(dfa, doms):
     return words
 
 
+def regular_cuts(dfa, doms):
+    """The positions 1..n-1 before which every accepted word over ``doms``
+    passes through one automaton state; none when no word is accepted."""
+    live = [set() for _ in range(len(doms) + 1)]
+    for w in accepted_words(dfa, doms):
+        q = dfa.start
+        for i, symbol in enumerate(w, 1):
+            q = dfa.transitions[q, symbol]
+            live[i].add(q)
+    return {i for i in range(1, len(doms)) if len(live[i]) == 1}
+
+
 def memo_outcome(prop, doms):
     """The outcome that the memo of ``prop`` stores for the scope domains
     ``doms``."""
@@ -716,16 +728,15 @@ def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
         assert state.domains == want
         scope = tuple(state.domains[x] for x in prop.vars)
         if h in state.propagators:
-            prop.hyperedges(state)
-            live = [{dfa.start}] + [set() for _ in scope]
-            for w in accepted_words(dfa, scope):
-                q = dfa.start
-                for i, symbol in enumerate(w, 1):
-                    q = dfa.transitions[q, symbol]
-                    live[i].add(q)
-            cuts = memo_outcome(prop, scope)[1]
-            assert {i for i in range(cuts.bit_length()) if cuts >> i & 1} == {
-                i for i in range(1, len(scope)) if len(live[i]) == 1}
+            edges = prop.hyperedges(state)
+            # a stored propagator's outcome is stable and restricts
+            # nothing, and its split breaks the open positions before
+            # each layer where every accepted word passes through one
+            # automaton state; the split read is the stored one
+            status, split, *restricted = memo_outcome(prop, scope)
+            assert status is STABLE and not restricted
+            cuts = sum(1 << i for i in regular_cuts(dfa, scope))
+            assert list(split) == edges == reference_runs(prop, scope, cuts)
         else:
             assert all(map(dfa.accepts, itertools.product(
                 *(sorted(state.domains[x]) for x in prop.vars))))
@@ -1094,6 +1105,22 @@ def test_memos_hold_interned_sets():
             assert held(owner, doms)
             assert held(owner, outcome[3::2])
             assert owner._sets[outcome] is outcome
+            # (status, split, x1, allowed1, ...), each restriction on a
+            # scope variable: the split of a stable outcome that restricts
+            # nothing is a tuple of interned runs of the variables open in
+            # the key, in position order; any other outcome keeps its cut
+            # bitmask, a failed one 0
+            status, split = outcome[:2]
+            assert set(outcome[2::2]) <= set(owner.vars)
+            if status is not STABLE or len(outcome) > 2:
+                assert type(split) is int
+                assert split == 0 or status is not FAILED
+                continue
+            assert type(split) is tuple and all(split) and held(owner, split)
+            order = [x for e in split
+                     for x in sorted(e, key=owner.vars.index)]
+            assert order == [x for x, d in zip(owner.vars, doms)
+                             if len(d) != 1]
     for window, scan in slide._scans.items():
         assert held(slide, window)
         assert slide._sets[scan] is scan
@@ -1181,7 +1208,86 @@ def test_slide_replays_restrictions_before_a_failure():
     assert logged_filter(prop, doms) == want
     assert memo_outcome(prop, [frozenset(d) for d in doms]) == \
         (FAILED, 0, 1, frozenset({1}))
+    # a failed outcome has no cuts: its split is one run of the open
+    # positions of the domains asked about
+    assert prop.hyperedges(new_problem(doms)) == [frozenset({1})]
     assert logged_filter(prop, doms) == want
+
+
+def reference_runs(prop, doms, cuts):
+    """The split of a ``Slide`` or ``Regular`` as its ``hyperedges`` built
+    it from the domains ``doms`` and a bitmask of cuts, before the split
+    was memoised."""
+    # the unassigned variables cut before each position in the cuts,
+    # as one fragment per non-empty run, in position order
+    edges, run = [], []
+    for p, x in enumerate(prop.vars):
+        if cuts >> p & 1 and run:
+            edges.append(frozenset(run))
+            run = []
+        if len(doms[p]) != 1:
+            run.append(x)
+    if run:
+        edges.append(frozenset(run))
+    return edges
+
+
+def reference_cuts(prop, doms):
+    """The cuts of the scope domains ``doms`` by enumeration, as a bitmask:
+    0 when the filter fails; for a ``Slide``, p and p + 1 around each
+    position whose covering windows all take every combination of their
+    fixpoint domains; for a ``Regular``, each position 1..n-1 before which
+    every accepted word passes through one automaton state."""
+    if isinstance(prop, Regular):
+        return sum(1 << i for i in regular_cuts(prop.dfa, doms))
+    n, k = len(doms), prop.width
+    fixed = window_fixpoint(doms, [Slide(range(n), k, prop.tuples)])
+    if fixed is None:
+        return 0
+    entailed = [set(itertools.product(*fixed[w:w + k])) <= prop.tuples
+                for w in range(n - k + 1)]
+    cuts = 0
+    for p in range(n):
+        if all(entailed[max(0, p - k + 1):p + 1]):
+            cuts |= 3 << p
+    return cuts
+
+
+@settings(max_examples=300, deadline=None)
+@example(model=([{0}, {0, 1}, {0}], 2, [(0, 1), (1, 1)]), regular=None,
+         data=None)
+@given(memo_slide_models(), st.one_of(st.none(), regular_cases()),
+       st.data())
+def test_row_split_matches_reference_runs(model, regular, data):
+    # the split read from the outcome memo, on a miss, on a hit and with
+    # every memo capped at 0, is the old conversion of the enumerated cuts:
+    # on the drawn domains (off a fixpoint, or failing), and on their
+    # fixpoint, over a permuted scope
+    doms, width, tuples = model
+    if regular is not None:
+        dfa, doms = regular
+    n = len(doms)
+    order = list(range(n)) if data is None else data.draw(st.permutations(
+        range(n)))
+    prop = (Slide(order, width, tuples) if regular is None
+            else Regular(order, dfa))
+    scopes = [[frozenset(d) for d in doms]]
+    fixed = (window_fixpoint(doms, [Slide(range(n), width, tuples)])
+             if regular is None else
+             [set(w) for w in zip(*accepted_words(dfa, doms))] or None)
+    if fixed is not None:
+        scopes.append([frozenset(d) for d in fixed])
+    for scope in scopes:
+        # variable x holds the domain of its position in the scope
+        state = new_problem([scope[order.index(x)] for x in range(n)])
+        want = reference_runs(prop, scope, reference_cuts(prop, scope))
+        assert unmemoised(lambda: cold(prop).hyperedges(state)) == want
+        fresh = cold(prop)
+        assert tuple(scope) not in fresh._outcomes
+        assert fresh.hyperedges(state) == want
+        assert tuple(scope) in fresh._outcomes
+        assert fresh.hyperedges(state) == want
+        assert prop.hyperedges(state) == prop.hyperedges(state) == want
 
 
 # -- split memos ------------------------------------------------------------------
