@@ -29,7 +29,7 @@ B-C and B-D compare disjoint domains, so they hold no matter what and
 their propagators are entailed away.  Only A!=B and C!=D can still act.
 """)
 
-print("branching tells narrow domains and wake the affected propagators:")
+print("a write marks its variable, and propagate wakes its propagators:")
 probe = state.clone()
 probe.tell_eq(0, 3)
 probe.propagate()
@@ -37,6 +37,6 @@ print(f"  after A=3: B in {sorted(probe.domains[1])} (the clone changed,")
 print(f"  the original still has B in {sorted(state.domains[1])})")
 
 probe = state.clone()
-probe.tell_eq(2, 1)
-probe.tell_eq(3, 1)
-print(f"  after C=1, D=1: propagate() -> {probe.propagate().value}")
+probe.remove_value(2, 2)
+probe.remove_value(3, 2)
+print(f"  after C!=2, D!=2: propagate() -> {probe.propagate().value}")

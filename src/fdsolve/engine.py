@@ -9,18 +9,20 @@ API, which puts a smaller frozenset in its place in ``domains`` and records
 the domain event; a set read from ``domains`` therefore never changes, so
 code that prunes must read the domain again to see its own work.  A domain
 may be empty only transiently, and emptying it marks the state failed.
-Propagators change domains through ``remove_value`` and ``restrict``,
-which mark the variable changed, so ``propagate`` queues its other
-propagators once the filter returns.  Branching goes through ``tell_eq``
-and ``tell_neq`` instead, which do their own bookkeeping: each records
-its domain event and queues the propagators on the variable itself.
+Every write goes through ``remove_value``, ``restrict`` or ``tell_eq``
+(``restrict(x, {v})`` without building the set), and each keeps the same
+books: it counts its domain event, updates the number of unfixed
+variables and the failed flag, and marks the variable changed.  Only
+``propagate`` wakes propagators: at the start of each round it queues the
+propagators on every changed variable, so a write made by a filter, by
+branching or by a caller between two propagations is propagated alike.
 States are cloned before branching.  A clone copies the list of domains,
-the propagator store and a non-empty propagation queue; it shares the
-domain frozensets themselves, the immutable propagators, the run-level
-statistics sink, and the subscription lists, which the first ``post`` on
-either side after the clone copies.  No propagator keeps anything in a
-state: what one caches about domains it has seen lives in its own memo,
-which is not state (see ``propagators``).
+the propagator store, the changed variables and a non-empty propagation
+queue; it shares the domain frozensets themselves, the immutable
+propagators, the run-level statistics sink, and the subscription lists,
+which the first ``post`` on either side after the clone copies.  No
+propagator keeps anything in a state: what one caches about domains it
+has seen lives in its own memo, which is not state (see ``propagators``).
 
 The subscription lists map each variable to the handles of the
 propagators posted on it; ``propagators_on`` reads them, so the graph of
@@ -135,6 +137,18 @@ class ProblemState:
         self._note_change(x, len(d))
         return True
 
+    def tell_eq(self, x: int, v: int) -> None:
+        """Branch on ``x = v``: ``restrict(x, {v})`` without building the
+        set.  A value outside the domain empties it, and the state fails."""
+        d = self.domains[x]
+        if v in d:
+            if len(d) != 1:
+                self.domains[x] = frozenset((v,))
+                self._note_change(x, 1)
+        elif d:
+            self.domains[x] = frozenset()
+            self._note_change(x, 0)
+
     def _note_change(self, x: int, size: int) -> None:
         """Record that domain x shrank to ``size`` values; a change always
         shrinks, so size 1 means x was just fixed."""
@@ -145,94 +159,58 @@ class ProblemState:
         elif size == 0:
             self._failed = True
 
-    # -- branching tells ------------------------------------------------
-
-    def tell_eq(self, x: int, v: int) -> None:
-        """Branch on ``x = v``.  A tell does its own bookkeeping: it
-        records its domain event and wakes x's propagators itself, without
-        marking x changed."""
-        d = self.domains[x]
-        if v not in d:
-            # telling a value outside the domain empties it; the state then
-            # fails at the next propagate
-            self.domains[x] = frozenset()
-            self._failed = True
-        elif len(d) == 1:
-            return
-        else:
-            self.domains[x] = frozenset((v,))
-            self._unfixed -= 1
-        self.counters.domain_events += 1
-        self._wake(x)
-
-    def tell_neq(self, x: int, v: int) -> None:
-        """Branch on ``x != v``, with the bookkeeping of ``tell_eq``; a
-        value outside the domain changes nothing."""
-        d = self.domains[x]
-        if v not in d:
-            return
-        self.domains[x] = d = d - {v}
-        size = len(d)
-        if size == 1:
-            self._unfixed -= 1
-        elif not size:
-            # the state then fails at the next propagate
-            self._failed = True
-        self.counters.domain_events += 1
-        self._wake(x)
-
-    def _wake(self, x: int) -> None:
-        """Queue the stored propagators on x, in subscription order."""
-        props = self.propagators
-        if not props:
-            return
-        queue, queued = self._queue, self._queued
-        for h in self._subs[x]:
-            if h in props and h not in queued:
-                queue.append(h)
-                queued.add(h)
-
     # -- propagation -----------------------------------------------------
 
     def propagate(self) -> StateStatus:
-        """Run queued propagators to mutual fixpoint.
+        """Wake the propagators on every changed variable and run the queue
+        to mutual fixpoint.
 
-        Entailed propagators leave the store and are never re-executed in
-        this state or any clone of it.
+        Each round first queues, in subscription order, the stored
+        propagators on the variables changed since the last round, then
+        runs the oldest queued propagator.  Entailed propagators leave the
+        store and are never re-executed in this state or any clone of it.
         """
-        queue, queued = self._queue, self._queued
+        queue, queued, changed = self._queue, self._queued, self._changed
         if self._failed:
             queue.clear()
             queued.clear()
+            changed.clear()
             return StateStatus.FAILED
         # no filter posts, so neither the store nor the subscription lists
         # are replaced while the queue runs
-        props, subs, changed = self.propagators, self._subs, self._changed
-        counters = self.counters
-        while queue:
-            h = queue.popleft()
-            queued.discard(h)
-            prop = props.get(h)
-            if prop is None:
-                continue
+        props = self.propagators
+        if not props:
+            # nothing to wake: the case at most DFS nodes once every
+            # constraint is entailed
             changed.clear()
-            counters.propagations += 1
-            result = prop.filter(self)
-            if result is PropagationResult.FAILED or self._failed:
-                self._failed = True
-                queue.clear()
-                queued.clear()
-                return StateStatus.FAILED
-            if result is PropagationResult.ENTAILED:
-                del props[h]
-            # each filter call is idempotent, so the running propagator
-            # itself is not rescheduled for its own prunings
-            for x in changed:
-                for h2 in subs[x]:
-                    if h2 != h and h2 not in queued and h2 in props:
-                        queue.append(h2)
-                        queued.add(h2)
-            changed.clear()
+        else:
+            subs, counters = self._subs, self.counters
+            h = None
+            while True:
+                # each filter call is idempotent, so the propagator that
+                # just ran is not rescheduled for its own prunings
+                for x in changed:
+                    for h2 in subs[x]:
+                        if h2 != h and h2 not in queued and h2 in props:
+                            queue.append(h2)
+                            queued.add(h2)
+                changed.clear()
+                if not queue:
+                    break
+                h = queue.popleft()
+                queued.discard(h)
+                counters.propagations += 1
+                # a queued handle is in the store: a propagator leaves it
+                # only while it runs, and then it is in no queue
+                result = props[h].filter(self)
+                if result is PropagationResult.FAILED or self._failed:
+                    self._failed = True
+                    queue.clear()
+                    queued.clear()
+                    changed.clear()
+                    return StateStatus.FAILED
+                if result is PropagationResult.ENTAILED:
+                    del props[h]
         # no domain is empty here, so every variable is assigned exactly
         # when none has more than one value (or there are no variables)
         if not self._unfixed:
@@ -242,8 +220,9 @@ class ProblemState:
     # -- snapshots -------------------------------------------------------
 
     def clone(self) -> "ProblemState":
-        """Independent snapshot; shares the domain frozensets, the counter
-        sink and, until either side posts, the subscription lists."""
+        """Independent snapshot that carries the changes not yet
+        propagated; shares the domain frozensets, the counter sink and,
+        until either side posts, the subscription lists."""
         new = ProblemState.__new__(ProblemState)
         new.domains = self.domains.copy()
         new.propagators = dict(self.propagators)
@@ -257,14 +236,14 @@ class ProblemState:
             new._queued = set()
         new._failed = self._failed
         new._next_handle = self._next_handle
-        new._changed = set()
+        new._changed = self._changed.copy()
         new._unfixed = self._unfixed
         new.counters = self.counters
         return new
 
     def solution(self) -> dict[int, int]:
         """Total assignment of a solved state."""
-        if self._failed or self._queue or self._unfixed:
+        if self._failed or self._queue or self._changed or self._unfixed:
             raise ValueError("solution() requires a solved state")
         return {x: v for x, (v,) in enumerate(self.domains)}
 

@@ -390,7 +390,7 @@ def _dfs(state: ProblemState, run: _Run, solutions: Optional[list] = None):
         if not pending:
             return
         state, x, v, scope, depth, tparent = pending.pop()
-        state.tell_neq(x, v)
+        state.remove_value(x, v)
         depth += 1
         if tracing:
             label = f"x{x}!={v}"
@@ -523,7 +523,7 @@ def _walk(state: ProblemState, run: _Run, algebra):
                 if tracing:
                     label = f"x{x}={v}"
             else:
-                state.tell_neq(x, v)
+                state.remove_value(x, v)
                 if tracing:
                     label = f"x{x}!={v}"
 

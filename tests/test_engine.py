@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdsolve import AllDifferent, Linear, Neq, StateStatus, new_problem
+from fdsolve import (AllDifferent, Linear, Neq, StateStatus, dds_count,
+                     dfs_count, new_problem)
 from fdsolve.propagators import EQ
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
@@ -74,16 +75,20 @@ def test_propagate_neq_both_assigned_equal():
 
 def test_tell_eq_and_neq():
     state = new_problem([{3, 5}, {3, 4}])
-    state.tell_neq(1, 3)
+    state.remove_value(1, 3)
     assert sorted(state.domains[1]) == [4]
     state.tell_eq(0, 3)
     assert sorted(state.domains[0]) == [3]
     state.tell_eq(0, 7)
     assert len(state.domains[0]) == 0
+    # an empty domain has nothing left to lose, as under restrict
+    events = state.counters.domain_events
+    state.tell_eq(0, 7)
+    assert state.counters.domain_events == events
     assert state.propagate() is StateStatus.FAILED
 
 
-def tell_neq_subject(store):
+def tell_subject(store):
     """x0 has 3 values, x1 2, x2 1, x3 3; with a store, the propagators on
     every variable, one of them queued and the rest at their fixpoint."""
     state = new_problem([{0, 1, 2}, {0, 1}, {5}, {0, 1, 2}])
@@ -98,9 +103,9 @@ def tell_neq_subject(store):
 
 
 def bookkeeping(state):
-    """What a tell leaves behind, then what the next propagate makes of it."""
-    told = (list(state.domains), state.failed, list(state._queue),
-            state.counters.domain_events, state._unfixed)
+    """What a write leaves behind, then what the next propagate makes of it."""
+    told = (list(state.domains), state.failed, set(state._changed),
+            list(state._queue), state.counters.domain_events, state._unfixed)
     status = state.propagate()
     return told, (status, list(state.domains), state.counters.domain_events)
 
@@ -108,15 +113,110 @@ def bookkeeping(state):
 @pytest.mark.parametrize("store", [False, True])
 @pytest.mark.parametrize("x, v", [(0, 7), (0, 1), (1, 0), (2, 5)],
                          ids=["outside", "3-value", "2-value", "1-value"])
-def test_tell_neq_keeps_the_books_of_remove_value_and_wake(store, x, v):
-    # tell_neq once removed the value through remove_value and then woke
-    # x's propagators itself; it must leave the same state behind
-    reference = tell_neq_subject(store)
-    if reference.remove_value(x, v):
-        reference._wake(x)
-    state = tell_neq_subject(store)
-    state.tell_neq(x, v)
+def test_tell_eq_keeps_the_books_of_restrict(store, x, v):
+    # tell_eq is restrict(x, {v}) without building the set; it must leave
+    # the same state behind
+    reference = tell_subject(store)
+    reference.restrict(x, {v})
+    state = tell_subject(store)
+    state.tell_eq(x, v)
     assert bookkeeping(state) == bookkeeping(reference)
+
+
+def neq_pair():
+    """x0, x1 in {0, 1}, different, propagated: two solutions."""
+    state = new_problem([{0, 1}, {0, 1}])
+    state.post(Neq(0, 1))
+    assert state.propagate() is StateStatus.BRANCHABLE
+    return state
+
+
+def test_a_write_between_propagations_is_propagated():
+    # each write marks its variable, and the next propagate wakes its
+    # propagators, whoever made the write: here no solution is left
+    state = neq_pair()
+    state.remove_value(0, 1)
+    state.remove_value(1, 1)
+    assert dfs_count(state).count == dds_count(state).count == 0
+    assert state.propagate() is StateStatus.FAILED
+    for write in (lambda s: s.restrict(0, {0}), lambda s: s.tell_eq(0, 0)):
+        state = neq_pair()
+        write(state)
+        assert dfs_count(state).count == dds_count(state).count == 1
+        assert state.propagate() is StateStatus.SOLVED
+        assert state.solution() == {0: 0, 1: 1}
+
+
+def test_a_pending_change_is_carried_and_refused():
+    # a clone carries the changes its state has not yet propagated
+    state = neq_pair()
+    state.remove_value(0, 1)
+    copy = state.clone()
+    copy.remove_value(1, 1)
+    assert copy.propagate() is StateStatus.FAILED
+    assert state.propagate() is StateStatus.SOLVED
+    assert state.solution() == {0: 0, 1: 1}
+    # every variable fixed but not yet propagated is no solution
+    state = neq_pair()
+    state.tell_eq(0, 0)
+    state.tell_eq(1, 0)
+    with pytest.raises(ValueError):
+        state.solution()
+    # both ways of failing leave no change pending
+    assert state.propagate() is StateStatus.FAILED
+    assert not state._changed
+    state = neq_pair()
+    state.tell_eq(0, 7)
+    assert state._changed
+    assert state.propagate() is StateStatus.FAILED
+    assert not state._changed
+
+
+def test_a_post_after_a_write_runs_with_the_woken_propagators():
+    # the new propagator is queued at once and the woken one only when
+    # propagate starts, so the new one runs first, finds nothing to do, and
+    # runs again once x0 = 0 has left x1 = 1: then x2 = 0
+    state = new_problem([{0, 1}, {0, 1}, {0, 1}])
+    state.post(Neq(0, 1))
+    assert state.propagate() is StateStatus.BRANCHABLE
+    runs = state.counters.propagations
+    state.remove_value(0, 1)
+    state.post(Neq(1, 2))
+    assert list(state._queue) == [1]
+    assert state.propagate() is StateStatus.SOLVED
+    assert state.solution() == {0: 0, 1: 1, 2: 0}
+    assert state.counters.propagations - runs == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([random_state, random_clustered_state,
+                        random_state_with_slide]),
+       st.integers(0, 10 ** 6), st.data())
+def test_writes_between_propagations_count_like_a_fresh_state(make, seed,
+                                                              data):
+    # narrowing a propagated state through any writer and counting it
+    # agrees with a fresh state posted on the narrowed domains
+    state = make(seed)
+    assume(state.propagate() is not StateStatus.FAILED)
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = data.draw(st.integers(0, state.num_vars - 1))
+        # a value outside the domain too, which may empty it
+        values = st.sampled_from(sorted(state.domains[x]) + [-1])
+        kind = data.draw(st.sampled_from(["remove", "restrict", "eq"]))
+        if kind == "remove":
+            state.remove_value(x, data.draw(values))
+        elif kind == "restrict":
+            state.restrict(x, set(data.draw(st.lists(values))))
+        else:
+            state.tell_eq(x, data.draw(values))
+    fresh = new_problem(state.domains)
+    for prop in state.propagators.values():
+        fresh.post(prop)
+    want = brute_force_count(fresh)
+    assert brute_force_count(state) == want
+    for engine in (dfs_count, dds_count):
+        assert engine(state).count == engine(fresh).count == want
+    assert state.propagate() is fresh.propagate()
 
 
 def test_clone_independence():
@@ -287,7 +387,8 @@ def test_solved_exactly_when_every_domain_is_a_singleton(make, seed, data):
             state = state.clone()
         x = data.draw(st.integers(0, state.num_vars - 1))
         v = data.draw(st.integers(-1, 6))
-        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        (state.tell_eq if data.draw(st.booleans())
+         else state.remove_value)(x, v)
         status = check(state.propagate())
 
 
@@ -297,8 +398,9 @@ def test_solved_exactly_when_every_domain_is_a_singleton(make, seed, data):
        st.integers(0, 10 ** 6), st.data())
 def test_tells_record_exactly_the_domains_they_change(make, seed, data):
     # a tell counts one domain event per domain it changes; a no-op tell
-    # (tell_eq on the same singleton, tell_neq of an absent value) changes
-    # nothing and queues no propagator; tell_eq outside the domain fails
+    # (tell_eq on the same singleton, remove_value of an absent value)
+    # changes nothing and queues no propagator; tell_eq outside the domain
+    # fails
     state = make(seed)
     status = state.propagate()
     for _ in range(data.draw(st.integers(1, 4))):
@@ -322,7 +424,7 @@ def test_tells_record_exactly_the_domains_they_change(make, seed, data):
             else:
                 eq = data.draw(st.booleans())
         before, events = list(state.domains), counters.domain_events
-        (state.tell_eq if eq else state.tell_neq)(x, v)
+        (state.tell_eq if eq else state.remove_value)(x, v)
         changed = [y for y, d in enumerate(before) if d != state.domains[y]]
         assert changed in ([], [x])
         assert counters.domain_events == events + len(changed)

@@ -221,7 +221,8 @@ def search_states(make, seed, data):
         x = data.draw(st.sampled_from(
             [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
         v = data.draw(st.sampled_from(sorted(state.domains[x])))
-        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        (state.tell_eq if data.draw(st.booleans())
+         else state.remove_value)(x, v)
         yield state
         status = state.propagate()
 

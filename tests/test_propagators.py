@@ -457,7 +457,7 @@ def test_table_filter_against_naive_supports(case):
     for tell in [None] + tells:
         if tell is not None:
             op, x, v = tell
-            (state.tell_eq if op == "eq" else state.tell_neq)(x, v)
+            (state.tell_eq if op == "eq" else state.remove_value)(x, v)
         before = [set(d) for d in state.domains]
         live = {t for t in tuples
                 if all(v in d for v, d in zip(t, before))}
@@ -750,7 +750,7 @@ def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
             x = data.draw(st.sampled_from(free))
             v = data.draw(st.sampled_from(sorted(state.domains[x])))
             (state.tell_eq if data.draw(st.booleans())
-             else state.tell_neq)(x, v)
+             else state.remove_value)(x, v)
         want = regular_neq_fixpoint(state.domains, prop, neqs)
         status = state.propagate()
 
@@ -838,7 +838,7 @@ def test_slide_split_against_window_entailment(model, data):
     for tell in [None] + tells:
         if tell is not None:
             eq, x, v = tell
-            (state.tell_eq if eq else state.tell_neq)(x, v)
+            (state.tell_eq if eq else state.remove_value)(x, v)
         if state.propagate() is not StateStatus.BRANCHABLE \
                 or h not in state.propagators:
             return
@@ -892,7 +892,7 @@ def test_slide_filter_against_naive_window_fixpoint(model, data):
         if tell is not None:
             eq, x, v = tell
             for s in (state, kept):
-                (s.tell_eq if eq else s.tell_neq)(x, v)
+                (s.tell_eq if eq else s.remove_value)(x, v)
             if state.failed:
                 return
         want = naive_slide_fixpoint(state.domains, width, set(tuples))
@@ -973,7 +973,7 @@ def memo_run(prop, doms, tells):
         if tell is not None:
             eq, x, v = tell
             x %= len(doms)
-            (state.tell_eq if eq else state.tell_neq)(x, v)
+            (state.tell_eq if eq else state.remove_value)(x, v)
         status = state.propagate()
         steps.append((status, list(state.changes),
                       [list(d) for d in state.domains],
@@ -1369,7 +1369,8 @@ def test_slots_agree_with_recomputation(make, seed, data):
         x = data.draw(st.sampled_from(
             [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
         v = data.draw(st.sampled_from(sorted(state.domains[x])))
-        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        (state.tell_eq if data.draw(st.booleans())
+         else state.remove_value)(x, v)
         assert_memo_splits_agree(state)
         want = window_fixpoint(state.domains, posted) if windowed else None
         status = state.propagate()

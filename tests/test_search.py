@@ -66,7 +66,8 @@ def search_state(make, seed, data):
         x = data.draw(st.sampled_from(
             [x for x in range(state.num_vars) if len(state.domains[x]) > 1]))
         v = data.draw(st.sampled_from(sorted(state.domains[x])))
-        (state.tell_eq if data.draw(st.booleans()) else state.tell_neq)(x, v)
+        (state.tell_eq if data.draw(st.booleans())
+         else state.remove_value)(x, v)
         status = state.propagate()
     assume(status is StateStatus.BRANCHABLE)
     return state
@@ -194,7 +195,7 @@ def reference_dfs(root, heuristic, limit):
         left.tell_eq(x, v)
         visit(left, depth + 1)
         if limit is None or len(solutions) <= limit:
-            state.tell_neq(x, v)
+            state.remove_value(x, v)
             visit(state, depth + 1)
 
     visit(root.clone(), 0)
@@ -293,7 +294,7 @@ def reference_dds_decisions(root, heuristic):
         left = state.clone()
         left.tell_eq(x, v)
         count = visit(left, linked[0])
-        state.tell_neq(x, v)
+        state.remove_value(x, v)
         return free * (count + visit(state, linked[0]))
 
     visit(root.clone(), frozenset(range(root.num_vars)))
