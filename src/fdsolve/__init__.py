@@ -8,8 +8,8 @@ re-solving them under every branch.
 """
 
 from .engine import ProblemState, StateStatus, new_problem
-from .graph import (ConstraintGraph, DecompositionAnalysis,
-                    build_constraint_graph, components, decompose_analysis)
+from .graph import (DecompositionAnalysis, build_constraint_graph,
+                    components, decompose_analysis)
 from .model_io import (ModelDocument, ModelError, VariableDecl,
                        coloring_document, parse_model, saw_document,
                        serialize_model)
@@ -26,7 +26,7 @@ from .search import (And, CountResult, Heuristic, Leaf, Or, SearchStats,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllDifferent", "And", "ColoringSpec", "ConstraintGraph", "CountResult",
+    "AllDifferent", "And", "ColoringSpec", "CountResult",
     "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ", "Leaf", "Linear",
     "ModelDocument", "ModelError", "Neq", "Or", "ProblemState", "Regular",
     "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",

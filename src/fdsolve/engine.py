@@ -9,20 +9,21 @@ API, which puts a smaller frozenset in its place in ``domains`` and records
 the domain event; a set read from ``domains`` therefore never changes, so
 code that prunes must read the domain again to see its own work.  A domain
 may be empty only transiently, and emptying it marks the state failed.
-Every write goes through ``remove_value``, ``restrict`` or ``tell_eq``
+Every write goes through ``remove_value``, ``remove_values`` (many
+values in one set difference), ``restrict`` or ``tell_eq``
 (``restrict(x, {v})`` without building the set), and each keeps the same
-books: it counts its domain event, updates the number of unfixed
+books: it counts its domain events, updates the number of unfixed
 variables and the failed flag, and marks the variable changed.  Only
 ``propagate`` wakes propagators: at the start of each round it queues the
 propagators on every changed variable, so a write made by a filter, by
 branching or by a caller between two propagations is propagated alike.
 States are cloned before branching.  A clone copies the list of domains,
-the propagator store, the changed variables and a non-empty propagation
-queue; it shares the domain frozensets themselves, the immutable
-propagators, the run-level statistics sink, and the subscription lists,
-which the first ``post`` on either side after the clone copies.  No
-propagator keeps anything in a state: what one caches about domains it
-has seen lives in its own memo, which is not state (see ``propagators``).
+the propagator store, the changed variables and the propagation queue;
+it shares the domain frozensets themselves, the immutable propagators,
+the run-level statistics sink, and the subscription lists, which the
+first ``post`` on either side after the clone copies.  No propagator
+keeps anything in a state: what one caches about domains it has seen
+lives in its own memo, which is not state (see ``propagators``).
 
 The subscription lists map each variable to the handles of the
 propagators posted on it; ``propagators_on`` reads them, so the graph of
@@ -129,6 +130,14 @@ class ProblemState:
             return True
         return False
 
+    def remove_values(self, x: int, gone: set[int]) -> None:
+        """Remove ``gone``, a non-empty set of values in x's domain, in one
+        set difference, counting a domain event per value as a
+        ``remove_value`` call for each would."""
+        self.domains[x] = d = self.domains[x] - gone
+        self.counters.domain_events += len(gone) - 1
+        self._note_change(x, len(d))
+
     def restrict(self, x: int, allowed: set[int]) -> bool:
         d = self.domains[x]
         if d <= allowed:
@@ -228,12 +237,8 @@ class ProblemState:
         new.propagators = dict(self.propagators)
         new._subs = self._subs
         new._subs_shared = self._subs_shared = True
-        if self._queue:
-            new._queue = deque(self._queue)
-            new._queued = set(self._queued)
-        else:
-            new._queue = deque()
-            new._queued = set()
+        new._queue = deque(self._queue)
+        new._queued = set(self._queued)
         new._failed = self._failed
         new._next_handle = self._next_handle
         new._changed = self._changed.copy()

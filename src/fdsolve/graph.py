@@ -16,10 +16,9 @@ from the memo entry its filter replays (see ``propagators``).  Connected
 components of this graph are independent partial problems; solving them
 separately and multiplying the counts is exact.  When one edge holds
 every node, the scope is one linked part and no component search runs:
-that is most nodes of a search that seldom splits.  The degrees are
-counted only when asked for, since only the degree heuristics read
-them.  Plain DFS builds no graph: its branching reads the degrees off
-the same scope splits directly.
+that is most nodes of a search that seldom splits.  Plain DFS builds no
+graph: its branching reads the degrees off the same scope splits
+directly.
 
 ``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
 frozenset edges, ``components`` the tuple of its connected node sets, and
@@ -43,9 +42,8 @@ class DecompositionAnalysis(NamedTuple):
     """A scope's open variables split into the connected components that
     carry a constraint (``linked``) and isolated (unconstrained,
     multi-valued) variables, ascending.  ``degree`` maps each variable of
-    a linked part, ascending, to the number of graph edges holding it, or
-    to None where the degrees were not asked for.  A scope with no open
-    variable has none of the three."""
+    a linked part, ascending, to the number of graph edges holding it.  A
+    scope with no open variable has none of the three."""
 
     linked: tuple[frozenset[int], ...]
     isolated: tuple[int, ...]
@@ -82,42 +80,34 @@ def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
 
     Components are ordered by their lowest contained variable index.  Only
     the nodes of an edge are joined: each maps to the list of its group,
-    and a merge moves the smaller group into the larger.  A graph with at
-    most one edge needs no merging.
+    and a merge moves the smaller group into the larger.
     """
-    edges = graph.edges
-    if len(edges) > 1:
-        group_of: dict[int, list[int]] = {}
-        for edge in edges:
-            it = iter(edge)
-            first = next(it)
-            group = group_of.get(first)
-            if group is None:
-                group = group_of[first] = [first]
-            for x in it:
-                other = group_of.get(x)
-                if other is None:
-                    group.append(x)
-                    group_of[x] = group
-                elif other is not group:
-                    if len(other) > len(group):
-                        group, other = other, group
-                    group.extend(other)
-                    for y in other:
-                        group_of[y] = group
-        joined = group_of
-        comps = [frozenset(g) for g in
-                 {id(g): g for g in group_of.values()}.values()]
-    else:
-        joined = edges[0] if edges else ()
-        comps = list(edges)
-    comps.extend(frozenset((x,)) for x in graph.nodes if x not in joined)
+    group_of: dict[int, list[int]] = {}
+    for edge in graph.edges:
+        it = iter(edge)
+        first = next(it)
+        group = group_of.get(first)
+        if group is None:
+            group = group_of[first] = [first]
+        for x in it:
+            other = group_of.get(x)
+            if other is None:
+                group.append(x)
+                group_of[x] = group
+            elif other is not group:
+                if len(other) > len(group):
+                    group, other = other, group
+                group.extend(other)
+                for y in other:
+                    group_of[y] = group
+    comps = [frozenset(g) for g in
+             {id(g): g for g in group_of.values()}.values()]
+    comps.extend(frozenset((x,)) for x in graph.nodes if x not in group_of)
     comps.sort(key=min)
     return tuple(comps)
 
 
-def decompose_analysis(state, scope=None,
-                       degrees: bool = True) -> DecompositionAnalysis:
+def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
     """Component analysis of a propagated state over ``scope`` (by default
     every variable), in one pass over it.
 
@@ -126,9 +116,7 @@ def decompose_analysis(state, scope=None,
     solution count by its domain size.  With fewer than two open
     variables no propagator is asked: a single one is isolated.  When
     one edge holds every open variable, they are one linked part and no
-    component search runs.  Without ``degrees`` each linked variable's
-    degree is None: the keys are still the linked variables, ascending,
-    but no edge is counted.
+    component search runs.
     """
     domains = state.domains
     if scope is None:
@@ -139,7 +127,7 @@ def decompose_analysis(state, scope=None,
         return DecompositionAnalysis((), tuple(free), {})
     graph = build_constraint_graph(state, free)
     edges = graph.edges
-    degree = dict.fromkeys(free, 0 if degrees else None)
+    degree = dict.fromkeys(free, 0)
     if len(free) in map(len, edges):
         # an edge is cut down to the nodes, so one of their size holds
         # them all
@@ -157,8 +145,7 @@ def decompose_analysis(state, scope=None,
         linked, isolated = tuple(linked), tuple(isolated)
         for x in isolated:
             del degree[x]
-    if degrees:
-        for edge in edges:
-            for x in edge:
-                degree[x] += 1
+    for edge in edges:
+        for x in edge:
+            degree[x] += 1
     return DecompositionAnalysis(linked, isolated, degree)

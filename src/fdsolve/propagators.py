@@ -265,14 +265,16 @@ class Linear(_Whole):
                     term_lo, term_hi = a * min(d), a * max(d)
                 else:
                     term_lo, term_hi = a * max(d), a * min(d)
-                # residual interval for the term a*x
+                # residual interval for the term a*x, pruned in one pass
                 ub = self.rhs - (lo - term_lo)
-                lb = (self.rhs - (hi - term_hi)) if self.rel == EQ else None
-                for v in d:
-                    t = a * v
-                    if t > ub or (lb is not None and t < lb):
-                        if state.remove_value(x, v):
-                            changed = True
+                if self.rel == EQ:
+                    lb = self.rhs - (hi - term_hi)
+                    gone = {v for v in d if not lb <= a * v <= ub}
+                else:
+                    gone = {v for v in d if a * v > ub}
+                if gone:
+                    state.remove_values(x, gone)
+                    changed = True
                 if state.failed:
                     return FAILED
             if not changed:

@@ -9,8 +9,8 @@ multiplies their counts, short-circuiting once a part has no solutions.
 One pass over the node's scope, ``decompose_analysis``, answers all that
 the node asks: whether the scope is solved, its isolated variables (whose
 domain sizes are a factor of the count), the linked variables it picks
-among and, under the degree heuristics, their degrees.  Below two open
-variables that pass asks no propagator.
+among and their degrees.  Below two open variables that pass asks no
+propagator.
 
 Each engine runs its own iterative walker.  Plain DFS, for counts and
 enumeration alike, is an OR-only loop: a choice node pushes its pending
@@ -163,11 +163,10 @@ def choose(state: ProblemState, heuristic: Heuristic, cands,
     holding it.  Decomposing search passes the degree map of its node's
     one scope pass (``decompose_analysis``), whose keys are the
     candidates; a node with fewer than two open variables has no edge
-    and never gets here.  Under ``input`` and ``ff``, which read no
-    degree, that pass counts none and its values are None.  Plain DFS
-    passes none: the degrees are then counted here over the stored
-    propagators' splits of two or more variables, the graph over every
-    unassigned variable, since a split holds only unassigned ones.
+    and never gets here.  Plain DFS passes none: the degrees are then
+    counted here over the stored propagators' splits of two or more
+    variables, the graph over every unassigned variable, since a split
+    holds only unassigned ones.
 
     Two short-cuts give the same decision for less work: a single
     candidate is every heuristic's pick, and without an edge (an empty
@@ -407,10 +406,7 @@ def _walk(state: ProblemState, run: _Run, algebra):
     """
     stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
     zero, solved, context, choice, conjoin, count = algebra
-    # only the degree heuristics read the degrees the scope pass counts
-    degrees = heuristic in (Heuristic.MAX_DEGREE,
-                            Heuristic.MAX_DEGREE_FIRST_FAIL)
-    FAILED, SOLVED = StateStatus.FAILED, StateStatus.SOLVED
+    FAILED = StateStatus.FAILED
     # nodes are recorded and edge labels built only for a trace
     trace = run.trace
     tracing = trace is not None
@@ -429,16 +425,10 @@ def _walk(state: ProblemState, run: _Run, algebra):
             if tracing:
                 trace.add(tparent, "fail", label)
             value = zero()
-        elif status is SOLVED:
-            stats.solutions_found += 1
-            cutoff.note(mult)
-            if tracing:
-                trace.add(tparent, "solution", label)
-            value = solved(state, scope)
         else:
-            # the node's one pass over its scope
-            linked, isolated, degree = decompose_analysis(state, scope,
-                                                          degrees)
+            # the node's one pass over its scope; a solved state has no
+            # open variable in it
+            linked, isolated, degree = decompose_analysis(state, scope)
             domains = state.domains
             factor = prod([len(domains[x]) for x in isolated])
             if not linked:

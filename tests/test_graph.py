@@ -60,6 +60,15 @@ def test_components_examples():
     comps = components(build_constraint_graph(bare))
     assert [sorted(c) for c in comps] == [[0], [1], [2]]
 
+    # one edge and a free variable: the edge's nodes form one group
+    single = new_problem([{0, 1}] * 3)
+    single.post(Neq(0, 2))
+    single.propagate()
+    graph = build_constraint_graph(single)
+    assert len(graph.edges) == 1
+    comps = components(graph)
+    assert [sorted(c) for c in comps] == [[0, 2], [1]]
+
 
 def reference_components(nodes, edges):
     """Connected node sets by a plain union-find over every node, sorted
@@ -284,11 +293,11 @@ def test_analysis_equals_reference(make, seed, data):
             assert list(analysis.degree) == sorted(analysis.degree)
 
 
-def graph_analysis(state, scope, degrees):
+def graph_analysis(state, scope):
     """``decompose_analysis`` as ``build_constraint_graph`` and
     ``components`` give it over the scope's sorted open variables: the
     linked parts, the isolated variables, and the degree map's items in
-    order, each None without ``degrees``."""
+    order."""
     free = sorted(x for x in scope if len(state.domains[x]) != 1)
     if len(free) < 2:
         return (), tuple(free), []
@@ -296,7 +305,7 @@ def graph_analysis(state, scope, degrees):
     comps = components(graph)
     linked = tuple(c for c in comps if len(c) >= 2)
     isolated = tuple(x for c in comps if len(c) == 1 for x in c)
-    degree = [(x, sum(x in e for e in graph.edges) if degrees else None)
+    degree = [(x, sum(x in e for e in graph.edges))
               for x in free if x not in isolated]
     return linked, isolated, degree
 
@@ -310,8 +319,8 @@ def refuse(*_args, **_kwargs):
 def test_spanning_edge_analysis_equals_graph_reference(make, seed, data):
     # on the drawn scopes, and on scopes whose open variables are one
     # stored propagator's fragment, the degree map's items are compared in
-    # order, with and without degrees; a fragment scope is one linked part
-    # found without a component search
+    # order; a fragment scope is one linked part found without a component
+    # search
     parts = [set(part) for call in hook_parts(make(seed)) for part in call]
     for state in search_states(make, seed, data):
         every = range(state.num_vars)
@@ -324,17 +333,14 @@ def test_spanning_edge_analysis_equals_graph_reference(make, seed, data):
                               if fixed else set())
                     scopes.append((edge | riders, True))
         for scope, spanning in scopes:
-            for degrees in (True, False):
-                want = graph_analysis(state, every if scope is None else scope,
-                                      degrees)
-                with mock.patch.object(graph_module, "components",
-                                       refuse if spanning else components):
-                    linked, isolated, degree = decompose_analysis(
-                        state, scope, degrees)
-                assert (linked, isolated, list(degree.items())) == want
-                if spanning:
-                    assert linked == (scope - set(fixed),)
-                    assert isolated == ()
+            want = graph_analysis(state, every if scope is None else scope)
+            with mock.patch.object(graph_module, "components",
+                                   refuse if spanning else components):
+                linked, isolated, degree = decompose_analysis(state, scope)
+            assert (linked, isolated, list(degree.items())) == want
+            if spanning:
+                assert linked == (scope - set(fixed),)
+                assert isolated == ()
 
 
 def test_one_open_variable_asks_no_propagator(monkeypatch):

@@ -109,6 +109,71 @@ def test_linear_never_removes_supported_value():
     assert checked > 20
 
 
+def reference_linear_filter(self, state):
+    """``Linear.filter`` removing each pruned value with its own
+    ``remove_value`` call: the reference for its one-pass pruning."""
+    while True:
+        lo, hi = self._bounds(state)
+        if lo > self.rhs:
+            return FAILED
+        if self.rel == EQ and hi < self.rhs:
+            return FAILED
+        changed = False
+        for a, x in zip(self.coeffs, self.vars):
+            d = state.domains[x]
+            if a > 0:
+                term_lo, term_hi = a * min(d), a * max(d)
+            else:
+                term_lo, term_hi = a * max(d), a * min(d)
+            # residual interval for the term a*x
+            ub = self.rhs - (lo - term_lo)
+            lb = (self.rhs - (hi - term_hi)) if self.rel == EQ else None
+            for v in d:
+                t = a * v
+                if t > ub or (lb is not None and t < lb):
+                    if state.remove_value(x, v):
+                        changed = True
+            if state.failed:
+                return FAILED
+        if not changed:
+            break
+    lo, hi = self._bounds(state)
+    if self.rel == LEQ:
+        return ENTAILED if hi <= self.rhs else STABLE
+    if lo == hi == self.rhs:
+        return ENTAILED
+    return STABLE
+
+
+@st.composite
+def linear_cases(draw):
+    n = draw(st.integers(1, 4))
+    doms = [draw(st.sets(st.integers(-300, 300), min_size=1, max_size=300))
+            for _ in range(n)]
+    coeffs = tuple(draw(st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                 min_size=n, max_size=n)))
+    rel = draw(st.sampled_from([EQ, LEQ]))
+    rhs = draw(st.integers(-600 * n, 600 * n))
+    return doms, Linear(coeffs, tuple(range(n)), rel, rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_cases())
+def test_linear_filter_matches_value_by_value_removal(case):
+    # the same status, final domains, domain events and changed variables
+    # as removing each value on its own; a failed state's count of unfixed
+    # variables is never read
+    doms, prop = case
+    got, want = new_problem(doms), new_problem(doms)
+    assert prop.filter(got) is reference_linear_filter(prop, want)
+    assert got.domains == want.domains
+    assert got.counters.domain_events == want.counters.domain_events
+    assert got._changed == want._changed
+    assert got.failed == want.failed
+    if not got.failed:
+        assert got._unfixed == want._unfixed
+
+
 # -- alldifferent -------------------------------------------------------------
 
 
