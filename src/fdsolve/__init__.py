@@ -18,7 +18,7 @@ from .models import (ColoringSpec, UGraph, WalkSpec, chromatic_oracle,
                      saw_walk_count)
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
                           Slide, Table)
-from .search import (And, CountResult, Heuristic, Leaf, Or, SearchStats,
+from .search import (And, CountResult, Heuristic, Or, SearchStats,
                      SearchTrace, SolutionTree, TreeResult, dds_count,
                      dds_tree, dfs_count, dfs_enumerate, trace_dot, tree_count,
                      tree_expand)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllDifferent", "And", "ColoringSpec", "CountResult",
-    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ", "Leaf", "Linear",
+    "DecompositionAnalysis", "Dfa", "EQ", "Heuristic", "LEQ", "Linear",
     "ModelDocument", "ModelError", "Neq", "Or", "ProblemState", "Regular",
     "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",
     "Table", "TreeResult", "UGraph", "VariableDecl", "WalkSpec",

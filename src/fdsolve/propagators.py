@@ -338,21 +338,12 @@ class AllDifferent:
             rest = _regin(rest)
             if rest is None:
                 return FAILED
-        # prune one value at a time, by scope position and then in domain
-        # order, as Régin's pass over the whole scope would; a matching
-        # keeps a value in every domain, so none empties.  A single removed
-        # value is the set difference, with no scan of the domain.
+        # each shrunk domain is written once, by scope position; a matching
+        # keeps a value in every domain, so none empties
         for i, kept in zip(free, rest):
             d = doms[i]
-            gone = len(d) - len(kept)
-            if gone == 1:
-                (v,) = d - kept
-                state.remove_value(vars[i], v)
-            elif gone:
-                x = vars[i]
-                for v in d:
-                    if v not in kept:
-                        state.remove_value(x, v)
+            if len(kept) != len(d):
+                state.remove_values(vars[i], d - kept)
         # with the assigned values distinct and stripped, the domains are
         # pairwise disjoint iff the open ones are
         if len(rest) < 2 or sum(map(len, rest)) == len(set().union(*rest)):

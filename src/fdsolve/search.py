@@ -81,22 +81,23 @@ class CountResult:
 
 
 @dataclass(slots=True)
-class Leaf:
-    assignment: dict[int, int]
-
-
-@dataclass(slots=True)
 class Or:
+    """Alternatives: the union of the children's assignments."""
+
     children: list
 
 
 @dataclass(slots=True)
 class And:
+    """The ``fixed`` values joined with one assignment of each child, the
+    children over pairwise disjoint variables.  A childless ``And`` is one
+    assignment."""
+
     children: list
     fixed: dict[int, int] = field(default_factory=dict)
 
 
-SolutionTree = Union[Leaf, Or, And]
+SolutionTree = Union[Or, And]
 
 
 @dataclass
@@ -234,24 +235,23 @@ class _Cutoff:
 
 
 class _Run:
-    __slots__ = ("heuristic", "stats", "cutoff", "trace", "hook")
+    __slots__ = ("heuristic", "stats", "cutoff", "trace")
 
-    def __init__(self, heuristic, limit, trace, hook=None):
+    def __init__(self, heuristic, limit, trace):
         self.heuristic = heuristic
         self.stats = SearchStats()
         self.cutoff = _Cutoff(limit)
         self.trace = trace
-        self.hook = hook
 
 
 class _Algebra(NamedTuple):
     """How the AND/OR walker folds the tree it explores into a result.
     ``factor`` is the number of combinations of a node's unconstrained
     variables, and ``total`` is ``factor`` times the counts of a
-    decomposition's parts."""
+    decomposition's parts.  A solved node is a decomposition with no
+    parts: its tree is the childless ``And`` of its fixed values."""
 
     zero: Callable     # () -> value of a failed node
-    solved: Callable   # (state, scope) -> value of a fully assigned scope
     context: Callable  # (state, scope, isolated) -> what a node adds itself
     choice: Callable   # (context, factor, values) -> value of a choice node
     conjoin: Callable  # (context, values, total) -> value of a decomposition
@@ -260,7 +260,6 @@ class _Algebra(NamedTuple):
 
 _COUNTS = _Algebra(
     zero=lambda: 0,
-    solved=lambda state, scope: 1,
     context=lambda state, scope, isolated: None,
     choice=lambda _ctx, factor, values: factor * sum(values),
     conjoin=lambda _ctx, _values, total: total,
@@ -268,10 +267,10 @@ _COUNTS = _Algebra(
 
 
 def _tree_context(state, scope, isolated):
-    """The node's assigned variables, and an or-node of single-variable
-    leaves per unconstrained variable."""
+    """The node's assigned variables, and an or-node of childless
+    and-nodes, one per value, per unconstrained variable."""
     fixed = {x: state.value(x) for x in sorted(scope) if state.is_assigned(x)}
-    groups = [Or([Leaf({x: v}) for v in sorted(state.domains[x])])
+    groups = [Or([And([], {x: v}) for v in sorted(state.domains[x])])
               for x in isolated]
     return fixed, groups
 
@@ -296,7 +295,6 @@ def _tree_conjoin(ctx, values, total):
 # values are (tree, count) pairs
 _TREES = _Algebra(
     zero=lambda: (Or([]), 0),
-    solved=lambda state, scope: (Leaf({x: state.value(x) for x in sorted(scope)}), 1),
     context=_tree_context,
     choice=_tree_choice,
     conjoin=_tree_conjoin,
@@ -405,7 +403,7 @@ def _walk(state: ProblemState, run: _Run, algebra):
     node's depth is the size of the stack when it is entered.
     """
     stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
-    zero, solved, context, choice, conjoin, count = algebra
+    zero, context, choice, conjoin, count = algebra
     FAILED = StateStatus.FAILED
     # nodes are recorded and edge labels built only for a trace
     trace = run.trace
@@ -439,8 +437,7 @@ def _walk(state: ProblemState, run: _Run, algebra):
                 cutoff.note(mult * factor)
                 if tracing:
                     trace.add(tparent, "solution", label)
-                value = (conjoin(context(state, scope, isolated), [], factor)
-                         if isolated else solved(state, scope))
+                value = conjoin(context(state, scope, isolated), [], factor)
             else:
                 ctx = context(state, scope, isolated)
                 # one pick over the linked parts' union, the degree map's
@@ -455,12 +452,6 @@ def _walk(state: ProblemState, run: _Run, algebra):
                     kind = "decomposition"
                     parts = order_components(linked, decision[0])
                     decision = None
-                    if run.hook is not None:
-                        cover = [set(c) for c in linked]
-                        # the components partition the scope's unassigned
-                        # variables
-                        cover[0] |= scope.difference(*linked)
-                        run.hook(state, cover)
                 me = trace.add(tparent, kind, label) if tracing else None
                 frame = _Frame(state, mult, me, ctx, factor, parts, decision)
         if frame is not None:
@@ -560,19 +551,10 @@ def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
 
 def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
               limit: Optional[int] = None,
-              trace: Optional[SearchTrace] = None,
-              decompose_hook: Optional[Callable] = None) -> CountResult:
+              trace: Optional[SearchTrace] = None) -> CountResult:
     """Count all solutions, decomposing into independent partial problems
-    whenever the constraint graph falls apart.
-
-    ``decompose_hook(state, parts)`` is called at every decomposition with
-    the propagated state and the variable partition (diagnostics hook; do
-    not mutate the state).  The search goes on with that state object, and
-    its last part is searched on it, so a hook that keeps the state must
-    keep ``state.clone()``.  The first part also holds the scope's assigned
-    and unconstrained variables, so the parts cover the whole scope.
-    """
-    run = _Run(heuristic, limit, trace, decompose_hook)
+    whenever the constraint graph falls apart."""
+    run = _Run(heuristic, limit, trace)
     count = _search(root, run, _walk, _COUNTS)
     if run.cutoff.hit:
         return CountResult(run.cutoff.certified, False, run.stats)
@@ -604,9 +586,7 @@ def tree_count(tree: SolutionTree) -> int:
     stack = [(tree, False)]
     while stack:
         node, folded = stack.pop()
-        if isinstance(node, Leaf):
-            counts.append(1)
-        elif not folded:
+        if not folded:
             stack.append((node, True))
             stack.extend((child, False) for child in node.children)
         else:
@@ -639,9 +619,7 @@ def _expand(tree: SolutionTree):
             yield acc
             continue
         node, rest = todo
-        if isinstance(node, Leaf):
-            stack.append((rest, {**acc, **node.assignment}))
-        elif isinstance(node, Or):
+        if isinstance(node, Or):
             stack.extend(((child, rest), acc) for child in reversed(node.children))
         else:
             for child in reversed(node.children):

@@ -4,10 +4,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from contextlib import contextmanager
 from math import prod
+from typing import NamedTuple
+from unittest import mock
 
 from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular, Slide,
                      Table, new_problem)
+from fdsolve import search
 
 
 def intro_state():
@@ -116,6 +120,40 @@ def random_state_with_slide(seed: int):
         x, y = rng.sample(range(n), 2)
         state.post(Neq(x, y))
     return state
+
+
+class Decomposition(NamedTuple):
+    """A decomposition node of a decomposing search: a clone of its
+    propagated state, its scope, and its scope pass's linked parts (two or
+    more) and isolated variables."""
+
+    state: object
+    scope: frozenset
+    parts: tuple
+    isolated: tuple
+
+
+@contextmanager
+def watched_decompositions():
+    """Yield a list that gets a ``Decomposition`` for each decomposition
+    node a decomposing search reaches inside the block.
+
+    The walker makes one ``decompose_analysis`` call per node that has
+    not failed and looks the name up as a global of ``fdsolve.search``, so
+    a wrapper patched in there sees every node's scope pass.
+    """
+    seen = []
+    analyse = search.decompose_analysis
+
+    def watch(state, scope):
+        analysis = analyse(state, scope)
+        if len(analysis.linked) >= 2:
+            seen.append(Decomposition(state.clone(), frozenset(scope),
+                                      analysis.linked, analysis.isolated))
+        return analysis
+
+    with mock.patch.object(search, "decompose_analysis", watch):
+        yield seen
 
 
 def permuted(state, perm):

@@ -17,7 +17,7 @@ from fdsolve.cli import bench_aggregates, run_bench
 from fdsolve.propagators import EQ
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
-                     random_state)
+                     random_state, watched_decompositions)
 
 ALL_HEURISTICS = list(Heuristic)
 CORPUS_SIZE = 500
@@ -43,23 +43,35 @@ def corpus():
 @pytest.fixture(scope="module")
 def corpus_results(corpus):
     """Oracle counts, engine counts for every heuristic, and the
-    decompositions performed along the way."""
-    decompositions = []
-
-    def hook(state, parts):
-        decompositions.append((state.clone(), parts))
-
+    decompositions performed along the way.  Each row's ``watched`` maps a
+    heuristic to the number of decompositions the watch saw in its
+    decomposing search and the search's own ``decomposition_nodes``."""
     t0 = time.perf_counter()
     rows = []
-    for seed, state in corpus:
-        oracle = brute_force_count(state)
-        counts = {}
-        for h in ALL_HEURISTICS:
-            counts["dfs", h] = dfs_count(state, h).count
-            counts["dds", h] = dds_count(state, h, decompose_hook=hook).count
-        rows.append((seed, state, oracle, counts))
+    with watched_decompositions() as decompositions:
+        for seed, state in corpus:
+            oracle = brute_force_count(state)
+            counts, watched = {}, {}
+            for h in ALL_HEURISTICS:
+                counts["dfs", h] = dfs_count(state, h).count
+                before = len(decompositions)
+                result = dds_count(state, h)
+                counts["dds", h] = result.count
+                watched[h] = (len(decompositions) - before,
+                              result.stats.decomposition_nodes)
+            rows.append((seed, state, oracle, counts, watched))
     elapsed = time.perf_counter() - t0
     return rows, decompositions, elapsed
+
+
+def test_decomposition_watch_sees_every_decomposition(corpus_results):
+    # the oracle checks of decompositions see each one only if the walker
+    # makes its scope pass through ``search.decompose_analysis``
+    rows, decompositions, _elapsed = corpus_results
+    assert decompositions
+    for seed, _state, _oracle, _counts, watched in rows:
+        for h, (seen, nodes) in watched.items():
+            assert seen == nodes, (seed, h)
 
 
 def test_criterion_1_oracle_equivalence(corpus_results):
@@ -67,7 +79,7 @@ def test_criterion_1_oracle_equivalence(corpus_results):
     with criterion(1, f"oracle equivalence on {len(rows)} random instances "
                       f"x 4 heuristics x 2 engines ({elapsed:.1f}s)"):
         assert len(rows) >= 500
-        for seed, _state, oracle, counts in rows:
+        for seed, _state, oracle, counts, _watched in rows:
             for key, got in counts.items():
                 assert got == oracle, (seed, key, got, oracle)
         assert elapsed < 120.0
@@ -103,11 +115,11 @@ def test_criterion_4_factorization(corpus_results):
     with criterion(4, f"count factorization holds for all "
                       f"{len(decompositions)} decompositions performed"):
         assert decompositions
-        for state, parts in decompositions:
-            scope = sorted(set().union(*parts))
+        for state, scope, parts, isolated in decompositions:
             whole = brute_force_count(state, scope=scope)
-            assert whole == prod(brute_force_count(state, scope=p)
-                                 for p in parts)
+            assert whole == prod(
+                brute_force_count(state, scope=p) for p in parts) * prod(
+                len(state.domains[x]) for x in isolated)
 
 
 def test_criterion_5_chromatic_agreement():
@@ -214,7 +226,7 @@ def test_criterion_9_cutoff_semantics(corpus_results):
     rows, _decompositions, _elapsed = corpus_results
     with criterion(9, "limit 10: inexact results only when the true count "
                       "exceeds 10, and then count >= 10"):
-        for seed, state, oracle, _counts in rows:
+        for seed, state, oracle, _counts, _watched in rows:
             for engine in (dfs_count, dds_count):
                 for h in ALL_HEURISTICS:
                     result = engine(state, h, limit=10)

@@ -13,7 +13,7 @@ from fdsolve.graph import (ConstraintGraph, DecompositionAnalysis,
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
                      random_clustered_state, random_state,
-                     random_state_with_slide)
+                     random_state_with_slide, watched_decompositions)
 
 GENERATORS = st.sampled_from([random_state, random_clustered_state,
                               random_state_with_slide])
@@ -105,63 +105,68 @@ def test_components_match_reference_union_find(data):
     assert list(got) == reference_components(nodes, edges)
 
 
-def hook_parts(state):
-    """Every variable partition dds_count hands its decomposition hook."""
-    calls = []
-    dds_count(state, decompose_hook=lambda _state, parts: calls.append(parts))
-    return calls
+def watched(state):
+    """The decomposition nodes of a decomposing search of ``state``."""
+    with watched_decompositions() as seen:
+        dds_count(state)
+    return seen
 
 
 def test_decomposition_parts_intro():
     # the root is the only decomposition node
-    assert hook_parts(intro_state()) == [[{0, 1}, {2, 3}]]
+    (root,) = watched(intro_state())
+    assert root.scope == frozenset(range(4))
+    assert root.parts == (frozenset({0, 1}), frozenset({2, 3}))
+    assert root.isolated == ()
+    # an assigned and an unconstrained variable are in no part
+    state = new_problem([{5}, {0, 1, 2}, {0, 1}, {0, 1}, {2, 3}, {2, 3}])
+    state.post(Neq(2, 3))
+    state.post(Neq(4, 5))
+    (root,) = watched(state)
+    assert root.scope == frozenset(range(6))
+    assert root.parts == (frozenset({2, 3}), frozenset({4, 5}))
+    assert root.isolated == (1,)
 
 
 def test_no_decomposition_when_connected():
     state = new_problem([{0, 1, 2}] * 3)
     state.post(Linear((1, 1, 1), (0, 1, 2), EQ, 3))
-    assert hook_parts(state) == []
+    assert watched(state) == []
 
 
 def test_no_decomposition_single_component_with_assigned():
     state = new_problem([{7}, {9}, {0, 1}, {0, 1}, {0, 1}])
     state.post(Neq(2, 3))
     state.post(Neq(3, 4))
-    assert hook_parts(state) == []
+    assert watched(state) == []
     state.propagate()
     assert len(decompose_analysis(state).linked) == 1
 
 
-def test_decomposition_parts_attach_riders_to_first_component():
-    # one assigned variable and one unconstrained variable ride in the
-    # first component so the parts cover everything
-    state = new_problem([{5}, {0, 1, 2}, {0, 1}, {0, 1}, {2, 3}, {2, 3}])
-    state.post(Neq(2, 3))
-    state.post(Neq(4, 5))
-    assert hook_parts(state) == [[{0, 1, 2, 3}, {4, 5}]]
+def watched_scopes(state):
+    """The scope and the linked parts of each decomposition node of a
+    decomposing search of ``state``."""
+    return [set(scope) for node in watched(state)
+            for scope in (node.scope, *node.parts)]
 
 
 def test_partial_problem_restriction_and_factorization():
     # every decomposition the engine performs yields independent partial
     # problems: projections match and counts factor
-    records = []
-
-    def hook(state, parts):
-        if len(records) < 80:
-            records.append((state.clone(), parts))
-
-    for seed in range(60):
-        dds_count(random_state(seed, max_vars=8, max_dom=4),
-                  decompose_hook=hook)
-    for seed in range(40):
-        dds_count(random_clustered_state(seed), decompose_hook=hook)
+    with watched_decompositions() as records:
+        for seed in range(60):
+            dds_count(random_state(seed, max_vars=8, max_dom=4))
+        for seed in range(40):
+            dds_count(random_clustered_state(seed))
     assert len(records) > 20
-    for state, parts in records:
-        all_vars = sorted(set().union(*parts))  # the decomposed scope
+    for state, scope, parts, isolated in records[:80]:
+        all_vars = sorted(scope)
         whole = enumerate_solutions(state, scope=all_vars)
-        # count factorization
-        assert len(whole) == prod(brute_force_count(state, scope=p)
-                                  for p in parts)
+        # count factorization: the parts' counts times the isolated
+        # variables' domain sizes
+        assert len(whole) == prod(
+            brute_force_count(state, scope=p) for p in parts) * prod(
+            len(state.domains[x]) for x in isolated)
         # restriction equality on satisfiable states (projection of the
         # whole solution set equals the partial problem's solutions)
         if whole:
@@ -169,10 +174,10 @@ def test_partial_problem_restriction_and_factorization():
                 idx = [all_vars.index(x) for x in sorted(part)]
                 projected = {tuple(sol[i] for i in idx) for sol in whole}
                 assert projected == enumerate_solutions(state, scope=part)
-        # free-variable accounting: unassigned scope variables appear
-        # exactly once across the parts
+        # free-variable accounting: each unassigned scope variable is
+        # isolated or in exactly one part, and the parts hold no other
         unassigned = {x for x in all_vars if len(state.domains[x]) != 1}
-        seen = [x for p in parts for x in p if x in unassigned]
+        seen = [x for p in parts for x in p] + list(isolated)
         assert sorted(seen) == sorted(unassigned)
 
 
@@ -237,8 +242,9 @@ def search_states(make, seed, data):
 
 
 def drawn_scopes(state, parts, data):
-    """Every variable (None and a range), the components a decomposing
-    search reports, and a random subset."""
+    """Every variable (None and a range), ``parts`` (the scopes and parts
+    of a decomposing search's decomposition nodes), and a random
+    subset."""
     every = range(state.num_vars)
     return [None, every, *parts, data.draw(st.sets(st.sampled_from(every)))]
 
@@ -246,7 +252,7 @@ def drawn_scopes(state, parts, data):
 @settings(max_examples=200, deadline=None)
 @given(GENERATORS, st.integers(0, 10 ** 6), st.data())
 def test_scope_graph_equals_full_store_scan(make, seed, data):
-    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    parts = watched_scopes(make(seed))
     for state in search_states(make, seed, data):
         every = range(state.num_vars)
         for scope in drawn_scopes(state, parts, data):
@@ -276,7 +282,7 @@ def reference_analysis(state, scope):
 def test_analysis_equals_reference(make, seed, data):
     # the scopes of the graph oracle above, plus one with no open variable
     # and one with exactly one
-    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    parts = watched_scopes(make(seed))
     for state in search_states(make, seed, data):
         every = range(state.num_vars)
         fixed = [x for x in every if len(state.domains[x]) == 1]
@@ -321,7 +327,7 @@ def test_spanning_edge_analysis_equals_graph_reference(make, seed, data):
     # stored propagator's fragment, the degree map's items are compared in
     # order; a fragment scope is one linked part found without a component
     # search
-    parts = [set(part) for call in hook_parts(make(seed)) for part in call]
+    parts = watched_scopes(make(seed))
     for state in search_states(make, seed, data):
         every = range(state.num_vars)
         fixed = [x for x in every if len(state.domains[x]) == 1]

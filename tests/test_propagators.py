@@ -343,8 +343,9 @@ def reference_alldiff_filter(prop, state):
 
 
 class RemovalLog(ProblemState):
-    """A state that logs every ``(variable, value)`` passed to
-    ``remove_value``, whether or not the value was still there."""
+    """A state that logs every removal call as the variable and the set of
+    values passed to ``remove_value`` or ``remove_values``, whether or not
+    they were still there."""
 
     __slots__ = ("removals",)
 
@@ -353,20 +354,36 @@ class RemovalLog(ProblemState):
         self.removals = []
 
     def remove_value(self, x, v):
-        self.removals.append((x, v))
+        self.removals.append((x, {v}))
         return super().remove_value(x, v)
+
+    def remove_values(self, x, gone):
+        self.removals.append((x, set(gone)))
+        super().remove_values(x, gone)
+
+
+def losses(removals):
+    """The values each variable lost, the variables in the order of their
+    first removal."""
+    lost = {}
+    for x, gone in removals:
+        lost.setdefault(x, set()).update(gone)
+    return list(lost.items())
 
 
 def assert_filters_agree(doms, scope):
-    """The filter and ``reference_alldiff_filter`` give the same status, the
-    same removals in the same order, the same final domains in the same
-    iteration order and the same number of domain events."""
+    """The filter and ``reference_alldiff_filter`` give the same status,
+    the same values lost by each variable in the same scope order, the
+    same final domains and the same number of domain events; the filter
+    writes each shrunk domain once.  Which value leaves a domain first is
+    not observable through the state."""
     prop = AllDifferent(scope)
     got, want = RemovalLog(doms), RemovalLog(doms)
     result = prop.filter(got)
     assert result is reference_alldiff_filter(prop, want)
-    assert got.removals == want.removals
-    assert [list(d) for d in got.domains] == [list(d) for d in want.domains]
+    assert losses(got.removals) == losses(want.removals)
+    assert len(got.removals) == len(losses(got.removals))
+    assert got.domains == want.domains
     assert got.counters.domain_events == want.counters.domain_events
     return result, got
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (EQ, AllDifferent, And, Heuristic, Leaf, Linear, Neq, Or,
+from fdsolve import (EQ, AllDifferent, And, Heuristic, Linear, Neq, Or,
                      SearchTrace, StateStatus, Table, dds_count, dds_tree,
                      dfs_count, dfs_enumerate, new_problem, trace_dot,
                      tree_count, tree_expand)
@@ -231,10 +231,10 @@ def test_dfs_decisions_match_recursive_reference(make, seed, limit, k):
     traces = []
     real_run = search._Run
 
-    def traced_run(heuristic, limit, _trace, hook=None):
+    def traced_run(heuristic, limit, _trace):
         # dfs_enumerate takes no trace, so its run is handed one
         traces.append(SearchTrace(max_nodes=10 ** 6))
-        return real_run(heuristic, limit, traces[-1], hook)
+        return real_run(heuristic, limit, traces[-1])
 
     for h in ALL_HEURISTICS:
         for lim in (None, limit):
@@ -493,7 +493,7 @@ def test_order_components_input_order_picks_lowest_variable():
 
 
 def leaf_count(tree):
-    if isinstance(tree, Leaf):
+    if not tree.children:
         return 1
     return sum(leaf_count(c) for c in tree.children)
 
@@ -512,7 +512,8 @@ def test_dds_tree_intro_shape():
 def test_dds_tree_solved_root_is_leaf():
     state = new_problem([{3}, {7}])
     result = dds_tree(state)
-    assert result.tree == Leaf({0: 3, 1: 7})
+    assert result.tree == And([], {0: 3, 1: 7})
+    assert dds_tree(new_problem([])).tree == And([], {})
 
 
 def test_dds_tree_failed_root_is_empty_or():
@@ -523,12 +524,12 @@ def test_dds_tree_failed_root_is_empty_or():
 
 
 def test_tree_count_examples():
-    three = Or([Leaf({0: 0}), Leaf({0: 1}), Leaf({0: 2})])
-    other = Or([Leaf({1: 0}), Leaf({1: 1}), Leaf({1: 2})])
+    three = Or([And([], {0: 0}), And([], {0: 1}), And([], {0: 2})])
+    other = Or([And([], {1: 0}), And([], {1: 1}), And([], {1: 2})])
     assert tree_count(And([three, other])) == 9
-    assert tree_count(Leaf({0: 1})) == 1
-    two = Or([Leaf({0: 0}), Leaf({0: 1})])
-    assert tree_count(Or([And([two, other]), Leaf({5: 5})])) == 7
+    assert tree_count(And([], {0: 1})) == 1
+    two = Or([And([], {0: 0}), And([], {0: 1})])
+    assert tree_count(Or([And([two, other]), And([], {5: 5})])) == 7
 
 
 def test_tree_expand_intro():
@@ -545,7 +546,7 @@ def test_tree_expand_limits():
     result = dds_tree(intro_state())
     assert tree_expand(result.tree, 0) == []
     assert len(tree_expand(result.tree, 2)) == 2
-    assert tree_expand(Leaf({0: 3}), 5) == [{0: 3}]
+    assert tree_expand(And([], {0: 3}), 5) == [{0: 3}]
 
 
 def test_tree_matches_count_and_oracle():
