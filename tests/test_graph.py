@@ -118,7 +118,12 @@ def test_decomposition_parts_intro():
     assert root.scope == frozenset(range(4))
     assert root.parts == (frozenset({0, 1}), frozenset({2, 3}))
     assert root.isolated == ()
-    # an assigned and an unconstrained variable are in no part
+
+
+def test_decomposition_parts_attach_riders_to_first_component():
+    # the riders, one assigned variable and one unconstrained variable,
+    # are in the watched scope but in no part: the assigned one is dropped
+    # and the unconstrained one is isolated, counted by its domain size
     state = new_problem([{5}, {0, 1, 2}, {0, 1}, {0, 1}, {2, 3}, {2, 3}])
     state.post(Neq(2, 3))
     state.post(Neq(4, 5))
