@@ -13,47 +13,31 @@ from typing import Optional, Sequence
 from .model_io import (ModelDocument, ModelError, coloring_document,
                        parse_model, saw_document, serialize_model)
 from .models import ColoringSpec, WalkSpec, erdos_renyi
-from .search import (DEFAULT_HEURISTIC, CountResult, Heuristic, SearchStats,
-                     SearchTrace, dds_count, dds_tree, dfs_count,
-                     dfs_enumerate, trace_dot, tree_count, tree_expand)
+from .search import (DEFAULT_HEURISTIC, CountResult, Heuristic, SearchTrace,
+                     dds_count, dds_tree, dfs_count, dfs_enumerate, trace_dot,
+                     tree_count, tree_expand)
 
 DEFAULT_LIMIT = 10 ** 6
 
 
-@dataclass
-class RunReport:
-    """Lossless run summary; the count is kept as a decimal string.  Both
-    outputs list every ``SearchStats`` field after the four run fields."""
-
-    count: str
-    exact: bool
-    engine: str
-    heuristic: str
-    stats: SearchStats
-
-    @classmethod
-    def from_result(cls, result: CountResult, engine: str,
-                    heuristic: Heuristic) -> "RunReport":
-        return cls(str(result.count), result.exact, engine, heuristic.value,
-                   result.stats)
-
-    def _fields(self) -> dict:
-        return {"count": self.count, "exact": self.exact,
-                "engine": self.engine, "heuristic": self.heuristic,
-                **asdict(self.stats)}
-
-    def to_json(self) -> str:
-        return json.dumps(self._fields(), indent=2)
-
-    def to_text(self) -> str:
-        lines = []
-        for name, value in self._fields().items():
-            if name == "exact":
-                value = str(value).lower()
-            elif name == "wall_time":
-                value = f"{value:.4f}s"
-            lines.append(f"{name.replace('_', ' '):<21}{value}")
-        return "\n".join(lines)
+def _run_report(result: CountResult, engine: str, heuristic: Heuristic,
+               form: str) -> str:
+    """Lossless summary of a count run, as ``text`` or ``json``; the count
+    is a decimal string.  Both forms list every ``SearchStats`` field
+    after the four run fields."""
+    fields = {"count": str(result.count), "exact": result.exact,
+              "engine": engine, "heuristic": heuristic.value,
+              **asdict(result.stats)}
+    if form == "json":
+        return json.dumps(fields, indent=2)
+    lines = []
+    for name, value in fields.items():
+        if name == "exact":
+            value = str(value).lower()
+        elif name == "wall_time":
+            value = f"{value:.4f}s"
+        lines.append(f"{name.replace('_', ' '):<21}{value}")
+    return "\n".join(lines)
 
 
 def _limit(value: int) -> Optional[int]:
@@ -86,8 +70,7 @@ def _cmd_count(args) -> int:
     if trace is not None:
         with open(args.trace_dot, "w", encoding="utf-8") as fh:
             fh.write(trace_dot(trace) + "\n")
-    report = RunReport.from_result(result, args.engine, heuristic)
-    print(report.to_json() if args.report == "json" else report.to_text())
+    print(_run_report(result, args.engine, heuristic, args.report))
     return 0
 
 
@@ -203,8 +186,8 @@ def bench_aggregates(records: Sequence[BenchRecord]) -> dict[float, dict[str, fl
 def _cmd_bench(args) -> int:
     heuristic = Heuristic(args.heuristic)
     t0 = time.perf_counter()
-    records = run_bench(args.nodes, args.edge_prob, args.colors,
-                        args.instances, args.seed, heuristic,
+    records = run_bench(args.nodes, args.edge_prob or [0.20, 0.30, 0.40],
+                        args.colors, args.instances, args.seed, heuristic,
                         _limit(args.limit))
     elapsed = time.perf_counter() - t0
     aggregates = bench_aggregates(records)
@@ -302,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "edge_prob", None) is None and args.command == "bench":
-        args.edge_prob = [0.20, 0.30, 0.40]
     try:
         return args.func(args)
     except (ModelError, OSError, ValueError, RecursionError) as exc:

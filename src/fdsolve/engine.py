@@ -17,22 +17,29 @@ variables and the failed flag, and marks the variable changed.  Only
 ``propagate`` wakes propagators: at the start of each round it queues the
 propagators on every changed variable, so a write made by a filter, by
 branching or by a caller between two propagations is propagated alike.
-States are cloned before branching.  A clone copies the list of domains,
-the propagator store, the changed variables and the propagation queue;
-it shares the domain frozensets themselves, the immutable propagators,
-the run-level statistics sink, and the subscription lists, which the
-first ``post`` on either side after the clone copies.  No propagator
-keeps anything in a state: what one caches about domains it has seen
-lives in its own memo, which is not state (see ``propagators``).
+The queue lives only while ``propagate`` runs; between two propagations
+a state keeps the number of propagators posted since the last one, which
+are the newest entries of its store and run first.
+
+States are cloned before branching.  A clone copies what can differ
+between two states: the list of domains, the propagator store, the
+changed variables and three scalars.  It shares the domain frozensets
+themselves, the immutable propagators, the run-level statistics sink,
+the subscription lists and the handle numbering.  No propagator keeps
+anything in a state: what one caches about domains it has seen lives in
+its own memo, which is not state (see ``propagators``).
 
 The subscription lists map each variable to the handles of the
 propagators posted on it; ``propagators_on`` reads them, so the graph of
-a scope is built from the propagators on its variables alone.
+a scope is built from the propagators on its variables alone.  Every
+clone of a state shares one table, to which ``post`` only appends, and
+readers skip each handle missing from their own store: an entailed
+propagator's, or one posted in another clone.
 """
 from __future__ import annotations
 
 import enum
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -56,21 +63,19 @@ class PropagationCounters:
 class ProblemState:
     """Variables with finite domains plus the active propagator store."""
 
-    __slots__ = ("domains", "propagators", "counters",
-                 "_subs", "_subs_shared", "_queue", "_queued", "_failed",
-                 "_next_handle", "_changed", "_unfixed")
+    __slots__ = ("domains", "propagators", "counters", "_subs", "_handles",
+                 "_changed", "_fresh", "_failed", "_unfixed")
 
     def __init__(self, domains: Iterable[Iterable[int]]):
         self.domains: list[frozenset[int]] = [frozenset(int(v) for v in d)
                                               for d in domains]
         self.propagators: dict[int, object] = {}
         self._subs: list[list[int]] = [[] for _ in self.domains]
-        self._subs_shared = False
-        self._queue: deque[int] = deque()
-        self._queued: set[int] = set()
-        self._failed = any(len(d) == 0 for d in self.domains)
-        self._next_handle = 0
+        self._handles = itertools.count()
         self._changed: set[int] = set()
+        # propagators posted since the last propagation
+        self._fresh = 0
+        self._failed = any(len(d) == 0 for d in self.domains)
         # variables whose domain has more than one value
         self._unfixed = sum(len(d) > 1 for d in self.domains)
         self.counters = PropagationCounters()
@@ -102,22 +107,17 @@ class ProblemState:
     # -- posting -------------------------------------------------------
 
     def post(self, propagator) -> int:
-        """Add a propagator to the store and schedule its first run."""
+        """Add a propagator to the store; the next ``propagate`` runs it
+        first, after any posted before it."""
         for x in propagator.vars:
             if not (0 <= x < self.num_vars):
                 raise ValueError(f"unknown variable index {x}")
-        handle = self._next_handle
-        self._next_handle += 1
+        # the handle is new to every clone sharing the table
+        handle = next(self._handles)
         self.propagators[handle] = propagator
-        if self._subs_shared:
-            # the first post after a clone takes its own subscription lists
-            self._subs = [list(s) for s in self._subs]
-            self._subs_shared = False
         for x in propagator.vars:
             self._subs[x].append(handle)
-        # a fresh handle is in no queue yet
-        self._queue.append(handle)
-        self._queued.add(handle)
+        self._fresh += 1
         return handle
 
     # -- domain mutation (propagators and branching go through these) ---
@@ -171,30 +171,34 @@ class ProblemState:
     # -- propagation -----------------------------------------------------
 
     def propagate(self) -> StateStatus:
-        """Wake the propagators on every changed variable and run the queue
-        to mutual fixpoint.
+        """Run the fresh propagators and wake those on every changed
+        variable, to mutual fixpoint.
 
-        Each round first queues, in subscription order, the stored
-        propagators on the variables changed since the last round, then
-        runs the oldest queued propagator.  Entailed propagators leave the
-        store and are never re-executed in this state or any clone of it.
+        The queue starts with the propagators posted since the last
+        propagation, in post order.  Each round first queues, in
+        subscription order, the stored propagators on the variables
+        changed since the last round, then runs the oldest queued
+        propagator.  Entailed propagators leave the store and are never
+        re-executed in this state or any clone of it.
         """
-        queue, queued, changed = self._queue, self._queued, self._changed
+        changed = self._changed
         if self._failed:
-            queue.clear()
-            queued.clear()
             changed.clear()
             return StateStatus.FAILED
-        # no filter posts, so neither the store nor the subscription lists
-        # are replaced while the queue runs
+        # no filter posts, so the store only loses entries while the queue
+        # runs; the fresh handles are its newest
         props = self.propagators
         if not props:
             # nothing to wake: the case at most DFS nodes once every
             # constraint is entailed
             changed.clear()
         else:
+            fresh = self._fresh
+            queue = list(props)[-fresh:] if fresh else []
+            self._fresh = 0
+            queued = set(queue)
             subs, counters = self._subs, self.counters
-            h = None
+            h, i = None, 0
             while True:
                 # each filter call is idempotent, so the propagator that
                 # just ran is not rescheduled for its own prunings
@@ -204,9 +208,10 @@ class ProblemState:
                             queue.append(h2)
                             queued.add(h2)
                 changed.clear()
-                if not queue:
+                if i == len(queue):
                     break
-                h = queue.popleft()
+                h = queue[i]
+                i += 1
                 queued.discard(h)
                 counters.propagations += 1
                 # a queued handle is in the store: a propagator leaves it
@@ -214,8 +219,6 @@ class ProblemState:
                 result = props[h].filter(self)
                 if result is PropagationResult.FAILED or self._failed:
                     self._failed = True
-                    queue.clear()
-                    queued.clear()
                     changed.clear()
                     return StateStatus.FAILED
                 if result is PropagationResult.ENTAILED:
@@ -229,26 +232,24 @@ class ProblemState:
     # -- snapshots -------------------------------------------------------
 
     def clone(self) -> "ProblemState":
-        """Independent snapshot that carries the changes not yet
-        propagated; shares the domain frozensets, the counter sink and,
-        until either side posts, the subscription lists."""
+        """Independent snapshot that carries the changes and the posts not
+        yet propagated; shares the domain frozensets, the counter sink,
+        the subscription lists and the handle numbering."""
         new = ProblemState.__new__(ProblemState)
         new.domains = self.domains.copy()
         new.propagators = dict(self.propagators)
-        new._subs = self._subs
-        new._subs_shared = self._subs_shared = True
-        new._queue = deque(self._queue)
-        new._queued = set(self._queued)
-        new._failed = self._failed
-        new._next_handle = self._next_handle
-        new._changed = self._changed.copy()
-        new._unfixed = self._unfixed
         new.counters = self.counters
+        new._subs = self._subs
+        new._handles = self._handles
+        new._changed = self._changed.copy()
+        new._fresh = self._fresh
+        new._failed = self._failed
+        new._unfixed = self._unfixed
         return new
 
     def solution(self) -> dict[int, int]:
         """Total assignment of a solved state."""
-        if self._failed or self._queue or self._changed or self._unfixed:
+        if self._failed or self._fresh or self._changed or self._unfixed:
             raise ValueError("solution() requires a solved state")
         return {x: v for x, (v,) in enumerate(self.domains)}
 

@@ -214,15 +214,20 @@ def order_components(parts, x: int) -> list[frozenset[int]]:
 # -- the walkers ------------------------------------------------------------
 
 
-class _Cutoff:
-    """Tracks certified full solutions against an optional limit: the
-    search stops once more than ``limit`` are certified."""
+class _Run:
+    """One search run: its heuristic, statistics and optional trace, and
+    the full solutions it has certified against an optional cut-off.  The
+    search stops once more than ``limit`` are certified, and ``hit``
+    records that it did; otherwise ``certified`` is the exact count."""
 
-    __slots__ = ("limit", "certified", "hit")
+    __slots__ = ("heuristic", "stats", "trace", "limit", "certified", "hit")
 
-    def __init__(self, limit: Optional[int]):
+    def __init__(self, heuristic, limit: Optional[int], trace):
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be at least 0, got {limit}")
+        self.heuristic = heuristic
+        self.stats = SearchStats()
+        self.trace = trace
         self.limit = limit
         self.certified = 0
         self.hit = False
@@ -234,24 +239,15 @@ class _Cutoff:
                 self.hit = True
 
 
-class _Run:
-    __slots__ = ("heuristic", "stats", "cutoff", "trace")
-
-    def __init__(self, heuristic, limit, trace):
-        self.heuristic = heuristic
-        self.stats = SearchStats()
-        self.cutoff = _Cutoff(limit)
-        self.trace = trace
-
-
 class _Algebra(NamedTuple):
     """How the AND/OR walker folds the tree it explores into a result.
     ``factor`` is the number of combinations of a node's unconstrained
     variables, and ``total`` is ``factor`` times the counts of a
     decomposition's parts.  A solved node is a decomposition with no
-    parts: its tree is the childless ``And`` of its fixed values."""
+    parts: its tree is the childless ``And`` of its fixed values.  A failed
+    node is ``conjoin(None, [], 0)``, which reads no context: a count of 0,
+    or the empty ``Or``."""
 
-    zero: Callable     # () -> value of a failed node
     context: Callable  # (state, scope, isolated) -> what a node adds itself
     choice: Callable   # (context, factor, values) -> value of a choice node
     conjoin: Callable  # (context, values, total) -> value of a decomposition
@@ -259,7 +255,6 @@ class _Algebra(NamedTuple):
 
 
 _COUNTS = _Algebra(
-    zero=lambda: 0,
     context=lambda state, scope, isolated: None,
     choice=lambda _ctx, factor, values: factor * sum(values),
     conjoin=lambda _ctx, _values, total: total,
@@ -294,7 +289,6 @@ def _tree_conjoin(ctx, values, total):
 
 # values are (tree, count) pairs
 _TREES = _Algebra(
-    zero=lambda: (Or([]), 0),
     context=_tree_context,
     choice=_tree_choice,
     conjoin=_tree_conjoin,
@@ -330,8 +324,8 @@ class _Frame:
 
 
 def _dfs(state: ProblemState, run: _Run, solutions: Optional[list] = None):
-    """Plain DFS below ``state``: count its solution leaves in
-    ``run.cutoff`` and, given ``solutions``, append each full assignment.
+    """Plain DFS below ``state``: certify its solution leaves in ``run``
+    and, given ``solutions``, append each full assignment.
 
     An OR-only loop over a stack of pending right branches.  A choice node
     pushes ``(state, x, v, open variables, depth, trace id)`` and searches
@@ -340,7 +334,7 @@ def _dfs(state: ProblemState, run: _Run, solutions: Optional[list] = None):
     ``x != v`` takes that node's own state.  Both children sit one level
     below their node, and a node's children pick among its open variables.
     """
-    stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
+    stats, heuristic = run.stats, run.heuristic
     FAILED, SOLVED = StateStatus.FAILED, StateStatus.SOLVED
     # nodes are recorded and edge labels built only for a trace
     trace = run.trace
@@ -357,12 +351,12 @@ def _dfs(state: ProblemState, run: _Run, solutions: Optional[list] = None):
                 trace.add(tparent, "fail", label)
         elif status is SOLVED:
             stats.solutions_found += 1
-            cutoff.note(1)
+            run.note(1)
             if tracing:
                 trace.add(tparent, "solution", label)
             if solutions is not None:
                 solutions.append(state.solution())
-            if cutoff.hit:
+            if run.hit:
                 return
         else:
             stats.choice_nodes += 1
@@ -402,8 +396,8 @@ def _walk(state: ProblemState, run: _Run, algebra):
     bound by memory rather than by the interpreter's recursion limit; a
     node's depth is the size of the stack when it is entered.
     """
-    stats, cutoff, heuristic = run.stats, run.cutoff, run.heuristic
-    zero, context, choice, conjoin, count = algebra
+    stats, heuristic = run.stats, run.heuristic
+    context, choice, conjoin, count = algebra
     FAILED = StateStatus.FAILED
     # nodes are recorded and edge labels built only for a trace
     trace = run.trace
@@ -422,7 +416,7 @@ def _walk(state: ProblemState, run: _Run, algebra):
             stats.fails += 1
             if tracing:
                 trace.add(tparent, "fail", label)
-            value = zero()
+            value = conjoin(None, [], 0)
         else:
             # the node's one pass over its scope; a solved state has no
             # open variable in it
@@ -434,7 +428,7 @@ def _walk(state: ProblemState, run: _Run, algebra):
                 # assigned, and every combination of unconstrained ones
                 # extends it
                 stats.solutions_found += 1
-                cutoff.note(mult * factor)
+                run.note(mult * factor)
                 if tracing:
                     trace.add(tparent, "solution", label)
                 value = conjoin(context(state, scope, isolated), [], factor)
@@ -466,14 +460,14 @@ def _walk(state: ProblemState, run: _Run, algebra):
                 values = frame.values
                 values.append(value)
                 if frame.decision is not None:
-                    if len(values) == 1 and not cutoff.hit:
+                    if len(values) == 1 and not run.hit:
                         break
                     stack.pop()
                     value = choice(frame.ctx, frame.factor, values)
                 else:
                     frame.total *= count(value)
                     if (len(values) < len(frame.parts) and frame.total
-                            and not cutoff.hit):
+                            and not run.hit):
                         break
                     stack.pop()
                     value = conjoin(frame.ctx, values, frame.total)
@@ -530,7 +524,7 @@ def dfs_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     """Count all solutions by plain depth-first search."""
     run = _Run(heuristic, limit, trace)
     _search(root, run, _dfs)
-    return CountResult(run.cutoff.certified, not run.cutoff.hit, run.stats)
+    return CountResult(run.certified, not run.hit, run.stats)
 
 
 def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -546,19 +540,18 @@ def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     # the cut-off trips at the max_solutions-th solution and stops the walk
     run = _Run(heuristic, max_solutions - 1, None)
     _search(root, run, _dfs, solutions)
-    return solutions, not run.cutoff.hit, run.stats
+    return solutions, not run.hit, run.stats
 
 
 def dds_count(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
               limit: Optional[int] = None,
               trace: Optional[SearchTrace] = None) -> CountResult:
     """Count all solutions, decomposing into independent partial problems
-    whenever the constraint graph falls apart."""
+    whenever the constraint graph falls apart.  A finished run certifies
+    every solution, so its certified total is the folded count."""
     run = _Run(heuristic, limit, trace)
-    count = _search(root, run, _walk, _COUNTS)
-    if run.cutoff.hit:
-        return CountResult(run.cutoff.certified, False, run.stats)
-    return CountResult(count, True, run.stats)
+    _search(root, run, _walk, _COUNTS)
+    return CountResult(run.certified, not run.hit, run.stats)
 
 
 def dds_tree(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
@@ -572,7 +565,7 @@ def dds_tree(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     """
     run = _Run(heuristic, limit, trace)
     tree, _n = _search(root, run, _walk, _TREES)
-    return TreeResult(tree, not run.cutoff.hit, run.stats)
+    return TreeResult(tree, not run.hit, run.stats)
 
 
 # -- solution trees ---------------------------------------------------------

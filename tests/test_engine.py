@@ -90,7 +90,8 @@ def test_tell_eq_and_neq():
 
 def tell_subject(store):
     """x0 has 3 values, x1 2, x2 1, x3 3; with a store, the propagators on
-    every variable, one of them queued and the rest at their fixpoint."""
+    every variable, one of them posted since the last propagation and the
+    rest at their fixpoint."""
     state = new_problem([{0, 1, 2}, {0, 1}, {5}, {0, 1, 2}])
     if store:
         state.post(Neq(0, 3))
@@ -105,7 +106,7 @@ def tell_subject(store):
 def bookkeeping(state):
     """What a write leaves behind, then what the next propagate makes of it."""
     told = (list(state.domains), state.failed, set(state._changed),
-            list(state._queue), state.counters.domain_events, state._unfixed)
+            state._fresh, state.counters.domain_events, state._unfixed)
     status = state.propagate()
     return told, (status, list(state.domains), state.counters.domain_events)
 
@@ -156,6 +157,18 @@ def test_a_pending_change_is_carried_and_refused():
     assert copy.propagate() is StateStatus.FAILED
     assert state.propagate() is StateStatus.SOLVED
     assert state.solution() == {0: 0, 1: 1}
+    # it carries the posts not yet propagated too: the clone runs the new
+    # propagator, and so does its state afterwards
+    state = new_problem([{0}, {0, 1}])
+    state.post(Neq(0, 1))
+    with pytest.raises(ValueError):
+        state.solution()
+    copy = state.clone()
+    for s in (copy, state):
+        runs = s.counters.propagations
+        assert s.propagate() is StateStatus.SOLVED
+        assert s.counters.propagations - runs == 1
+        assert s.solution() == {0: 0, 1: 1}
     # every variable fixed but not yet propagated is no solution
     state = neq_pair()
     state.tell_eq(0, 0)
@@ -173,16 +186,16 @@ def test_a_pending_change_is_carried_and_refused():
 
 
 def test_a_post_after_a_write_runs_with_the_woken_propagators():
-    # the new propagator is queued at once and the woken one only when
-    # propagate starts, so the new one runs first, finds nothing to do, and
-    # runs again once x0 = 0 has left x1 = 1: then x2 = 0
+    # the new propagator is pending at once and the woken one is queued
+    # only when propagate starts, so the new one runs first, finds nothing
+    # to do, and runs again once x0 = 0 has left x1 = 1: then x2 = 0
     state = new_problem([{0, 1}, {0, 1}, {0, 1}])
     state.post(Neq(0, 1))
     assert state.propagate() is StateStatus.BRANCHABLE
     runs = state.counters.propagations
     state.remove_value(0, 1)
     state.post(Neq(1, 2))
-    assert list(state._queue) == [1]
+    assert state._fresh == 1
     assert state.propagate() is StateStatus.SOLVED
     assert state.solution() == {0: 0, 1: 1, 2: 0}
     assert state.counters.propagations - runs == 3
@@ -245,19 +258,21 @@ def test_clone_independence():
     assert sorted(state.domains[0]) == [3, 5]
     assert sorted(state.domains[1]) == [3, 4]
     assert len(copy.domains[0]) == 1
-    # clones share subscription lists: posting on either side after the
-    # clone, in either order, must reach neither the other's store nor its
-    # wake-ups.  Both posts get handle 1, so a list still shared would wake
-    # the other side's handle 1.
+    # clones share one subscription table and one handle numbering:
+    # posting on either side after the clone, in either order, gives the
+    # two posts different handles, and each side's wake-ups skip the
+    # other's handle, which is missing from their store
     for copy_first in (True, False):
         state = new_problem([{1, 2, 3}] * 4)
         state.post(Neq(0, 1))
         state.propagate()
         copy = state.clone()
         posts = [(copy, Neq(2, 3)), (state, Neq(0, 2))]
+        handles = []
         for s, prop in posts if copy_first else reversed(posts):
-            s.post(prop)
+            handles.append(s.post(prop))
             assert s.propagate() is StateStatus.BRANCHABLE
+        assert sorted(handles) == [1, 2]
         assert list(state.propagators.values()) == [Neq(0, 1), Neq(0, 2)]
         assert list(copy.propagators.values()) == [Neq(0, 1), Neq(2, 3)]
         counters = state.counters  # one sink, shared with the copy
