@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .engine import ProblemState, new_problem
 from .models import ColoringSpec, UGraph, WalkSpec, coloring_plan, saw_plan
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
-                          Slide, Table)
+                          Slide, Table, _relation)
 
 
 # a range is expanded value by value, so its size is bounded before that
@@ -75,15 +76,22 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _all_ints(values: list) -> bool:
+    """Whether every value parsed from JSON is an integer, in one C-level
+    pass: ``json.loads`` yields ``int``, ``bool`` and ``float`` numbers and
+    never an ``int`` subclass, so ``type(v) is int`` is ``_is_int(v)``."""
+    return {int}.issuperset(map(type, values))
+
+
 def _parse_domain(raw, where: str) -> tuple[int, ...]:
     if isinstance(raw, list):
-        if not all(_is_int(v) for v in raw):
+        if not _all_ints(raw):
             raise ModelError(f"{where}: domain values must be integers")
         return tuple(sorted(set(raw)))
     if isinstance(raw, dict) and set(raw) == {"range"}:
         rng = raw["range"]
         if (not isinstance(rng, list) or len(rng) != 2
-                or not all(_is_int(v) for v in rng)):
+                or not _all_ints(rng)):
             raise ModelError(f"{where}: range must be [lo, hi]")
         lo, hi = rng
         if hi - lo + 1 > MAX_RANGE_VALUES:
@@ -104,17 +112,20 @@ def _resolve(names: dict[str, int], raw_vars, where: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _parse_tuples(raw, arity: int, where: str) -> list[tuple[int, ...]]:
+def _parse_tuples(raw, arity: int, where: str,
+                  built: dict) -> frozenset[tuple[int, ...]]:
+    """The relation of the rows ``raw``, validated row by row, so that the
+    first defective row sets the message; one equal to a relation in
+    ``built`` is that one, so equal tuple sets are held once."""
     if not isinstance(raw, list):
         raise ModelError(f"{where}: 'tuples' must be a list of rows")
-    rows = []
     for row in raw:
         if not isinstance(row, list) or len(row) != arity:
             raise ModelError(f"{where}: tuple arity mismatch (expected {arity})")
-        if not all(_is_int(v) for v in row):
+        if not _all_ints(row):
             raise ModelError(f"{where}: tuple values must be integers")
-        rows.append(tuple(row))
-    return rows
+    rel = _relation(raw, arity, where)
+    return built.setdefault(rel, rel)
 
 
 def _parse_dfa(raw, where: str, built: dict) -> Dfa:
@@ -130,7 +141,7 @@ def _parse_dfa(raw, where: str, built: dict) -> Dfa:
     except KeyError as missing:
         raise ModelError(f"{where}: dfa is missing field {missing}") from None
     if not (_is_int(states) and _is_int(start) and isinstance(finals, list)
-            and all(_is_int(f) for f in finals)):
+            and _all_ints(finals)):
         raise ModelError(
             f"{where}: dfa states, start and finals must be integers")
     trans = {}
@@ -138,7 +149,7 @@ def _parse_dfa(raw, where: str, built: dict) -> Dfa:
         raise ModelError(f"{where}: dfa transitions must be [state, symbol, state] rows")
     for row in transitions:
         if not isinstance(row, list) or len(row) != 3 \
-                or not all(_is_int(v) for v in row):
+                or not _all_ints(row):
             raise ModelError(f"{where}: bad dfa transition {row!r}")
         q, s, r = row
         if (q, s) in trans:
@@ -183,9 +194,11 @@ def parse_model(text: str) -> ModelDocument:
     if not isinstance(raw_cons, list):
         raise ModelError("'constraints' must be a list")
     constraints = []
-    # each distinct automaton once, so the Regular constraints over it
-    # share its step memo
+    # each distinct automaton and tuple set once, so the Regular
+    # constraints over an automaton share its step memo, and the Table and
+    # Slide constraints over a tuple set share its support masks
     automata: dict = {}
+    relations: dict = {}
     for i, rc in enumerate(raw_cons):
         where = f"constraints[{i}]"
         if not isinstance(rc, dict) or "type" not in rc:
@@ -200,8 +213,7 @@ def parse_model(text: str) -> ModelDocument:
             elif kind == "linear":
                 vs = _resolve(names, rc.get("vars"), where)
                 coeffs = rc.get("coeffs")
-                if not isinstance(coeffs, list) or \
-                        not all(_is_int(c) for c in coeffs):
+                if not isinstance(coeffs, list) or not _all_ints(coeffs):
                     raise ModelError(f"{where}: 'coeffs' must be integers")
                 rel = rc.get("rel")
                 if rel not in (EQ, LEQ):
@@ -215,8 +227,9 @@ def parse_model(text: str) -> ModelDocument:
                 constraints.append(AllDifferent(vs))
             elif kind == "table":
                 vs = _resolve(names, rc.get("vars"), where)
-                rows = _parse_tuples(rc.get("tuples"), len(vs), where)
-                constraints.append(Table(vs, rows))
+                tuples = _parse_tuples(rc.get("tuples"), len(vs), where,
+                                       relations)
+                constraints.append(Table(vs, tuples))
             elif kind == "regular":
                 vs = _resolve(names, rc.get("vars"), where)
                 dfa = _parse_dfa(rc.get("dfa"), where, automata)
@@ -226,8 +239,9 @@ def parse_model(text: str) -> ModelDocument:
                 width = rc.get("width")
                 if not _is_int(width):
                     raise ModelError(f"{where}: 'width' must be an integer")
-                rows = _parse_tuples(rc.get("tuples"), width, where)
-                constraints.append(Slide(vs, width, rows))
+                tuples = _parse_tuples(rc.get("tuples"), width, where,
+                                       relations)
+                constraints.append(Slide(vs, width, tuples))
             else:
                 raise ModelError(f"{where}: unknown constraint type {kind!r}")
         except ModelError:
@@ -243,6 +257,8 @@ def serialize_model(doc: ModelDocument) -> str:
     names = doc.names
     raw_vars = [{"name": v.name, "domain": list(v.values)}
                 for v in doc.variables]
+    # each distinct tuple set sorted once, however many constraints hold it
+    rows = cache(lambda tuples: sorted(map(list, tuples)))
     raw_cons = []
     for c in doc.constraints:
         if isinstance(c, Neq):
@@ -257,7 +273,7 @@ def serialize_model(doc: ModelDocument) -> str:
         elif isinstance(c, Table):
             raw_cons.append({"type": "table",
                              "vars": [names[x] for x in c.vars],
-                             "tuples": sorted(list(t) for t in c.tuples)})
+                             "tuples": rows(c.tuples)})
         elif isinstance(c, Regular):
             raw_cons.append({"type": "regular",
                              "vars": [names[x] for x in c.vars],
@@ -271,7 +287,7 @@ def serialize_model(doc: ModelDocument) -> str:
             raw_cons.append({"type": "slide",
                              "vars": [names[x] for x in c.vars],
                              "width": c.width,
-                             "tuples": sorted(list(t) for t in c.tuples)})
+                             "tuples": rows(c.tuples)})
         else:
             raise ModelError(f"cannot serialize constraint {c!r}")
     # one compact line per entry: readable, and dumped by the C encoder
@@ -301,6 +317,8 @@ def saw_document(spec: WalkSpec) -> ModelDocument:
     domains, steps = saw_plan(spec)
     decls = tuple(VariableDecl(f"p{i}", tuple(sorted(d)))
                   for i, d in enumerate(domains))
+    # one relation for every step, built once
+    steps = _relation(steps, 2, "Table")
     constraints: list[object] = [Table((i, i + 1), steps)
                                  for i in range(spec.length - 1)]
     if spec.length >= 2:

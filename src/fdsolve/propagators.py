@@ -45,6 +45,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from operator import gt
 from typing import Iterable, Sequence
 
@@ -100,10 +101,10 @@ class _Memo(dict):
 
 
 def _check_distinct(vars: Sequence[int], what: str) -> tuple[int, ...]:
-    vs = tuple(int(v) for v in vars)
+    vs = tuple(map(int, vars))
     if len(set(vs)) != len(vs):
         raise ValueError(f"{what}: variables must be pairwise distinct, got {vs}")
-    if any(v < 0 for v in vs):
+    if vs and min(vs) < 0:
         raise ValueError(f"{what}: negative variable index in {vs}")
     return vs
 
@@ -538,15 +539,45 @@ def _tarjan(succ: list[list[int]], nodes: list[int]) -> list[int]:
     return comp
 
 
-def _support_masks(con) -> tuple[int, list[dict[int, int]]]:
-    """Bitmasks over ``con.tuples`` in sorted order, tuple k being bit k: the
-    mask of all tuples, and per position a dict from each value to the mask
-    of the tuples holding it there (none for an empty table)."""
-    masks: list[dict[int, int]] = [{} for _ in next(iter(con.tuples), ())]
-    for k, t in enumerate(sorted(con.tuples)):
-        for m, v in zip(masks, t):
-            m[v] = m.get(v, 0) | 1 << k
-    return (1 << len(con.tuples)) - 1, masks
+class _Relation(frozenset):
+    """The tuple set of a ``Table`` or ``Slide``: a frozenset of exact int
+    tuples of one arity, which every constraint built over it shares along
+    with its support masks."""
+
+    @cached_property
+    def _support_masks(self) -> tuple[int, list[dict[int, int]]]:
+        """Bitmasks over the tuples in sorted order, tuple k being bit k:
+        the mask of all tuples, and per position a dict from each value to
+        the mask of the tuples holding it there (none for an empty
+        relation).  Built on the first filter call of any constraint over
+        this relation, and once for all of them."""
+        masks: list[dict[int, int]] = [{} for _ in next(iter(self), ())]
+        for k, t in enumerate(sorted(self)):
+            for m, v in zip(masks, t):
+                m[v] = m.get(v, 0) | 1 << k
+        return (1 << len(self)) - 1, masks
+
+
+def _relation(tuples: Iterable[Sequence[int]], arity: int,
+              what: str) -> _Relation:
+    """``tuples`` as a relation of exact int tuples of ``arity`` values,
+    built in C-level passes, with ``int`` applied only when some value is
+    not an exact int already; a relation built here before is kept as it
+    is, so the constraints over it share it."""
+    if tuples.__class__ is not _Relation:
+        rows = list(map(tuple, tuples))
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            rows = map(tuple, map(map, repeat(int), rows))
+        tuples = _Relation(rows)
+    if not {arity}.issuperset(map(len, tuples)):
+        raise ValueError(f"{what}: tuple arity mismatch")
+    return tuples
+
+
+def _shared_masks(con) -> tuple[int, list[dict[int, int]]]:
+    """The support masks of ``con``'s relation, cached on ``con`` so that a
+    filter call reads them as one attribute."""
+    return con.tuples._support_masks
 
 
 def _supports(masks, doms) -> tuple[int, list[set[int]]]:
@@ -568,7 +599,8 @@ def _supports(masks, doms) -> tuple[int, list[set[int]]]:
 @dataclass(frozen=True, eq=True)
 class Table(_Whole):
     """Extensional constraint: the variables' tuple must be in ``tuples``;
-    GAC through bitset support masks, built on the first filter call.
+    GAC through bitset support masks, built once per relation and shared by
+    every constraint over it.
 
     Unlike a ``Slide`` window, the scan is not memoised, because its keys
     are large.  In one pass of both counts over the self-avoiding walks
@@ -580,15 +612,12 @@ class Table(_Whole):
 
     vars: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
-    _masks = cached_property(_support_masks)
+    _masks = cached_property(_shared_masks)
 
     def __init__(self, vars: Sequence[int], tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Table")
         object.__setattr__(self, "vars", vs)
-        ts = frozenset(tuple(int(v) for v in t) for t in tuples)
-        if any(len(t) != len(vs) for t in ts):
-            raise ValueError("Table: tuple arity mismatch")
-        object.__setattr__(self, "tuples", ts)
+        object.__setattr__(self, "tuples", _relation(tuples, len(vs), "Table"))
 
     def filter(self, state) -> PropagationResult:
         doms = [state.domains[x] for x in self.vars]
@@ -782,18 +811,16 @@ class Slide(_Runs):
     vars: tuple[int, ...]
     width: int
     tuples: frozenset[tuple[int, ...]]
-    _masks = cached_property(_support_masks)
+    _masks = cached_property(_shared_masks)
 
     def __init__(self, vars: Sequence[int], width: int, tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Slide")
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "width", int(width))
-        ts = frozenset(tuple(int(v) for v in t) for t in tuples)
-        object.__setattr__(self, "tuples", ts)
         if not (1 <= self.width <= len(vs)):
             raise ValueError("Slide: window width must be in 1..len(vars)")
-        if any(len(t) != self.width for t in ts):
-            raise ValueError("Slide: tuple arity mismatch")
+        object.__setattr__(self, "tuples",
+                           _relation(tuples, self.width, "Slide"))
 
     @cached_property
     def _over(self) -> tuple[tuple[int, ...], ...]:

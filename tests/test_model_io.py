@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (ColoringSpec, ModelError, UGraph, WalkSpec, dds_count,
-                     dfs_count, parse_model, serialize_model)
+from fdsolve import (ColoringSpec, ModelError, Table, UGraph, WalkSpec,
+                     dds_count, dfs_count, parse_model, serialize_model)
 from fdsolve import model_io
 from fdsolve.model_io import coloring_document, saw_document
 
@@ -72,6 +73,60 @@ def test_equal_automata_are_parsed_once():
         doc.constraints[7]
     assert second.dfa is first.dfa
     assert last.dfa != first.dfa and last.dfa is not first.dfa
+
+
+def shared_relations_text():
+    """The canonical document with two more rows over the table's tuple set,
+    one in another row order and one a slide, and a table over another
+    set."""
+    raw = json.loads(CANONICAL)
+    table = raw["constraints"][3]
+    raw["constraints"] += [
+        {**table, "vars": ["D", "C"], "tuples": table["tuples"][::-1]},
+        {"type": "slide", "vars": ["C", "D"], "width": 2,
+         "tuples": table["tuples"]},
+        {**table, "tuples": [[1, 2]]}]
+    return json.dumps(raw)
+
+
+def test_equal_tuple_sets_are_parsed_once():
+    # the rows of one document share a relation object, and with it the
+    # relation's support masks; a different tuple set stays apart
+    doc = parse_model(shared_relations_text())
+    table, slide = doc.constraints[3], doc.constraints[5]
+    reordered, slid, other = doc.constraints[6:]
+    assert reordered.tuples is table.tuples and slid.tuples is table.tuples
+    assert reordered._masks is table._masks
+    assert other.tuples != table.tuples and other.tuples is not table.tuples
+    assert slide.tuples is not table.tuples
+
+
+def test_walk_steps_are_one_relation():
+    doc = saw_document(WalkSpec(8))
+    tables = [c for c in doc.constraints if isinstance(c, Table)]
+    assert len(tables) == 7
+    assert all(t.tuples is tables[0].tuples for t in tables)
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: saw_document(WalkSpec(8)),
+     "88e06462efab5620e568977798e86a96"
+     "59748b2a3f809d4f42ed279f8c2e949c"),
+    (lambda: coloring_document(ColoringSpec(erdos_graph(), 3)),
+     "f493ca1c2ef232d72ad93afedb634375"
+     "4c06b927f416ef8fa2dcf1553fb5a93b"),
+    (lambda: parse_model(CANONICAL),
+     "d0d3c90160fcf3076b441774d2ccba49"
+     "0afcffb907871860d9aeb9c2296353af"),
+    (lambda: parse_model(shared_relations_text()),
+     "b5e8fa58b1e4c6f0096572f8e33e53ad"
+     "7f1caad58499db6b19837bc4cffa9d6e"),
+], ids=["gen-saw", "gen-coloring", "canonical", "shared-relations"])
+def test_serialized_text_is_pinned(make, digest):
+    # sha256 of the text: constraints that share a relation serialize it
+    # exactly as constraints that each hold an equal copy
+    text = serialize_model(make())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_roundtrip():
@@ -266,6 +321,20 @@ DFA = {"states": 1, "start": 0, "finals": [0], "transitions": [[0, 1, 0]]}
 ])
 def test_booleans_are_not_integers(doc, where):
     with pytest.raises(ModelError, match=re.escape(where)):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("tuples, message", [
+    ([[0, 1], [1.5, 0], [0, 1, 1]], "tuple values must be integers"),
+    ([[0, 1], [0, 1, 1], [1.5, 0]], "tuple arity mismatch (expected 2)"),
+])
+def test_first_defective_row_sets_the_message(tuples, message):
+    # the value check reads type(v) is int, which here is _is_int(v):
+    # json.loads yields int, bool and float numbers, never an int subclass
+    doc = two_var_doc(constraint={"type": "table", "vars": ["x", "y"],
+                                  "tuples": tuples})
+    with pytest.raises(ModelError, match=re.escape(
+            "constraints[0]: " + message)):
         parse_model(json.dumps(doc))
 
 

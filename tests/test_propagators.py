@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import itertools
 import math
 import sys
@@ -509,9 +510,107 @@ def test_table_empty_fails():
         is PropagationResult.ENTAILED
 
 
-def test_table_arity_validation():
-    with pytest.raises(ValueError):
-        Table((0, 1), [(1, 2, 3)])
+class Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda rows: Table((0, 1), rows),
+    lambda rows: Slide((0, 1, 2), 2, rows),
+], ids=["table", "slide"])
+@pytest.mark.parametrize("rows", [
+    lambda: [[1, 2], [2, 1]],
+    lambda: (iter(t) for t in [(1, 2), (2, 1)]),
+    lambda: [(True, 2), (2, True)],
+    lambda: [(Colour.RED, Colour.GREEN), [Colour.GREEN, 1]],
+], ids=["lists", "generators", "bools", "intenum"])
+def test_tuples_are_stored_as_exact_int_tuples(make, rows):
+    tuples = make(rows()).tuples
+    assert isinstance(tuples, frozenset)
+    assert tuples == {(1, 2), (2, 1)}
+    assert all(type(t) is tuple and all(type(v) is int for v in t)
+               for t in tuples)
+
+
+# each invalid input with the exception and message it raises; where an
+# input has two defects, the message of the check that runs first wins:
+# variables, then Slide's width, then the values, then the arity
+def case(make, error, message, id):
+    return pytest.param(make, error, message, id=id)
+
+
+LITERAL = "invalid literal for int() with base 10: "
+WIDTH = "Slide: window width must be in 1..len(vars)"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    case(lambda: Table((0, 1), [(1, 2, 3)]), ValueError,
+         "Table: tuple arity mismatch", "table-arity"),
+    case(lambda: Table((0,), [(1,), ()]), ValueError,
+         "Table: tuple arity mismatch", "table-empty-row"),
+    case(lambda: Table((0, 0), [(1, 2)]), ValueError,
+         "Table: variables must be pairwise distinct, got (0, 0)",
+         "table-repeated-var"),
+    case(lambda: Table((0, -1), [(1, 2)]), ValueError,
+         "Table: negative variable index in (0, -1)", "table-negative-var"),
+    case(lambda: Table(("a",), [(1,)]), ValueError, LITERAL + "'a'",
+         "table-var-literal"),
+    case(lambda: Table((0, 1), [("x", 1)]), ValueError, LITERAL + "'x'",
+         "table-value-literal"),
+    case(lambda: Table((0, 1), [1, 2]), TypeError,
+         "'int' object is not iterable", "table-row-not-iterable"),
+    case(lambda: Table((0, 1), None), TypeError,
+         "'NoneType' object is not iterable", "table-tuples-none"),
+    case(lambda: Table((0, 0), [(1, 2, 3)]), ValueError,
+         "Table: variables must be pairwise distinct, got (0, 0)",
+         "table-repeated-var-and-arity"),
+    case(lambda: Table((0, -1), [(1, 2, 3)]), ValueError,
+         "Table: negative variable index in (0, -1)",
+         "table-negative-var-and-arity"),
+    case(lambda: Table((0, 1), [(1, "x"), (1, 2, 3)]), ValueError,
+         LITERAL + "'x'", "table-literal-then-arity"),
+    case(lambda: Table((0, 1), [(1, 2, 3), (1, "x")]), ValueError,
+         LITERAL + "'x'", "table-arity-then-literal"),
+    case(lambda: Slide((0, 1), 3, [(0, 0, 0)]), ValueError, WIDTH,
+         "slide-width-too-large"),
+    case(lambda: Slide((0, 1), 0, []), ValueError, WIDTH, "slide-width-zero"),
+    case(lambda: Slide((), 1, [(0,)]), ValueError, WIDTH, "slide-no-vars"),
+    case(lambda: Slide((0, 1, 2), 2, [(0, 0, 0)]), ValueError,
+         "Slide: tuple arity mismatch", "slide-arity"),
+    case(lambda: Slide((0, 1), "x", [(0,)]), ValueError, LITERAL + "'x'",
+         "slide-width-literal"),
+    case(lambda: Slide((0, 1), 3, [(0, 0)]), ValueError, WIDTH,
+         "slide-width-and-arity"),
+    case(lambda: Slide((0, 0), 1, [(0, 0)]), ValueError,
+         "Slide: variables must be pairwise distinct, got (0, 0)",
+         "slide-repeated-var-and-arity"),
+    case(lambda: Slide((0, 1), 2, [(0, "x"), (0,)]), ValueError,
+         LITERAL + "'x'", "slide-literal-and-arity"),
+    # a relation built for one arity, handed to a constraint of another
+    case(lambda: Table((0, 1, 2), Table((0, 1), [(1, 2)]).tuples),
+         ValueError, "Table: tuple arity mismatch",
+         "table-relation-of-other-arity"),
+    case(lambda: Slide((0, 1, 2), 3, Table((0, 1), [(1, 2)]).tuples),
+         ValueError, "Slide: tuple arity mismatch",
+         "slide-relation-of-other-arity"),
+])
+def test_table_arity_validation(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+def test_constraints_over_one_relation_share_it_and_its_masks():
+    first = Table((0, 1), [(0, 1), (1, 0)])
+    second = Table((2, 3), first.tuples)
+    row = Slide((4, 5, 6), 2, first.tuples)
+    assert second.tuples is first.tuples and row.tuples is first.tuples
+    assert second._masks is first._masks and row._masks is first._masks
+    # an equal relation built apart has masks of its own
+    apart = Table((0, 1), [(0, 1), (1, 0)])
+    assert apart.tuples == first.tuples and apart._masks is not first._masks
+    assert apart._masks == first._masks
 
 
 @st.composite
