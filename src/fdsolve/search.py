@@ -225,7 +225,14 @@ class _Run:
     def __init__(self, heuristic, limit: Optional[int], trace):
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be at least 0, got {limit}")
-        self.heuristic = heuristic
+        # a member or its value string; choose compares members with ``is``
+        try:
+            self.heuristic = Heuristic(heuristic)
+        except ValueError:
+            raise ValueError(
+                f"heuristic must be one of "
+                f"{', '.join(repr(h.value) for h in Heuristic)}, "
+                f"got {heuristic!r}") from None
         self.stats = SearchStats()
         self.trace = trace
         self.limit = limit

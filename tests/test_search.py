@@ -17,6 +17,7 @@ from fdsolve.graph import (build_constraint_graph, components,
                            decompose_analysis)
 from fdsolve.search import choose, order_components
 
+from deep_gates import neq_chain
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
                      permuted,
                      random_clustered_state, random_state,
@@ -442,6 +443,22 @@ def test_negative_limits_are_rejected():
     assert trace.nodes == [] and trace.truncated
 
 
+@pytest.mark.parametrize("engine",
+                         [dfs_count, dds_count, dds_tree, dfs_enumerate])
+def test_heuristic_is_a_member_or_its_value(engine):
+    state = neq_chain(12)
+    for bad in ("bogus", 42):
+        with pytest.raises(ValueError, match="heuristic must be one of "
+                           "'input', 'ff', 'maxdeg', 'maxdeg-ff', got"):
+            engine(state, heuristic=bad)
+    for h in Heuristic:
+        results = [engine(state, heuristic=g) for g in (h.value, h)]
+        for r in results:
+            (r[-1] if isinstance(r, tuple) else r.stats).wall_time = 0
+        assert results[0] == results[1]
+    assert dds_count(state, heuristic="input").stats.nodes == 6143
+
+
 def test_zero_variable_problem_counts_one():
     state = new_problem([])
     assert dfs_count(state).count == 1
@@ -758,13 +775,6 @@ def test_cutoff_count_is_lower_bound(make, seed, limit):
 
 
 # -- deep search and pinned results ----------------------------------------------
-
-
-def neq_chain(n):
-    state = new_problem([{0, 1, 2}] * n)
-    for i in range(n - 1):
-        state.post(Neq(i, i + 1))
-    return state
 
 
 def test_deep_search_needs_no_recursion():
