@@ -20,13 +20,13 @@ from .search import (DEFAULT_HEURISTIC, CountResult, Heuristic, SearchTrace,
 DEFAULT_LIMIT = 10 ** 6
 
 
-def _run_report(result: CountResult, engine: str, heuristic: Heuristic,
+def _run_report(result: CountResult, engine: str, heuristic: str,
                form: str) -> str:
     """Lossless summary of a count run, as ``text`` or ``json``; the count
     is a decimal string.  Both forms list every ``SearchStats`` field
     after the four run fields."""
     fields = {"count": str(result.count), "exact": result.exact,
-              "engine": engine, "heuristic": heuristic.value,
+              "engine": engine, "heuristic": heuristic,
               **asdict(result.stats)}
     if form == "json":
         return json.dumps(fields, indent=2)
@@ -61,16 +61,13 @@ def _write_output(text: str, path: Optional[str]) -> None:
 def _cmd_count(args) -> int:
     doc = _load_model(args.model)
     state = doc.build_state()
-    heuristic = Heuristic(args.heuristic)
     trace = SearchTrace(max_nodes=args.trace_max_nodes) if args.trace_dot else None
-    if args.engine == "dds":
-        result = dds_count(state, heuristic, limit=_limit(args.limit), trace=trace)
-    else:
-        result = dfs_count(state, heuristic, limit=_limit(args.limit), trace=trace)
+    count = dds_count if args.engine == "dds" else dfs_count
+    result = count(state, args.heuristic, limit=_limit(args.limit), trace=trace)
     if trace is not None:
         with open(args.trace_dot, "w", encoding="utf-8") as fh:
             fh.write(trace_dot(trace) + "\n")
-    print(_run_report(result, args.engine, heuristic, args.report))
+    print(_run_report(result, args.engine, args.heuristic, args.report))
     return 0
 
 
@@ -80,16 +77,15 @@ def _cmd_enumerate(args) -> int:
                          f"got {args.max_solutions}")
     doc = _load_model(args.model)
     state = doc.build_state()
-    heuristic = Heuristic(args.heuristic)
     names = doc.names
     if args.engine == "dds":
-        result = dds_tree(state, heuristic, limit=args.max_solutions)
+        result = dds_tree(state, args.heuristic, limit=args.max_solutions)
         solutions = tree_expand(result.tree, args.max_solutions)
         complete = result.exact and tree_count(result.tree) <= args.max_solutions
         stats = result.stats
     else:
         # one solution past the maximum tells whether the list is whole
-        solutions, _, stats = dfs_enumerate(state, heuristic,
+        solutions, _, stats = dfs_enumerate(state, args.heuristic,
                                             args.max_solutions + 1)
         complete = len(solutions) <= args.max_solutions
     named = [{names[x]: v for x, v in sorted(sol.items())}
@@ -184,10 +180,9 @@ def bench_aggregates(records: Sequence[BenchRecord]) -> dict[float, dict[str, fl
 
 
 def _cmd_bench(args) -> int:
-    heuristic = Heuristic(args.heuristic)
     t0 = time.perf_counter()
     records = run_bench(args.nodes, args.edge_prob or [0.20, 0.30, 0.40],
-                        args.colors, args.instances, args.seed, heuristic,
+                        args.colors, args.instances, args.seed, args.heuristic,
                         _limit(args.limit))
     elapsed = time.perf_counter() - t0
     aggregates = bench_aggregates(records)

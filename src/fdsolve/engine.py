@@ -9,8 +9,8 @@ API, which puts a smaller frozenset in its place in ``domains`` and records
 the domain event; a set read from ``domains`` therefore never changes, so
 code that prunes must read the domain again to see its own work.  A domain
 may be empty only transiently, and emptying it marks the state failed.
-Every write goes through ``remove_value``, ``remove_values`` (many
-values in one set difference), ``restrict`` or ``tell_eq``
+Every write goes through ``remove_value``, ``narrow`` (a filter hands
+over the smaller domain it has built), ``restrict`` or ``tell_eq``
 (``restrict(x, {v})`` without building the set), and each keeps the same
 books: it counts its domain events, updates the number of unfixed
 variables and the failed flag, and marks the variable changed.  Only
@@ -43,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .propagators import PropagationResult
+from .propagators import PropagationResult, _ints
 
 
 class StateStatus(enum.Enum):
@@ -67,8 +67,8 @@ class ProblemState:
                  "_changed", "_fresh", "_failed", "_unfixed")
 
     def __init__(self, domains: Iterable[Iterable[int]]):
-        self.domains: list[frozenset[int]] = [frozenset(int(v) for v in d)
-                                              for d in domains]
+        self.domains: list[frozenset[int]] = [
+            frozenset(_ints(d, "new_problem: domains")) for d in domains]
         self.propagators: dict[int, object] = {}
         self._subs: list[list[int]] = [[] for _ in self.domains]
         self._handles = itertools.count()
@@ -130,13 +130,13 @@ class ProblemState:
             return True
         return False
 
-    def remove_values(self, x: int, gone: set[int]) -> None:
-        """Remove ``gone``, a non-empty set of values in x's domain, in one
-        set difference, counting a domain event per value as a
-        ``remove_value`` call for each would."""
-        self.domains[x] = d = self.domains[x] - gone
-        self.counters.domain_events += len(gone) - 1
-        self._note_change(x, len(d))
+    def narrow(self, x: int, kept: frozenset[int]) -> None:
+        """Put ``kept``, a proper subset of x's domain, in its place, counting
+        a domain event per value removed as a ``remove_value`` call for each
+        would."""
+        self.counters.domain_events += len(self.domains[x]) - len(kept) - 1
+        self.domains[x] = kept
+        self._note_change(x, len(kept))
 
     def restrict(self, x: int, allowed: set[int]) -> bool:
         d = self.domains[x]

@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import Iterable
 
 from .engine import ProblemState, new_problem
 from .models import ColoringSpec, UGraph, WalkSpec, coloring_plan, saw_plan
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
-                          Slide, Table, _relation)
+                          Slide, Table, _Relation, _relation)
 
 
 # a range is expanded value by value, so its size is bounded before that
@@ -76,7 +77,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _all_ints(values: list) -> bool:
+def _all_ints(values: Iterable) -> bool:
     """Whether every value parsed from JSON is an integer, in one C-level
     pass: ``json.loads`` yields ``int``, ``bool`` and ``float`` numbers and
     never an ``int`` subclass, so ``type(v) is int`` is ``_is_int(v)``."""
@@ -114,17 +115,24 @@ def _resolve(names: dict[str, int], raw_vars, where: str) -> tuple[int, ...]:
 
 def _parse_tuples(raw, arity: int, where: str,
                   built: dict) -> frozenset[tuple[int, ...]]:
-    """The relation of the rows ``raw``, validated row by row, so that the
-    first defective row sets the message; one equal to a relation in
-    ``built`` is that one, so equal tuple sets are held once."""
+    """The relation of the rows ``raw``, validated as a whole in C-level
+    passes and, only when that fails, row by row, so that the first
+    defective row sets the message; one equal to a relation in ``built``
+    is that one, so equal tuple sets are held once."""
     if not isinstance(raw, list):
         raise ModelError(f"{where}: 'tuples' must be a list of rows")
-    for row in raw:
-        if not isinstance(row, list) or len(row) != arity:
-            raise ModelError(f"{where}: tuple arity mismatch (expected {arity})")
-        if not _all_ints(row):
-            raise ModelError(f"{where}: tuple values must be integers")
-    rel = _relation(raw, arity, where)
+    # json.loads yields no list subclass, so ``type(row) is list`` is
+    # ``isinstance(row, list)``
+    if not ({list}.issuperset(map(type, raw))
+            and {arity}.issuperset(map(len, raw))
+            and _all_ints(chain.from_iterable(raw))):
+        for row in raw:
+            if not isinstance(row, list) or len(row) != arity:
+                raise ModelError(f"{where}: tuple arity mismatch (expected {arity})")
+            if not _all_ints(row):
+                raise ModelError(f"{where}: tuple values must be integers")
+    # checked: the rows are the relation's tuples as they are
+    rel = _Relation(map(tuple, raw))
     return built.setdefault(rel, rel)
 
 
@@ -246,7 +254,7 @@ def parse_model(text: str) -> ModelDocument:
                 raise ModelError(f"{where}: unknown constraint type {kind!r}")
         except ModelError:
             raise
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ModelError(f"{where}: {exc}") from None
     return ModelDocument(tuple(decls), tuple(constraints))
 

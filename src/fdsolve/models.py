@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Optional
 
+from .propagators import _ints
+
 
 # -- undirected graphs ------------------------------------------------------
 
@@ -29,7 +31,7 @@ class UGraph:
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", _ints((n,), "UGraph: n")[0])
         if self.n < 0:
             raise ValueError(f"node count must be at least 0, got {self.n}")
         norm = set()

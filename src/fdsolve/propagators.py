@@ -45,8 +45,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import gt
+from itertools import chain
+from operator import gt, index
 from typing import Iterable, Sequence
 
 
@@ -100,8 +100,29 @@ class _Memo(dict):
         return value
 
 
+def _ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as exact ints, converted with ``operator.index``, which
+    takes the integral types (``int``, ``bool``, ``IntEnum``, ...) and
+    nothing else: the one conversion of user values in the library.  A
+    value it refuses raises a ``TypeError`` whose message starts with
+    ``what``, the constraint and the argument, as in ``"Linear: coeffs"``."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as exc:
+        raise TypeError(f"{what}: {exc}") from None
+
+
+def _count(value, name: str, least: int) -> int:
+    """The count argument ``name`` as an exact int (see ``_ints``), at
+    least ``least`` or a ``ValueError``."""
+    (n,) = _ints((value,), name)
+    if n < least:
+        raise ValueError(f"{name} must be at least {least}, got {n}")
+    return n
+
+
 def _check_distinct(vars: Sequence[int], what: str) -> tuple[int, ...]:
-    vs = tuple(map(int, vars))
+    vs = _ints(vars, f"{what}: vars")
     if len(set(vs)) != len(vs):
         raise ValueError(f"{what}: variables must be pairwise distinct, got {vs}")
     if vs and min(vs) < 0:
@@ -188,7 +209,9 @@ class Neq(_Whole):
     y: int
 
     def __post_init__(self):
-        _check_distinct((self.x, self.y), "Neq")
+        x, y = _check_distinct((self.x, self.y), "Neq")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @property
     def vars(self) -> tuple[int, ...]:
@@ -229,9 +252,10 @@ class Linear(_Whole):
 
     def __post_init__(self):
         vs = _check_distinct(self.vars, "Linear")
+        cs = _ints(self.coeffs, "Linear: coeffs")
         object.__setattr__(self, "vars", vs)
-        cs = tuple(int(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "rhs", _ints((self.rhs,), "Linear: rhs")[0])
         if len(cs) != len(vs) or not vs:
             raise ValueError("Linear: need matching non-empty coeffs/vars")
         if any(c == 0 for c in cs):
@@ -270,11 +294,11 @@ class Linear(_Whole):
                 ub = self.rhs - (lo - term_lo)
                 if self.rel == EQ:
                     lb = self.rhs - (hi - term_hi)
-                    gone = {v for v in d if not lb <= a * v <= ub}
+                    kept = frozenset([v for v in d if lb <= a * v <= ub])
                 else:
-                    gone = {v for v in d if a * v > ub}
-                if gone:
-                    state.remove_values(x, gone)
+                    kept = frozenset([v for v in d if a * v <= ub])
+                if len(kept) != len(d):
+                    state.narrow(x, kept)
                     changed = True
                 if state.failed:
                     return FAILED
@@ -327,7 +351,10 @@ class AllDifferent:
                 taken |= d
             else:
                 return FAILED
-        rest = [doms[i] - taken for i in free] if taken else \
+        # a domain less the taken values it holds: a difference with few
+        # values copies the domain's compact table, one with many would
+        # grow a new table that the state then keeps
+        rest = [doms[i] - (taken & doms[i]) for i in free] if taken else \
             [doms[i] for i in free]
         # the size test: a value is pruned only through a Hall set of
         # j < k open variables within j values, but any j of them hold at
@@ -342,9 +369,8 @@ class AllDifferent:
         # each shrunk domain is written once, by scope position; a matching
         # keeps a value in every domain, so none empties
         for i, kept in zip(free, rest):
-            d = doms[i]
-            if len(kept) != len(d):
-                state.remove_values(vars[i], d - kept)
+            if len(kept) != len(doms[i]):
+                state.narrow(vars[i], kept)
         # with the assigned values distinct and stripped, the domains are
         # pairwise disjoint iff the open ones are
         if len(rest) < 2 or sum(map(len, rest)) == len(set().union(*rest)):
@@ -561,13 +587,13 @@ class _Relation(frozenset):
 def _relation(tuples: Iterable[Sequence[int]], arity: int,
               what: str) -> _Relation:
     """``tuples`` as a relation of exact int tuples of ``arity`` values,
-    built in C-level passes, with ``int`` applied only when some value is
+    built in C-level passes, with ``_ints`` applied only when some value is
     not an exact int already; a relation built here before is kept as it
     is, so the constraints over it share it."""
     if tuples.__class__ is not _Relation:
         rows = list(map(tuple, tuples))
         if not {int}.issuperset(map(type, chain.from_iterable(rows))):
-            rows = map(tuple, map(map, repeat(int), rows))
+            rows = [_ints(row, f"{what}: tuples") for row in rows]
         tuples = _Relation(rows)
     if not {arity}.issuperset(map(len, tuples)):
         raise ValueError(f"{what}: tuple arity mismatch")
@@ -652,11 +678,13 @@ class Dfa:
 
     def __init__(self, state_count: int, start: int, finals: Iterable[int],
                  transitions: dict[tuple[int, int], int]):
-        object.__setattr__(self, "state_count", int(state_count))
-        object.__setattr__(self, "start", int(start))
-        object.__setattr__(self, "finals", frozenset(int(f) for f in finals))
-        object.__setattr__(self, "transitions",
-                           {(int(q), int(s)): int(r) for (q, s), r in transitions.items()})
+        object.__setattr__(self, "state_count",
+                           _ints((state_count,), "Dfa: state_count")[0])
+        object.__setattr__(self, "start", _ints((start,), "Dfa: start")[0])
+        object.__setattr__(self, "finals", frozenset(_ints(finals, "Dfa: finals")))
+        arcs = [_ints((q, s, r), "Dfa: transitions")
+                for (q, s), r in transitions.items()]
+        object.__setattr__(self, "transitions", {(q, s): r for q, s, r in arcs})
         if not (0 <= self.start < self.state_count):
             raise ValueError("Dfa: start state out of range")
         if any(not (0 <= f < self.state_count) for f in self.finals):
@@ -816,7 +844,7 @@ class Slide(_Runs):
     def __init__(self, vars: Sequence[int], width: int, tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Slide")
         object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "width", int(width))
+        object.__setattr__(self, "width", _ints((width,), "Slide: width")[0])
         if not (1 <= self.width <= len(vs)):
             raise ValueError("Slide: window width must be in 1..len(vars)")
         object.__setattr__(self, "tuples",

@@ -43,6 +43,7 @@ from math import prod
 from typing import Callable, NamedTuple, Optional, Union
 
 from .engine import PropagationCounters, ProblemState, StateStatus
+from .propagators import _count
 # bench/run.py's traced runs patch ``search.build_constraint_graph``, so
 # the name stays here although nothing in this module calls it
 from .graph import build_constraint_graph, decompose_analysis  # noqa: F401
@@ -111,9 +112,7 @@ class SearchTrace:
     """Bounded record of visited search nodes, for DOT export."""
 
     def __init__(self, max_nodes: int = 5000):
-        if max_nodes < 0:
-            raise ValueError(f"max_nodes must be at least 0, got {max_nodes}")
-        self.max_nodes = max_nodes
+        self.max_nodes = _count(max_nodes, "max_nodes", 0)
         self.nodes: list[tuple[int, str]] = []          # (id, kind)
         self.edges: list[tuple[int, int, str]] = []     # (parent, child, label)
         self.truncated = False
@@ -223,8 +222,7 @@ class _Run:
     __slots__ = ("heuristic", "stats", "trace", "limit", "certified", "hit")
 
     def __init__(self, heuristic, limit: Optional[int], trace):
-        if limit is not None and limit < 0:
-            raise ValueError(f"limit must be at least 0, got {limit}")
+        limit = None if limit is None else _count(limit, "limit", 0)
         # a member or its value string; choose compares members with ``is``
         try:
             self.heuristic = Heuristic(heuristic)
@@ -541,8 +539,7 @@ def dfs_enumerate(root: ProblemState, heuristic: Heuristic = DEFAULT_HEURISTIC,
     The returned flag is True only when the list is known to be the whole
     solution set.
     """
-    if max_solutions < 1:
-        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
+    max_solutions = _count(max_solutions, "max_solutions", 1)
     solutions: list[dict[int, int]] = []
     # the cut-off trips at the max_solutions-th solution and stops the walk
     run = _Run(heuristic, max_solutions - 1, None)
@@ -601,7 +598,8 @@ def tree_expand(tree: SolutionTree, max_solutions: int) -> list[dict[int, int]]:
     """First ``max_solutions`` full assignments, in deterministic order
     (alternatives concatenated, and-children combined with the last child
     varying fastest)."""
-    return list(islice(_expand(tree), max(max_solutions, 0)))
+    return list(islice(_expand(tree),
+                       _count(max_solutions, "max_solutions", 0)))
 
 
 def _expand(tree: SolutionTree):

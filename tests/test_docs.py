@@ -1,0 +1,39 @@
+"""The documentation runs: every demo script exits 0, and the README's
+library quick start runs as the README shows it, so a change to the public
+API that leaves either stale fails here."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_there_are_demos():
+    # an empty glob would leave the demo test with no case to run
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    # a child process with this checkout's sources first on the path, as
+    # ``PYTHONPATH=src python demos/<name>.py`` runs it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout
+
+
+def test_readme_library_quick_start_runs():
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md: Library quick start", "exec"), {})
