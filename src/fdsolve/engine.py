@@ -4,15 +4,14 @@ A ``ProblemState`` owns one array of finite integer domains plus the
 propagators posted on them.  ``propagate`` runs queued propagators to a
 mutual fixpoint and drops entailed ones from the store, so later graph
 reflection only sees constraints that can still act.  A domain is a
-``frozenset`` of ints, read directly and changed only through the state's
-API, which puts a smaller frozenset in its place in ``domains`` and records
-the domain event; a set read from ``domains`` therefore never changes, so
-code that prunes must read the domain again to see its own work.  A domain
-may be empty only transiently, and emptying it marks the state failed.
-Every write goes through ``remove_value``, ``narrow`` (a filter hands
-over the smaller domain it has built), ``restrict`` or ``tell_eq``
-(``restrict(x, {v})`` without building the set), and each keeps the same
-books: it counts its domain events, updates the number of unfixed
+``frozenset`` of ints, read directly and changed only through ``narrow``,
+which puts a smaller frozenset in its place in ``domains``; a set read
+from ``domains`` therefore never changes, so code that prunes must read
+the domain again to see its own work.  A domain may be empty only
+transiently, and emptying it marks the state failed.  A filter hands
+``narrow`` the smaller domain it has built; ``remove_value`` and
+``tell_eq`` build it for one value.  ``narrow`` keeps the books: it
+counts one domain event per value removed, updates the number of unfixed
 variables and the failed flag, and marks the variable changed.  Only
 ``propagate`` wakes propagators: at the start of each round it queues the
 propagators on every changed variable, so a write made by a filter, by
@@ -122,51 +121,32 @@ class ProblemState:
 
     # -- domain mutation (propagators and branching go through these) ---
 
+    def narrow(self, x: int, kept: frozenset[int]) -> None:
+        """Put ``kept``, a proper subset of x's domain, in its place: the one
+        write, counting a domain event per value removed."""
+        self.counters.domain_events += len(self.domains[x]) - len(kept)
+        self.domains[x] = kept
+        self._changed.add(x)
+        # a write always shrinks, so one value left means x was just fixed
+        if len(kept) == 1:
+            self._unfixed -= 1
+        elif not kept:
+            self._failed = True
+
     def remove_value(self, x: int, v: int) -> bool:
         d = self.domains[x]
         if v in d:
-            self.domains[x] = d = d - {v}
-            self._note_change(x, len(d))
+            self.narrow(x, d - {v})
             return True
         return False
 
-    def narrow(self, x: int, kept: frozenset[int]) -> None:
-        """Put ``kept``, a proper subset of x's domain, in its place, counting
-        a domain event per value removed as a ``remove_value`` call for each
-        would."""
-        self.counters.domain_events += len(self.domains[x]) - len(kept) - 1
-        self.domains[x] = kept
-        self._note_change(x, len(kept))
-
-    def restrict(self, x: int, allowed: set[int]) -> bool:
-        d = self.domains[x]
-        if d <= allowed:
-            return False
-        self.domains[x] = d = d & allowed
-        self._note_change(x, len(d))
-        return True
-
     def tell_eq(self, x: int, v: int) -> None:
-        """Branch on ``x = v``: ``restrict(x, {v})`` without building the
-        set.  A value outside the domain empties it, and the state fails."""
+        """Branch on ``x = v``: narrow x's domain to its values in ``{v}``; a
+        value outside the domain empties it, and the state fails."""
         d = self.domains[x]
-        if v in d:
-            if len(d) != 1:
-                self.domains[x] = frozenset((v,))
-                self._note_change(x, 1)
-        elif d:
-            self.domains[x] = frozenset()
-            self._note_change(x, 0)
-
-    def _note_change(self, x: int, size: int) -> None:
-        """Record that domain x shrank to ``size`` values; a change always
-        shrinks, so size 1 means x was just fixed."""
-        self.counters.domain_events += 1
-        self._changed.add(x)
-        if size == 1:
-            self._unfixed -= 1
-        elif size == 0:
-            self._failed = True
+        kept = d & {v}
+        if kept != d:
+            self.narrow(x, kept)
 
     # -- propagation -----------------------------------------------------
 

@@ -34,19 +34,25 @@ class UGraph:
         object.__setattr__(self, "n", _ints((n,), "UGraph: n")[0])
         if self.n < 0:
             raise ValueError(f"node count must be at least 0, got {self.n}")
+        edges = list(map(tuple, edges))
+        if not {2}.issuperset(map(len, edges)):
+            raise ValueError("UGraph: each edge must have two ends")
+        # one conversion of every end, however many edges
+        ends = iter(_ints(itertools.chain(*edges), "UGraph: edges"))
         norm = set()
-        for u, v in edges:
+        for u, v in zip(ends, ends):
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) outside 0..{self.n - 1}")
-            norm.add((min(u, v), max(u, v)))
+            norm.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(norm))
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> UGraph:
     """Random graph: each of the n(n-1)/2 pairs kept with probability p,
     deterministically from the seed."""
+    (n,) = _ints((n,), "erdos_renyi: n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be in [0, 1]")
     rng = random.Random(seed)
@@ -101,6 +107,8 @@ class ColoringSpec:
     colors: int
 
     def __post_init__(self):
+        object.__setattr__(self, "colors",
+                           _ints((self.colors,), "ColoringSpec: colors")[0])
         if self.colors < 1:
             raise ValueError("need at least one color")
 
@@ -124,6 +132,7 @@ def chromatic_oracle(g: UGraph, k: int, max_nodes: int = 12) -> int:
     counted on an explicit stack, so the depth of the deletion-contraction
     is not bound by the recursion limit.
     """
+    (k,) = _ints((k,), "chromatic_oracle: k")
     if g.n > max_nodes:
         raise ValueError(f"chromatic_oracle limited to {max_nodes} nodes")
 
@@ -229,10 +238,12 @@ class WalkSpec:
     bound: Optional[int] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "length",
+                           _ints((self.length,), "WalkSpec: length")[0])
         if self.length < 1:
             raise ValueError("need at least one monomer")
-        if self.bound is None:
-            object.__setattr__(self, "bound", self.length)
+        object.__setattr__(self, "bound", self.length if self.bound is None
+                           else _ints((self.bound,), "WalkSpec: bound")[0])
         if self.bound < self.length:
             raise ValueError("box must hold any walk: bound >= length")
 
@@ -268,6 +279,7 @@ def saw_plan(spec: WalkSpec) -> tuple[list[set[int]], set[tuple[int, int]]]:
 def saw_walk_count(length: int) -> int:
     """Brute-force walk oracle: directly enumerate self-avoiding walks of
     ``length`` monomers (length - 1 steps) from the origin."""
+    (length,) = _ints((length,), "saw_walk_count: length")
     if length < 1:
         raise ValueError("need at least one monomer")
 

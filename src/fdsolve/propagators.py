@@ -2,8 +2,8 @@
 
 Each constraint class plays three roles:
 
-* ``filter(state)`` narrows domains through the state's mutation API and
-  reports ``FAILED`` / ``ENTAILED`` / ``STABLE``.
+* ``filter(state)`` narrows domains through ``state.narrow``, directly or
+  by ``remove_value``, and reports ``FAILED`` / ``ENTAILED`` / ``STABLE``.
 * ``satisfied(values)`` checks one full tuple against the constraint's
   declarative semantics.  This path never touches the filtering code, so
   brute-force oracles built on it stay independent of propagation.
@@ -145,17 +145,18 @@ class _Runs:
 
     ``_narrow(doms)`` computes the whole filter outcome on the scope's
     domains: the status, the split or the cuts, and then, flat, each
-    ``restrict(x, allowed)`` call made, in order.  ``filter`` replays the
-    calls of the memoised outcome, so domain events and wake order are the
-    computation's.  An outcome that is stable and restricts nothing is a
-    fixpoint's, and it holds the split that ``_split`` makes of ``doms``
-    and their cuts.  Search asks for splits only at a fixpoint, from the
-    propagators it stores, so ``hyperedges`` reads that split with one
-    memo lookup and no pass over the positions.  Any other outcome keeps
-    the cuts of the domains its filter leaves, a bitmask over positions
-    (0 for a failure, which has no cuts), and ``hyperedges`` splits the
-    domains asked about at those.  Holding the split only where search
-    reads it, each fragment interned, keeps the memo small.
+    narrowed domain ``x, kept`` in the order the computation narrowed it.
+    ``filter`` replays them with ``narrow``, each interned set becoming the
+    domain itself, so domain events and wake order are the computation's.
+    An outcome that is stable and narrows nothing is a fixpoint's, and it
+    holds the split that ``_split`` makes of ``doms`` and their
+    cuts.  Search asks for splits only at a fixpoint, from the propagators
+    it stores, so ``hyperedges`` reads that split with one memo lookup and
+    no pass over the positions.  Any other outcome keeps the cuts of the
+    domains its filter leaves, a bitmask over positions (0 for a failure,
+    which has no cuts), and ``hyperedges`` splits the domains asked about
+    at those.  Holding the split only where search reads it, each fragment
+    interned, keeps the memo small.
     """
 
     @cached_property
@@ -173,8 +174,8 @@ class _Runs:
         domains = state.domains
         outcome = iter(self._outcomes[tuple([domains[x] for x in self.vars])])
         status, _ = next(outcome), next(outcome)
-        for x, allowed in zip(outcome, outcome):
-            state.restrict(x, allowed)
+        for x, kept in zip(outcome, outcome):
+            state.narrow(x, kept)
         return status
 
     def hyperedges(self, state) -> list[frozenset[int]]:
@@ -650,8 +651,9 @@ class Table(_Whole):
         valid, support = _supports(self._masks, doms)
         if valid == 0:
             return FAILED
-        for x, sup in zip(self.vars, support):
-            state.restrict(x, sup)
+        for x, d, sup in zip(self.vars, doms, support):
+            if len(sup) != len(d):
+                state.narrow(x, frozenset(sup))
         # a live tuple supports every position, so no domain empties, and
         # the domains are now exactly the supports
         return ENTAILED if valid == math.prod(map(len, support)) else STABLE
@@ -803,7 +805,7 @@ class Regular(_Runs):
         if not accepted:
             return FAILED, 0
         # every position keeps a live arc, so no domain empties; the
-        # single-live-state layers stay so on the restricted domains
+        # single-live-state layers stay so on the narrowed domains
         outcome, sets, words = [], self._sets, 1
         for x, d, allowed in zip(self.vars, doms, symbols):
             words *= len(allowed)
@@ -886,7 +888,7 @@ class Slide(_Runs):
         # scan the windows first in first out, from a queue that starts with
         # every window and takes in each window over a domain that another
         # window's scan narrows; entailed: whether each window's last scan
-        # found every combination of its supports live, which restricting
+        # found every combination of its supports live, which narrowing
         # to the supports keeps
         entailed = [False] * m
         queue, queued = deque(range(m)), [True] * m
@@ -926,7 +928,7 @@ class Slide(_Runs):
             return ENTAILED, cuts, *outcome
         if outcome:
             return STABLE, cuts, *outcome
-        # nothing restricted: the domains left are the ones asked about
+        # nothing narrowed: the domains left are the ones asked about
         return STABLE, self._split(doms, cuts)
 
     def satisfied(self, values: Sequence[int]) -> bool:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (AllDifferent, Linear, Neq, StateStatus, dds_count,
-                     dfs_count, new_problem)
+from fdsolve import (AllDifferent, Linear, Neq, ProblemState, StateStatus,
+                     dds_count, dfs_count, new_problem)
 from fdsolve.propagators import EQ
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
@@ -81,7 +81,7 @@ def test_tell_eq_and_neq():
     assert sorted(state.domains[0]) == [3]
     state.tell_eq(0, 7)
     assert len(state.domains[0]) == 0
-    # an empty domain has nothing left to lose, as under restrict
+    # an empty domain has nothing left to lose, so nothing is narrowed
     events = state.counters.domain_events
     state.tell_eq(0, 7)
     assert state.counters.domain_events == events
@@ -115,10 +115,12 @@ def bookkeeping(state):
 @pytest.mark.parametrize("x, v", [(0, 7), (0, 1), (1, 0), (2, 5)],
                          ids=["outside", "3-value", "2-value", "1-value"])
 def test_tell_eq_keeps_the_books_of_restrict(store, x, v):
-    # tell_eq is restrict(x, {v}) without building the set; it must leave
-    # the same state behind
+    # tell_eq narrows x's domain to its values in {v}, if that drops one;
+    # it must leave the same state behind as that narrow call
     reference = tell_subject(store)
-    reference.restrict(x, {v})
+    kept = reference.domains[x] & {v}
+    if kept != reference.domains[x]:
+        reference.narrow(x, kept)
     state = tell_subject(store)
     state.tell_eq(x, v)
     assert bookkeeping(state) == bookkeeping(reference)
@@ -140,7 +142,8 @@ def test_a_write_between_propagations_is_propagated():
     state.remove_value(1, 1)
     assert dfs_count(state).count == dds_count(state).count == 0
     assert state.propagate() is StateStatus.FAILED
-    for write in (lambda s: s.restrict(0, {0}), lambda s: s.tell_eq(0, 0)):
+    for write in (lambda s: s.narrow(0, frozenset({0})),
+                  lambda s: s.tell_eq(0, 0)):
         state = neq_pair()
         write(state)
         assert dfs_count(state).count == dds_count(state).count == 1
@@ -215,11 +218,13 @@ def test_writes_between_propagations_count_like_a_fresh_state(make, seed,
         x = data.draw(st.integers(0, state.num_vars - 1))
         # a value outside the domain too, which may empty it
         values = st.sampled_from(sorted(state.domains[x]) + [-1])
-        kind = data.draw(st.sampled_from(["remove", "restrict", "eq"]))
+        kind = data.draw(st.sampled_from(["remove", "narrow", "eq"]))
         if kind == "remove":
             state.remove_value(x, data.draw(values))
-        elif kind == "restrict":
-            state.restrict(x, set(data.draw(st.lists(values))))
+        elif kind == "narrow":
+            kept = state.domains[x] & set(data.draw(st.lists(values)))
+            if kept != state.domains[x]:
+                state.narrow(x, kept)
         else:
             state.tell_eq(x, data.draw(values))
     fresh = new_problem(state.domains)
@@ -235,7 +240,8 @@ def test_writes_between_propagations_count_like_a_fresh_state(make, seed,
 def test_clone_independence():
     # a clone shares every domain set; a change on either side puts a new
     # set in that side's list and leaves the other side's domain alone
-    changes = (lambda s: s.remove_value(0, 3), lambda s: s.restrict(1, {4}),
+    changes = (lambda s: s.remove_value(0, 3),
+               lambda s: s.narrow(1, frozenset({4})),
                lambda s: s.tell_eq(2, 1))
     for change in changes:
         for copy_changes in (True, False):
@@ -412,7 +418,7 @@ def test_solved_exactly_when_every_domain_is_a_singleton(make, seed, data):
                         random_state_with_slide, random_small_neq_state]),
        st.integers(0, 10 ** 6), st.data())
 def test_tells_record_exactly_the_domains_they_change(make, seed, data):
-    # a tell counts one domain event per domain it changes; a no-op tell
+    # a tell counts one domain event per value it removes; a no-op tell
     # (tell_eq on the same singleton, remove_value of an absent value)
     # changes nothing and queues no propagator; tell_eq outside the domain
     # fails
@@ -442,7 +448,8 @@ def test_tells_record_exactly_the_domains_they_change(make, seed, data):
         (state.tell_eq if eq else state.remove_value)(x, v)
         changed = [y for y, d in enumerate(before) if d != state.domains[y]]
         assert changed in ([], [x])
-        assert counters.domain_events == events + len(changed)
+        assert counters.domain_events == events + sum(
+            len(before[y]) - len(state.domains[y]) for y in changed)
         if kind != "any":
             assert not changed
         runs = counters.propagations
@@ -451,3 +458,53 @@ def test_tells_record_exactly_the_domains_they_change(make, seed, data):
             assert counters.propagations == runs
         if eq and v not in before[x]:
             assert status is StateStatus.FAILED
+
+
+class NarrowLog(ProblemState):
+    """A state that logs each ``narrow`` call: the variable, the domain it
+    held and the one it was handed."""
+
+    __slots__ = ("narrows",)
+
+    def __init__(self, domains):
+        super().__init__(domains)
+        self.narrows = []
+
+    def narrow(self, x, kept):
+        self.narrows.append((x, self.domains[x], kept))
+        super().narrow(x, kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([random_state, random_clustered_state,
+                        random_state_with_slide]),
+       st.integers(0, 10 ** 6), st.data())
+def test_every_write_narrows_and_counts_the_values_it_removes(make, seed,
+                                                              data):
+    # whatever writes, a filter of any constraint kind, a tell or a
+    # removal, it hands narrow a proper subset of the domain, no domain
+    # changes otherwise, and the domain events added are the values the
+    # domains lost
+    made = make(seed)
+    state = NarrowLog(made.domains)
+    for prop in made.propagators.values():
+        state.post(prop)
+    for _ in range(data.draw(st.integers(1, 8))):
+        if state.failed:
+            break
+        before, events = list(state.domains), state.counters.domain_events
+        state.narrows.clear()
+        kind = data.draw(st.sampled_from(["propagate", "eq", "remove"]))
+        if kind == "propagate":
+            state.propagate()
+        else:
+            x = data.draw(st.integers(0, state.num_vars - 1))
+            v = data.draw(st.sampled_from(sorted(state.domains[x]) + [-1]))
+            (state.tell_eq if kind == "eq" else state.remove_value)(x, v)
+        for x, held, kept in state.narrows:
+            assert type(kept) is frozenset and kept < held
+        # no domain changes but through narrow
+        assert {x for x, _, _ in state.narrows} == \
+            {y for y, d in enumerate(before) if d is not state.domains[y]}
+        assert state.counters.domain_events - events == sum(
+            len(d) - len(e) for d, e in zip(before, state.domains))

@@ -4,13 +4,15 @@ int it stands for, and anything else raises a ``TypeError`` that names the
 constraint or the argument; a count below its least value raises a
 ``ValueError``."""
 import enum
+import itertools
 
 import pytest
 
-from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
-                     SearchTrace, Slide, Table, UGraph, dds_count, dds_tree,
-                     dfs_count, dfs_enumerate, new_problem, tree_count,
-                     tree_expand)
+from fdsolve import (EQ, LEQ, AllDifferent, ColoringSpec, Dfa, Linear, Neq,
+                     Regular, SearchTrace, Slide, Table, UGraph, WalkSpec,
+                     chromatic_oracle, dds_count, dds_tree, dfs_count,
+                     dfs_enumerate, erdos_renyi, new_problem, saw_walk_count,
+                     tree_count, tree_expand)
 
 ONE_TWO = Dfa(2, 0, [1], {(0, 1): 1, (1, 2): 1})
 
@@ -54,6 +56,17 @@ SITES = {
     "Slide-tuple": (lambda bad: Slide((0, 1, 2), 2, [(bad, 1)]),
                     "Slide: tuples"),
     "UGraph": (lambda bad: UGraph(bad, []), "UGraph: n"),
+    "UGraph-edge": (lambda bad: UGraph(3, [(0, 2), (bad, 1)]),
+                    "UGraph: edges"),
+    "erdos_renyi": (lambda bad: erdos_renyi(bad, 0.5, 1), "erdos_renyi: n"),
+    "ColoringSpec": (lambda bad: ColoringSpec(UGraph(2, [(0, 1)]), bad),
+                     "ColoringSpec: colors"),
+    "WalkSpec-length": (WalkSpec, "WalkSpec: length"),
+    "WalkSpec-bound": (lambda bad: WalkSpec(2, bad), "WalkSpec: bound"),
+    "chromatic_oracle": (lambda bad: chromatic_oracle(UGraph(2, [(0, 1)]),
+                                                      bad),
+                         "chromatic_oracle: k"),
+    "saw_walk_count": (saw_walk_count, "saw_walk_count: length"),
     "dfs_count-limit": (lambda bad: dfs_count(small_state(), limit=bad),
                         "limit"),
     "dds_count-limit": (lambda bad: dds_count(small_state(), limit=bad),
@@ -131,8 +144,12 @@ def test_integral_values_are_the_ints_they_stand_for():
     numbers += [*posted[1].coeffs, posted[1].rhs, posted[2].width,
                 dfa.state_count, dfa.start, *dfa.finals,
                 *(v for (q, s), r in dfa.transitions.items() for v in (q, s, r)),
-                SearchTrace(max_nodes=Colour.GREEN).max_nodes,
-                UGraph(Colour.GREEN, [(0, 1)]).n]
+                SearchTrace(max_nodes=Colour.GREEN).max_nodes]
+    graph = UGraph(Colour.GREEN, [(False, Colour.RED)])
+    walk = WalkSpec(Colour.RED, Colour.GREEN)
+    numbers += [graph.n, *itertools.chain(*graph.edges), walk.length,
+                walk.bound, ColoringSpec(graph, Colour.GREEN).colors]
+    assert graph == UGraph(2, [(0, 1)]) and walk == WalkSpec(1, 2)
     assert {type(v) for v in numbers} == {int}
     for con in posted:
         state.post(con)

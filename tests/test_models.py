@@ -35,6 +35,9 @@ def test_ugraph_validation():
         UGraph(3, [(0, 5)])
     with pytest.raises(ValueError, match="node count"):
         UGraph(-3, [])
+    for edges in ([(0, 1, 2)], [(0, 1, 2), (1,)]):
+        with pytest.raises(ValueError, match="two ends"):
+            UGraph(3, edges)
     assert UGraph(0, []).n == 0
 
 

@@ -344,19 +344,14 @@ def reference_alldiff_filter(prop, state):
 
 
 class RemovalLog(ProblemState):
-    """A state that logs every removal call as the variable and the set of
-    values it removes: the value passed to ``remove_value``, whether or not
-    it was still there, or the values ``narrow`` drops."""
+    """A state that logs every write as the variable and the set of values
+    it removes: every write, ``remove_value`` too, goes through ``narrow``."""
 
     __slots__ = ("removals",)
 
     def __init__(self, domains):
         super().__init__(domains)
         self.removals = []
-
-    def remove_value(self, x, v):
-        self.removals.append((x, {v}))
-        return super().remove_value(x, v)
 
     def narrow(self, x, kept):
         self.removals.append((x, set(self.domains[x] - kept)))
@@ -645,7 +640,7 @@ def test_table_filter_against_naive_supports(case):
         result = prop.filter(state)
         if not live:
             assert result is PropagationResult.FAILED
-            assert state.domains == before  # failed before any restrict
+            assert state.domains == before  # failed before any narrow
             return
         assert state.domains == [{t[i] for t in live}
                                  for i in range(len(doms))]
@@ -910,12 +905,12 @@ def test_regular_slot_cuts_and_fixpoint_through_search(model, data):
         scope = tuple(state.domains[x] for x in prop.vars)
         if h in state.propagators:
             edges = prop.hyperedges(state)
-            # a stored propagator's outcome is stable and restricts
+            # a stored propagator's outcome is stable and narrows
             # nothing, and its split breaks the open positions before
             # each layer where every accepted word passes through one
             # automaton state; the split read is the stored one
-            status, split, *restricted = memo_outcome(prop, scope)
-            assert status is STABLE and not restricted
+            status, split, *narrowed = memo_outcome(prop, scope)
+            assert status is STABLE and not narrowed
             cuts = sum(1 << i for i in regular_cuts(dfa, scope))
             assert list(split) == edges == reference_runs(prop, scope, cuts)
         else:
@@ -1109,8 +1104,8 @@ def test_slide_split_on_entailed_windows():
 
 
 class ChangeLog(ProblemState):
-    """A state that logs each domain change its filters make, in order: the
-    variable and the values it lost."""
+    """A state that logs each domain change, in order: the variable and the
+    values it lost.  Every write goes through ``narrow``."""
 
     __slots__ = ("changes",)
 
@@ -1118,19 +1113,9 @@ class ChangeLog(ProblemState):
         super().__init__(domains)
         self.changes = []
 
-    def remove_value(self, x, v):
-        before = self.domains[x]
-        if super().remove_value(x, v):
-            self.changes.append((x, before - self.domains[x]))
-            return True
-        return False
-
-    def restrict(self, x, allowed):
-        before = self.domains[x]
-        if super().restrict(x, allowed):
-            self.changes.append((x, before - self.domains[x]))
-            return True
-        return False
+    def narrow(self, x, kept):
+        self.changes.append((x, self.domains[x] - kept))
+        super().narrow(x, kept)
 
 
 def unmemoised(make):
@@ -1286,8 +1271,8 @@ def test_memos_hold_interned_sets():
             assert held(owner, doms)
             assert held(owner, outcome[3::2])
             assert owner._sets[outcome] is outcome
-            # (status, split, x1, allowed1, ...), each restriction on a
-            # scope variable: the split of a stable outcome that restricts
+            # (status, split, x1, kept1, ...), each narrowed domain of a
+            # scope variable: the split of a stable outcome that narrows
             # nothing is a tuple of interned runs of the variables open in
             # the key, in position order; any other outcome keeps its cut
             # bitmask, a failed one 0
@@ -1354,7 +1339,7 @@ def logged_filter(prop, doms):
 def test_outcome_memo_hit_replays_the_filter(model, regular, overflow):
     # a memo hit replays the filter of an equal instance run with every
     # memo capped at 0: the same changes in the same order, the same status
-    # and domain events, restrictions made before a failure included.  With
+    # and domain events, narrowing done before a failure included.  With
     # overflow, 260 distinct scopes fill the memo first, so the drawn
     # domains compute without storing; the count then still matches brute
     # force, and nothing is stored past the cap
@@ -1382,7 +1367,7 @@ def test_outcome_memo_hit_replays_the_filter(model, regular, overflow):
 
 def test_slide_replays_restrictions_before_a_failure():
     # window (0, 1) cuts x1 to {1}, then window (1, 2) has no live tuple:
-    # the hit restricts x1 and fails, as the computation did
+    # the hit narrows x1 and fails, as the computation did
     prop = Slide(range(3), 2, [(0, 1), (1, 1)])
     doms = [{0}, {0, 1}, {0}]
     want = (FAILED, [(1, {0})], 1, [{0}, {1}, {0}])
