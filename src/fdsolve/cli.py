@@ -13,9 +13,10 @@ from typing import Optional, Sequence
 from .model_io import (ModelDocument, ModelError, coloring_document,
                        parse_model, saw_document, serialize_model)
 from .models import ColoringSpec, WalkSpec, erdos_renyi
+from .propagators import _count
 from .search import (DEFAULT_HEURISTIC, CountResult, Heuristic, SearchTrace,
                      dds_count, dds_tree, dfs_count, dfs_enumerate, trace_dot,
-                     tree_count, tree_expand)
+                     tree_expand)
 
 DEFAULT_LIMIT = 10 ** 6
 
@@ -72,24 +73,22 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.max_solutions < 1:
-        raise ValueError("--max-solutions must be at least 1, "
-                         f"got {args.max_solutions}")
+    max_solutions = _count(args.max_solutions, "--max-solutions", 1)
     doc = _load_model(args.model)
     state = doc.build_state()
     names = doc.names
     if args.engine == "dds":
-        result = dds_tree(state, args.heuristic, limit=args.max_solutions)
-        solutions = tree_expand(result.tree, args.max_solutions)
-        complete = result.exact and tree_count(result.tree) <= args.max_solutions
-        stats = result.stats
+        # a run the cut-off did not stop has certified every solution, so
+        # there are at most max_solutions
+        result = dds_tree(state, args.heuristic, limit=max_solutions)
+        solutions = tree_expand(result.tree, max_solutions)
+        complete, stats = result.exact, result.stats
     else:
         # one solution past the maximum tells whether the list is whole
-        solutions, _, stats = dfs_enumerate(state, args.heuristic,
-                                            args.max_solutions + 1)
-        complete = len(solutions) <= args.max_solutions
+        solutions, complete, stats = dfs_enumerate(state, args.heuristic,
+                                                   max_solutions + 1)
     named = [{names[x]: v for x, v in sorted(sol.items())}
-             for sol in solutions[:args.max_solutions]]
+             for sol in solutions[:max_solutions]]
     if args.report == "json":
         print(json.dumps({"solutions": named, "complete": complete,
                           "engine": args.engine, "nodes": stats.nodes},
@@ -145,8 +144,7 @@ def run_bench(nodes: int, edge_probs: Sequence[float], colors: int,
     """Count colorings of seeded random graphs with both engines and record
     per-instance search-tree-size and runtime ratios (DFS over the
     decomposing engine)."""
-    if instances < 0:
-        raise ValueError(f"instances must be at least 0, got {instances}")
+    instances = _count(instances, "instances", 0)
     records = []
     for p in edge_probs:
         for i in range(instances):

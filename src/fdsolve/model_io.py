@@ -24,23 +24,29 @@ Canonical shape::
 Domains are explicit value lists or ``{"range": [lo, hi]}`` with at most
 ``MAX_RANGE_VALUES`` values; parsing normalizes both to sorted value
 tuples.  DFA transitions are ``[state, symbol, state]`` triples.
+
+The two generated models are laid out here, each in the function that
+builds its document from a ``models`` spec: ``coloring_document`` and
+``saw_document``.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable
 
 from .engine import ProblemState, new_problem
-from .models import ColoringSpec, UGraph, WalkSpec, coloring_plan, saw_plan
+from .models import ColoringSpec, WalkSpec, lattice_code, maximal_cliques
 from .propagators import (EQ, LEQ, AllDifferent, Dfa, Linear, Neq, Regular,
                           Slide, Table, _Relation, _relation)
 
 
 # a range is expanded value by value, so its size is bounded before that
 MAX_RANGE_VALUES = 1_000_000
+# the constraint types a document may name
+_KINDS = ("neq", "linear", "alldifferent", "table", "regular", "slide")
 
 
 class ModelError(ValueError):
@@ -212,14 +218,15 @@ def parse_model(text: str) -> ModelDocument:
         if not isinstance(rc, dict) or "type" not in rc:
             raise ModelError(f"{where}: need a 'type' field")
         kind = rc["type"]
+        if kind not in _KINDS:
+            raise ModelError(f"{where}: unknown constraint type {kind!r}")
+        vs = _resolve(names, rc.get("vars"), where)
         try:
             if kind == "neq":
-                vs = _resolve(names, rc.get("vars"), where)
                 if len(vs) != 2:
                     raise ModelError(f"{where}: neq takes exactly 2 variables")
                 constraints.append(Neq(vs[0], vs[1]))
             elif kind == "linear":
-                vs = _resolve(names, rc.get("vars"), where)
                 coeffs = rc.get("coeffs")
                 if not isinstance(coeffs, list) or not _all_ints(coeffs):
                     raise ModelError(f"{where}: 'coeffs' must be integers")
@@ -231,27 +238,21 @@ def parse_model(text: str) -> ModelDocument:
                     raise ModelError(f"{where}: 'rhs' must be an integer")
                 constraints.append(Linear(tuple(coeffs), vs, rel, rhs))
             elif kind == "alldifferent":
-                vs = _resolve(names, rc.get("vars"), where)
                 constraints.append(AllDifferent(vs))
             elif kind == "table":
-                vs = _resolve(names, rc.get("vars"), where)
                 tuples = _parse_tuples(rc.get("tuples"), len(vs), where,
                                        relations)
                 constraints.append(Table(vs, tuples))
             elif kind == "regular":
-                vs = _resolve(names, rc.get("vars"), where)
                 dfa = _parse_dfa(rc.get("dfa"), where, automata)
                 constraints.append(Regular(vs, dfa))
-            elif kind == "slide":
-                vs = _resolve(names, rc.get("vars"), where)
+            else:  # slide
                 width = rc.get("width")
                 if not _is_int(width):
                     raise ModelError(f"{where}: 'width' must be an integer")
                 tuples = _parse_tuples(rc.get("tuples"), width, where,
                                        relations)
                 constraints.append(Slide(vs, width, tuples))
-            else:
-                raise ModelError(f"{where}: unknown constraint type {kind!r}")
         except ModelError:
             raise
         except (TypeError, ValueError) as exc:
@@ -311,22 +312,36 @@ def serialize_model(doc: ModelDocument) -> str:
 
 
 def coloring_document(spec: ColoringSpec) -> ModelDocument:
-    """Coloring model as a document: variables n0..n{N-1} over the colors."""
+    """Coloring model as a document: variables n0..n{N-1} over the colors,
+    one ``AllDifferent`` per maximal clique of three or more nodes, in
+    ``maximal_cliques`` order, then one ``Neq`` per edge in no such clique,
+    in ascending order."""
     colors = tuple(range(spec.colors))
     decls = tuple(VariableDecl(f"n{i}", colors) for i in range(spec.graph.n))
-    big, rest = coloring_plan(spec.graph)
-    constraints: list[object] = [AllDifferent(sorted(c)) for c in big]
-    constraints += [Neq(u, v) for u, v in rest]
+    cliques = [sorted(c) for c in maximal_cliques(spec.graph) if len(c) > 2]
+    # the edges of a sorted clique, as UGraph holds them: smaller end first
+    covered = {e for c in cliques for e in combinations(c, 2)}
+    constraints: list[object] = [AllDifferent(c) for c in cliques]
+    constraints += [Neq(u, v) for u, v in sorted(spec.graph.edges - covered)]
     return ModelDocument(decls, tuple(constraints))
 
 
 def saw_document(spec: WalkSpec) -> ModelDocument:
-    """Walk model as a document: variables p0..p{L-1} over coded points."""
-    domains, steps = saw_plan(spec)
-    decls = tuple(VariableDecl(f"p{i}", tuple(sorted(d)))
-                  for i, d in enumerate(domains))
+    """Walk model as a document: variables p0..p{L-1} over the coded points
+    of the box, p0 pinned to the origin; a table of lattice steps between
+    consecutive points, and one ``AllDifferent`` over all of them."""
+    b = spec.bound
+    side = range(-b, b + 1)
+    # one tuple of the box's points, which every free variable declares
+    points = tuple(sorted(lattice_code(x, y, b) for x in side for y in side))
+    decls = (VariableDecl("p0", (lattice_code(0, 0, b),)),
+             *(VariableDecl(f"p{i}", points) for i in range(1, spec.length)))
     # one relation for every step, built once
-    steps = _relation(steps, 2, "Table")
+    steps = _relation(((lattice_code(x, y, b), lattice_code(x + dx, y + dy, b))
+                       for x in side for y in side
+                       for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                       if -b <= x + dx <= b and -b <= y + dy <= b),
+                      2, "Table")
     constraints: list[object] = [Table((i, i + 1), steps)
                                  for i in range(spec.length - 1)]
     if spec.length >= 2:

@@ -1,13 +1,14 @@
-"""Benchmark model layouts and the independent counting oracles.
+"""Graphs, model specs, lattice codes and the independent counting oracles.
 
-Two model families: proper graph colorings (one all-different per large
-maximal clique, binary inequalities for the remaining edges) and planar
-self-avoiding walks on the square lattice (neighbour tables along the
-chain plus one global all-different).  ``model_io.coloring_document`` and
-``model_io.saw_document`` turn a spec into a model document, and its
-``build_state()`` into a problem state.  The oracles count the same objects
-without any propagation: deletion-contraction for colorings and direct
-walk enumeration for walks.
+Two model families: proper graph colorings of a ``UGraph`` and planar
+self-avoiding walks on the square lattice, boxed and coded by
+``lattice_code``.  Each family's layout (one all-different per large
+maximal clique plus binary inequalities for the remaining edges; neighbour
+tables along the chain plus one global all-different) lives in the one
+function that builds its document: ``model_io.coloring_document`` and
+``model_io.saw_document``.  The oracles count the same objects without
+any propagation: deletion-contraction for colorings and direct walk
+enumeration for walks.
 """
 from __future__ import annotations
 
@@ -111,18 +112,6 @@ class ColoringSpec:
                            _ints((self.colors,), "ColoringSpec: colors")[0])
         if self.colors < 1:
             raise ValueError("need at least one color")
-
-
-def coloring_plan(g: UGraph) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
-    """Constraint layout of the coloring model: the maximal cliques of size
-    greater than two, plus the edges not inside any of them."""
-    big = [c for c in maximal_cliques(g) if len(c) > 2]
-    covered = set()
-    for c in big:
-        covered.update((min(u, v), max(u, v))
-                       for u, v in itertools.combinations(sorted(c), 2))
-    rest = sorted(e for e in g.edges if e not in covered)
-    return big, rest
 
 
 def chromatic_oracle(g: UGraph, k: int, max_nodes: int = 12) -> int:
@@ -257,23 +246,6 @@ def lattice_code(x: int, y: int, bound: int) -> int:
 def lattice_point(code: int, bound: int) -> tuple[int, int]:
     side = 2 * bound + 1
     return code // side - bound, code % side - bound
-
-
-def saw_plan(spec: WalkSpec) -> tuple[list[set[int]], set[tuple[int, int]]]:
-    """Domains plus the coded 4-neighbourhood step relation."""
-    b = spec.bound
-    all_points = {lattice_code(x, y, b)
-                  for x in range(-b, b + 1) for y in range(-b, b + 1)}
-    steps = set()
-    for x in range(-b, b + 1):
-        for y in range(-b, b + 1):
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nx, ny = x + dx, y + dy
-                if -b <= nx <= b and -b <= ny <= b:
-                    steps.add((lattice_code(x, y, b), lattice_code(nx, ny, b)))
-    domains = [{lattice_code(0, 0, b)}]
-    domains.extend(set(all_points) for _ in range(spec.length - 1))
-    return domains, steps
 
 
 def saw_walk_count(length: int) -> int:

@@ -13,6 +13,7 @@ from fdsolve import (EQ, LEQ, AllDifferent, ColoringSpec, Dfa, Linear, Neq,
                      chromatic_oracle, dds_count, dds_tree, dfs_count,
                      dfs_enumerate, erdos_renyi, new_problem, saw_walk_count,
                      tree_count, tree_expand)
+from fdsolve.cli import run_bench
 
 ONE_TWO = Dfa(2, 0, [1], {(0, 1): 1, (1, 2): 1})
 
@@ -80,6 +81,8 @@ SITES = {
                               "max_nodes"),
     "tree_expand-max_solutions": (lambda bad: tree_expand(a_tree(), bad),
                                   "max_solutions"),
+    "run_bench-instances": (lambda bad: run_bench(3, [0.5], 2, bad, 1),
+                            "instances"),
 }
 
 

@@ -3,11 +3,11 @@ import sys
 
 import pytest
 
-from fdsolve import (ColoringSpec, Neq, UGraph, WalkSpec, chromatic_oracle,
-                     coloring_document, dds_count, dfs_count, erdos_renyi,
-                     lattice_point, maximal_cliques, new_problem, saw_document,
-                     saw_walk_count)
-from fdsolve.models import coloring_plan, lattice_code
+from fdsolve import (AllDifferent, ColoringSpec, Neq, UGraph, WalkSpec,
+                     chromatic_oracle, coloring_document, dds_count, dfs_count,
+                     erdos_renyi, lattice_point, maximal_cliques, new_problem,
+                     saw_document, saw_walk_count)
+from fdsolve.models import lattice_code
 
 from randcsp import brute_force_count, intro_state
 
@@ -99,9 +99,20 @@ def test_cliques_need_no_recursion():
 # -- coloring model ---------------------------------------------------------------
 
 
+def coloring_layout(g):
+    """The cliques and the edges the coloring document posts, in order: the
+    variables of each AllDifferent, then the pair of each Neq."""
+    constraints = coloring_document(ColoringSpec(g, 3)).constraints
+    big = [frozenset(c.vars) for c in constraints
+           if isinstance(c, AllDifferent)]
+    rest = [(c.x, c.y) for c in constraints if isinstance(c, Neq)]
+    assert len(big) + len(rest) == len(constraints)
+    return big, rest
+
+
 def test_coloring_triangle_layout():
     g = UGraph(3, [(0, 1), (1, 2), (0, 2)])
-    big, rest = coloring_plan(g)
+    big, rest = coloring_layout(g)
     assert len(big) == 1 and rest == []
     state = coloring_document(ColoringSpec(g, 3)).build_state()
     assert len(state.propagators) == 1
@@ -109,7 +120,7 @@ def test_coloring_triangle_layout():
 
 def test_coloring_path_layout():
     g = UGraph(3, [(0, 1), (1, 2)])
-    big, rest = coloring_plan(g)
+    big, rest = coloring_layout(g)
     assert big == [] and len(rest) == 2
     state = coloring_document(ColoringSpec(g, 2)).build_state()
     assert all(isinstance(p, Neq) for p in state.propagators.values())
@@ -124,10 +135,13 @@ def test_coloring_k4_needs_four_colors():
 
 
 def test_clique_edge_coverage():
-    # every edge is in a posted alldifferent or has a posted neq, never both
+    # every edge is in a posted alldifferent or has a posted neq, never both;
+    # each alldifferent is a maximal clique, and the neqs come in order
     for seed in range(10):
         g = erdos_renyi(8, 0.4, seed)
-        big, rest = coloring_plan(g)
+        big, rest = coloring_layout(g)
+        assert all(c in maximal_cliques(g) for c in big)
+        assert rest == sorted(rest)
         covered = set()
         for c in big:
             covered.update((min(u, v), max(u, v))
