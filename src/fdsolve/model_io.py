@@ -7,12 +7,14 @@ Canonical shape::
         {"name": "A", "domain": [3, 5]},
         {"name": "B", "domain": {"range": [0, 3]}}
       ],
+      "relations": {"r0": [[3, 4], [5, 3]]},
       "constraints": [
         {"type": "neq", "vars": ["A", "B"]},
         {"type": "linear", "coeffs": [1, 1], "vars": ["A", "B"],
          "rel": "eq", "rhs": 8},
         {"type": "alldifferent", "vars": ["A", "B"]},
-        {"type": "table", "vars": ["A", "B"], "tuples": [[3, 4], [5, 3]]},
+        {"type": "table", "vars": ["A", "B"], "tuples": "r0"},
+        {"type": "table", "vars": ["B", "A"], "tuples": "r0"},
         {"type": "regular", "vars": ["A", "B"],
          "dfa": {"states": 2, "start": 0, "finals": [0],
                  "transitions": [[0, 3, 1], [1, 4, 0]]}},
@@ -23,7 +25,11 @@ Canonical shape::
 
 Domains are explicit value lists or ``{"range": [lo, hi]}`` with at most
 ``MAX_RANGE_VALUES`` values; parsing normalizes both to sorted value
-tuples.  DFA transitions are ``[state, symbol, state]`` triples.
+tuples.  DFA transitions are ``[state, symbol, state]`` triples.  A
+``table`` or ``slide`` entry's ``tuples`` is either its rows or the name of
+a relation in ``relations``, an optional object from names to rows;
+``serialize_model`` names each tuple set that two or more constraints hold,
+``r0``, ``r1``, ... in order of first use, and writes the others inline.
 
 The two generated models are laid out here, each in the function that
 builds its document from a ``models`` spec: ``coloring_document`` and
@@ -32,8 +38,8 @@ builds its document from a ``models`` spec: ``coloring_document`` and
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -119,14 +125,12 @@ def _resolve(names: dict[str, int], raw_vars, where: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _parse_tuples(raw, arity: int, where: str,
-                  built: dict) -> frozenset[tuple[int, ...]]:
+def _checked_relation(raw: list, arity: int, where: str,
+                      built: dict) -> _Relation:
     """The relation of the rows ``raw``, validated as a whole in C-level
     passes and, only when that fails, row by row, so that the first
     defective row sets the message; one equal to a relation in ``built``
     is that one, so equal tuple sets are held once."""
-    if not isinstance(raw, list):
-        raise ModelError(f"{where}: 'tuples' must be a list of rows")
     # json.loads yields no list subclass, so ``type(row) is list`` is
     # ``isinstance(row, list)``
     if not ({list}.issuperset(map(type, raw))
@@ -140,6 +144,41 @@ def _parse_tuples(raw, arity: int, where: str,
     # checked: the rows are the relation's tuples as they are
     rel = _Relation(map(tuple, raw))
     return built.setdefault(rel, rel)
+
+
+def _parse_relations(raw, built: dict) -> dict[str, _Relation]:
+    """The named relations of ``raw``, each validated once, whether or not
+    a constraint names it; a relation's arity is its first row's length."""
+    if not isinstance(raw, dict):
+        raise ModelError("'relations' must be an object")
+    named = {}
+    for name, rows in raw.items():
+        where = f"relations[{name!r}]"
+        if not isinstance(rows, list) or (rows and not isinstance(rows[0], list)):
+            raise ModelError(f"{where}: a relation must be a list of rows")
+        named[name] = _checked_relation(rows, len(rows[0]) if rows else 0,
+                                        where, built)
+    return named
+
+
+def _parse_tuples(raw, arity: int, where: str, named: dict[str, _Relation],
+                  built: dict) -> _Relation:
+    """The relation of a ``tuples`` field: inline rows, or the name of a
+    relation in ``named``, which must have ``arity`` values per row."""
+    if isinstance(raw, list):
+        return _checked_relation(raw, arity, where, built)
+    if not isinstance(raw, str):
+        raise ModelError(
+            f"{where}: 'tuples' must be a list of rows or a relation name")
+    if raw not in named:
+        raise ModelError(f"{where}: unknown relation {raw!r}")
+    rel = named[raw]
+    # an empty relation has rows of any arity
+    got = len(next(iter(rel), ()))
+    if rel and got != arity:
+        raise ModelError(
+            f"{where}: relation {raw!r} has arity {got}, not {arity}")
+    return rel
 
 
 def _parse_dfa(raw, where: str, built: dict) -> Dfa:
@@ -204,15 +243,16 @@ def parse_model(text: str) -> ModelDocument:
         names[name] = i
         decls.append(VariableDecl(name, _parse_domain(rv["domain"], where)))
 
-    raw_cons = raw.get("constraints", [])
-    if not isinstance(raw_cons, list):
-        raise ModelError("'constraints' must be a list")
-    constraints = []
     # each distinct automaton and tuple set once, so the Regular
     # constraints over an automaton share its step memo, and the Table and
     # Slide constraints over a tuple set share its support masks
     automata: dict = {}
     relations: dict = {}
+    named = _parse_relations(raw.get("relations", {}), relations)
+    raw_cons = raw.get("constraints", [])
+    if not isinstance(raw_cons, list):
+        raise ModelError("'constraints' must be a list")
+    constraints = []
     for i, rc in enumerate(raw_cons):
         where = f"constraints[{i}]"
         if not isinstance(rc, dict) or "type" not in rc:
@@ -241,7 +281,7 @@ def parse_model(text: str) -> ModelDocument:
                 constraints.append(AllDifferent(vs))
             elif kind == "table":
                 tuples = _parse_tuples(rc.get("tuples"), len(vs), where,
-                                       relations)
+                                       named, relations)
                 constraints.append(Table(vs, tuples))
             elif kind == "regular":
                 dfa = _parse_dfa(rc.get("dfa"), where, automata)
@@ -251,7 +291,7 @@ def parse_model(text: str) -> ModelDocument:
                 if not _is_int(width):
                     raise ModelError(f"{where}: 'width' must be an integer")
                 tuples = _parse_tuples(rc.get("tuples"), width, where,
-                                       relations)
+                                       named, relations)
                 constraints.append(Slide(vs, width, tuples))
         except ModelError:
             raise
@@ -261,13 +301,26 @@ def parse_model(text: str) -> ModelDocument:
 
 
 def serialize_model(doc: ModelDocument) -> str:
-    """Canonical JSON text, one line per variable and per constraint;
-    parse(serialize(doc)) == doc."""
+    """Canonical JSON text, one line per variable, per named relation and
+    per constraint; parse(serialize(doc)) == doc."""
     names = doc.names
     raw_vars = [{"name": v.name, "domain": list(v.values)}
                 for v in doc.variables]
-    # each distinct tuple set sorted once, however many constraints hold it
-    rows = cache(lambda tuples: sorted(map(list, tuples)))
+    # a tuple set two or more constraints hold, equal ones counted as one,
+    # is written and sorted once, under a name, r0, r1, ... in order of
+    # first use
+    held = Counter(c.tuples for c in doc.constraints
+                   if isinstance(c, (Table, Slide)))
+    named: dict[_Relation, str] = {}
+
+    def rows(rel) -> list:
+        return sorted(map(list, rel))
+
+    def tuples(rel):
+        if held[rel] < 2:
+            return rows(rel)
+        return named.setdefault(rel, f"r{len(named)}")
+
     raw_cons = []
     for c in doc.constraints:
         if isinstance(c, Neq):
@@ -282,7 +335,7 @@ def serialize_model(doc: ModelDocument) -> str:
         elif isinstance(c, Table):
             raw_cons.append({"type": "table",
                              "vars": [names[x] for x in c.vars],
-                             "tuples": rows(c.tuples)})
+                             "tuples": tuples(c.tuples)})
         elif isinstance(c, Regular):
             raw_cons.append({"type": "regular",
                              "vars": [names[x] for x in c.vars],
@@ -296,7 +349,7 @@ def serialize_model(doc: ModelDocument) -> str:
             raw_cons.append({"type": "slide",
                              "vars": [names[x] for x in c.vars],
                              "width": c.width,
-                             "tuples": rows(c.tuples)})
+                             "tuples": tuples(c.tuples)})
         else:
             raise ModelError(f"cannot serialize constraint {c!r}")
     # one compact line per entry: readable, and dumped by the C encoder
@@ -304,7 +357,11 @@ def serialize_model(doc: ModelDocument) -> str:
     def entries(items: list) -> str:
         return "[" + ",".join("\n  " + json.dumps(i) for i in items) + "\n ]"
 
-    return (f'{{"variables": {entries(raw_vars)},\n'
+    relations = (' "relations": {'
+                 + ",".join(f"\n  {json.dumps(name)}: {json.dumps(rows(rel))}"
+                            for rel, name in named.items())
+                 + "\n },\n") if named else ""
+    return (f'{{"variables": {entries(raw_vars)},\n{relations}'
             f' "constraints": {entries(raw_cons)}}}')
 
 

@@ -1,7 +1,8 @@
 """The documentation runs: every demo script exits 0, and the README's
 library quick start runs as the README shows it, so a change to the public
-API that leaves either stale fails here; and the README's command-line
-synopsis lists every flag of every subcommand."""
+API that leaves either stale fails here; the README's command-line
+synopsis lists every flag of every subcommand; and its model documents
+parse."""
 import argparse
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from fdsolve import parse_model
 from fdsolve.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,3 +64,13 @@ def test_readme_command_line_synopsis_lists_every_flag():
                          if not re.search(re.escape(f) + r"\b(?!-)",
                                           synopses[name]))
         assert not missing, f"{name}: {missing}"
+
+
+def test_readme_model_documents_parse():
+    # every JSON block of "Model documents" is a valid model document
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(
+        "## Model documents", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        parse_model(block)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fdsolve import (ColoringSpec, ModelError, Table, UGraph, WalkSpec,
                      dds_count, dfs_count, parse_model, serialize_model)
 from fdsolve import model_io
-from fdsolve.model_io import coloring_document, saw_document
+from fdsolve.model_io import ModelDocument, coloring_document, saw_document
 
 CANONICAL = """
 {
@@ -89,6 +89,13 @@ def shared_relations_text():
     return json.dumps(raw)
 
 
+def test_named_canonical_parses_as_its_inline_form():
+    named = parse_model(named_canonical_text())
+    raw = json.loads(CANONICAL)
+    raw["constraints"].append({**raw["constraints"][3], "vars": ["D", "C"]})
+    assert named == parse_model(json.dumps(raw))
+
+
 def test_equal_tuple_sets_are_parsed_once():
     # the rows of one document share a relation object, and with it the
     # relation's support masks; a different tuple set stays apart
@@ -110,8 +117,8 @@ def test_walk_steps_are_one_relation():
 
 @pytest.mark.parametrize("make, digest", [
     (lambda: saw_document(WalkSpec(8)),
-     "88e06462efab5620e568977798e86a96"
-     "59748b2a3f809d4f42ed279f8c2e949c"),
+     "7d20a4e71a9443a6cb35aa8e59932715"
+     "b297725bed0437bc75e81fcbc083056a"),
     (lambda: coloring_document(ColoringSpec(erdos_graph(), 3)),
      "f493ca1c2ef232d72ad93afedb634375"
      "4c06b927f416ef8fa2dcf1553fb5a93b"),
@@ -119,8 +126,8 @@ def test_walk_steps_are_one_relation():
      "d0d3c90160fcf3076b441774d2ccba49"
      "0afcffb907871860d9aeb9c2296353af"),
     (lambda: parse_model(shared_relations_text()),
-     "b5e8fa58b1e4c6f0096572f8e33e53ad"
-     "7f1caad58499db6b19837bc4cffa9d6e"),
+     "eba86f9f7f736f9ab9088cf46ab6f64a"
+     "b9a332dd349466a76d8ff2bb11b7c4ba"),
 ], ids=["gen-saw", "gen-coloring", "canonical", "shared-relations"])
 def test_serialized_text_is_pinned(make, digest):
     # sha256 of the text: constraints that share a relation serialize it
@@ -144,14 +151,75 @@ def test_generated_documents_roundtrip_and_solve():
 
 
 def test_serialized_text_has_one_line_per_entry():
+    # a named relation is one entry, and its object two lines more
     for doc in (parse_model(CANONICAL), saw_document(WalkSpec(5)),
                 coloring_document(ColoringSpec(erdos_graph(), 3)),
+                parse_model(shared_relations_text()),
                 parse_model('{"variables": [], "constraints": []}')):
         text = serialize_model(doc)
         assert parse_model(text) == doc
         assert serialize_model(parse_model(text)) == text
-        entries = len(doc.variables) + len(doc.constraints)
-        assert len(text.splitlines()) <= entries + 4
+        relations = json.loads(text).get("relations", {})
+        entries = len(doc.variables) + len(relations) + len(doc.constraints)
+        assert len(text.splitlines()) == entries + 4 + 2 * bool(relations)
+
+
+def test_shared_tuple_sets_are_written_once():
+    # named in order of first use; a set one constraint holds stays inline
+    raw = json.loads(serialize_model(parse_model(shared_relations_text())))
+    assert raw["relations"] == {"r0": [[1, 2], [2, 1]]}
+    tuples = [c.get("tuples") for c in raw["constraints"]]
+    assert tuples[3] == tuples[6] == tuples[7] == "r0"
+    assert isinstance(tuples[5], list) and tuples[8] == [[1, 2]]
+    assert "relations" not in json.loads(serialize_model(parse_model(
+        CANONICAL)))
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_walk_documents_roundtrip(length):
+    doc = saw_document(WalkSpec(length))
+    text = serialize_model(doc)
+    assert parse_model(text) == doc
+    assert len(json.loads(text).get("relations", {})) == (length > 2)
+
+
+def test_equal_relations_held_apart_are_written_once():
+    # every table over a copy of the step relation of its own, as the
+    # bench's recoded walks hold them
+    doc = saw_document(WalkSpec(6))
+    copies = ModelDocument(doc.variables, tuple(
+        Table(c.vars, list(c.tuples)) if isinstance(c, Table) else c
+        for c in doc.constraints))
+    assert copies.constraints[0].tuples is not copies.constraints[1].tuples
+    text = serialize_model(copies)
+    assert text == serialize_model(doc)
+    parsed = parse_model(text)
+    assert parsed == copies
+    assert len({id(c.tuples) for c in parsed.constraints
+                if isinstance(c, Table)}) == 1
+
+
+def test_inline_and_named_equal_rows_are_one_relation():
+    doc = parse_model(json.dumps({
+        "variables": [{"name": "x", "domain": [1, 2]},
+                      {"name": "y", "domain": [1, 2]}],
+        "relations": {"swap": [[1, 2], [2, 1]], "unused": [[7]]},
+        "constraints": [
+            {"type": "table", "vars": ["x", "y"], "tuples": "swap"},
+            {"type": "table", "vars": ["y", "x"], "tuples": [[2, 1], [1, 2]]},
+            {"type": "slide", "vars": ["x", "y"], "width": 2,
+             "tuples": "swap"}]}))
+    named, inline, slid = doc.constraints
+    assert inline.tuples is named.tuples and slid.tuples is named.tuples
+    assert inline._masks is named._masks
+    assert dds_count(doc.build_state()).count == 2
+
+
+def test_an_empty_named_relation_has_any_arity():
+    doc = parse_model(json.dumps(two_var_doc(
+        constraint={"type": "table", "vars": ["x", "y"], "tuples": "none"},
+        relations={"none": []})))
+    assert dfs_count(doc.build_state()).count == 0
 
 
 def erdos_graph():
@@ -235,10 +303,21 @@ def json_paths(node, path=()):
         yield from json_paths(child, path + (key,))
 
 
+def named_canonical_text():
+    """The canonical document with its table and slide rows in
+    ``relations``, referenced by name, and a second table over the first."""
+    raw = json.loads(CANONICAL)
+    table, slide = raw["constraints"][3], raw["constraints"][5]
+    raw["relations"] = {"pairs": table["tuples"], "steps": slide["tuples"]}
+    table["tuples"], slide["tuples"] = "pairs", "steps"
+    raw["constraints"].append({**table, "vars": ["D", "C"]})
+    return json.dumps(raw)
+
+
 # values that fit where they land as often as not
 JSON_VALUES = st.integers(0, 5) | st.sampled_from("ABCD") | st.recursive(
     st.sampled_from([None, True, False, -3, 1.5, 10 ** 20, "", "E", "neq",
-                     "range", "eq"]),
+                     "range", "eq", "pairs", "steps"]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.sampled_from(["name", "domain", "vars", "type", "range"]), inner,
         max_size=3),
@@ -247,11 +326,13 @@ JSON_VALUES = st.integers(0, 5) | st.sampled_from("ABCD") | st.recursive(
 
 @st.composite
 def mutated_documents(draw):
-    """The canonical document after one to three mutations below its root,
-    each replacing a value, dropping a key or list item, or nesting a value
-    in a list or an object; the mutations stop once both top-level keys are
-    dropped, since nothing is left below the root."""
-    doc = json.loads(CANONICAL)
+    """The canonical document, with its rows inline or in named relations,
+    after one to three mutations below its root, each replacing a value,
+    dropping a key or list item, or nesting a value in a list or an object;
+    the mutations stop once every top-level key is dropped, since nothing is
+    left below the root."""
+    doc = json.loads(draw(st.sampled_from([CANONICAL,
+                                           named_canonical_text()])))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(json_paths(doc))
         if not paths:
@@ -283,10 +364,13 @@ def test_mutated_documents_parse_and_count_or_raise_model_error(text):
         dds_count(doc.build_state()).count
 
 
-def two_var_doc(domain=(0, 1), constraint=None):
-    return {"variables": [{"name": "x", "domain": domain},
-                          {"name": "y", "domain": [0, 1]}],
-            "constraints": [constraint] if constraint else []}
+def two_var_doc(domain=(0, 1), constraint=None, relations=None):
+    doc = {"variables": [{"name": "x", "domain": domain},
+                         {"name": "y", "domain": [0, 1]}],
+           "constraints": [constraint] if constraint else []}
+    if relations is not None:
+        doc["relations"] = relations
+    return doc
 
 
 DFA = {"states": 1, "start": 0, "finals": [0], "transitions": [[0, 1, 0]]}
@@ -335,6 +419,45 @@ def test_first_defective_row_sets_the_message(tuples, message):
                                   "tuples": tuples})
     with pytest.raises(ModelError, match=re.escape(
             "constraints[0]: " + message)):
+        parse_model(json.dumps(doc))
+
+
+TABLE_XY = {"type": "table", "vars": ["x", "y"], "tuples": "r"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (two_var_doc(relations=[[0, 1]]), "'relations' must be an object"),
+    (two_var_doc(relations={"r": 5}),
+     "relations['r']: a relation must be a list of rows"),
+    (two_var_doc(relations={"r": [5, [0, 1]]}),
+     "relations['r']: a relation must be a list of rows"),
+    # unreferenced relations are checked too, the first bad row first
+    (two_var_doc(relations={"r": [[0, 1], [0, 1, 1], [1.5, 0]]}),
+     "relations['r']: tuple arity mismatch (expected 2)"),
+    (two_var_doc(relations={"r": [[0, 1], [1.5, 0], [0, 1, 1]]}),
+     "relations['r']: tuple values must be integers"),
+    (two_var_doc(relations={"r": [[0, 1], [0, True]]}),
+     "relations['r']: tuple values must be integers"),
+    (two_var_doc(relations={"r": [[0, 1]], "s": [[0], 1]}),
+     "relations['s']: tuple arity mismatch (expected 1)"),
+    (two_var_doc(constraint=TABLE_XY), "constraints[0]: unknown relation 'r'"),
+    (two_var_doc(constraint={**TABLE_XY, "tuples": "s"},
+                 relations={"r": [[0, 1]]}),
+     "constraints[0]: unknown relation 's'"),
+    (two_var_doc(constraint=TABLE_XY, relations={"r": [[0, 1, 1]]}),
+     "constraints[0]: relation 'r' has arity 3, not 2"),
+    (two_var_doc(constraint={"type": "slide", "vars": ["x", "y"],
+                             "width": 1, "tuples": "r"},
+                 relations={"r": [[0, 1]]}),
+     "constraints[0]: relation 'r' has arity 2, not 1"),
+    (two_var_doc(constraint={**TABLE_XY, "tuples": 5}),
+     "constraints[0]: 'tuples' must be a list of rows or a relation name"),
+    (two_var_doc(constraint={**TABLE_XY, "tuples": {"r": [[0, 1]]}},
+                 relations={"r": [[0, 1]]}),
+     "constraints[0]: 'tuples' must be a list of rows or a relation name"),
+])
+def test_named_relation_errors(doc, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
         parse_model(json.dumps(doc))
 
 
