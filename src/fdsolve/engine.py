@@ -66,8 +66,11 @@ class ProblemState:
                  "_changed", "_fresh", "_failed", "_unfixed")
 
     def __init__(self, domains: Iterable[Iterable[int]]):
+        # equal domains share one frozenset, as the clones of a state do
+        built: dict[frozenset[int], frozenset[int]] = {}
         self.domains: list[frozenset[int]] = [
-            frozenset(_ints(d, "new_problem: domains")) for d in domains]
+            built.setdefault(d, d) for d in
+            (frozenset(_ints(d, "new_problem: domains")) for d in domains)]
         self.propagators: dict[int, object] = {}
         self._subs: list[list[int]] = [[] for _ in self.domains]
         self._handles = itertools.count()

@@ -25,11 +25,14 @@ Canonical shape::
 
 Domains are explicit value lists or ``{"range": [lo, hi]}`` with at most
 ``MAX_RANGE_VALUES`` values; parsing normalizes both to sorted value
-tuples.  DFA transitions are ``[state, symbol, state]`` triples.  A
-``table`` or ``slide`` entry's ``tuples`` is either its rows or the name of
-a relation in ``relations``, an optional object from names to rows;
-``serialize_model`` names each tuple set that two or more constraints hold,
-``r0``, ``r1``, ... in order of first use, and writes the others inline.
+tuples, one tuple for all the variables with equal domains, and
+``serialize_model`` writes a run of consecutive values as a range where
+that text is the shorter.  DFA transitions are ``[state, symbol, state]``
+triples.  A ``table`` or ``slide`` entry's ``tuples`` is either its rows
+or the name of a relation in ``relations``, an optional object from names
+to rows; ``serialize_model`` names each tuple set that two or more
+constraints hold, ``r0``, ``r1``, ... in order of first use, and writes
+the others inline.
 
 The two generated models are laid out here, each in the function that
 builds its document from a ``models`` spec: ``coloring_document`` and
@@ -40,6 +43,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -231,6 +235,8 @@ def parse_model(text: str) -> ModelDocument:
         raise ModelError("'variables' must be a list")
     decls = []
     names: dict[str, int] = {}
+    # each distinct domain once, so equal domains are one tuple
+    domains: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i, rv in enumerate(raw_vars):
         where = f"variables[{i}]"
         if not isinstance(rv, dict) or "name" not in rv or "domain" not in rv:
@@ -241,11 +247,13 @@ def parse_model(text: str) -> ModelDocument:
         if name in names:
             raise ModelError(f"{where}: duplicate variable name {name!r}")
         names[name] = i
-        decls.append(VariableDecl(name, _parse_domain(rv["domain"], where)))
+        values = _parse_domain(rv["domain"], where)
+        decls.append(VariableDecl(name, domains.setdefault(values, values)))
 
     # each distinct automaton and tuple set once, so the Regular
     # constraints over an automaton share its step memo, and the Table and
-    # Slide constraints over a tuple set share its support masks
+    # Slide constraints over a tuple set share what their filters build of
+    # it: its adjacency or its support masks
     automata: dict = {}
     relations: dict = {}
     named = _parse_relations(raw.get("relations", {}), relations)
@@ -300,11 +308,26 @@ def parse_model(text: str) -> ModelDocument:
     return ModelDocument(tuple(decls), tuple(constraints))
 
 
+def _domain_entry(values: tuple[int, ...]) -> list[int] | dict:
+    """A domain as ``serialize_model`` writes it: a run of consecutive
+    values as ``{"range": [lo, hi]}`` where that text is shorter than the
+    value list, and the list otherwise."""
+    listed = list(values)
+    if values and values == tuple(range(values[0], values[-1] + 1)):
+        run = {"range": [values[0], values[-1]]}
+        if len(json.dumps(run)) < len(json.dumps(listed)):
+            return run
+    return listed
+
+
 def serialize_model(doc: ModelDocument) -> str:
     """Canonical JSON text, one line per variable, per named relation and
     per constraint; parse(serialize(doc)) == doc."""
     names = doc.names
-    raw_vars = [{"name": v.name, "domain": list(v.values)}
+    # each distinct domain written once, and shared by the entries of the
+    # variables that declare it
+    domain = cache(_domain_entry)
+    raw_vars = [{"name": v.name, "domain": domain(v.values)}
                 for v in doc.variables]
     # a tuple set two or more constraints hold, equal ones counted as one,
     # is written and sorted once, under a name, r0, r1, ... in order of

@@ -45,7 +45,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import gt, index
 from typing import Iterable, Sequence
 
@@ -569,20 +569,37 @@ def _tarjan(succ: list[list[int]], nodes: list[int]) -> list[int]:
 class _Relation(frozenset):
     """The tuple set of a ``Table`` or ``Slide``: a frozenset of exact int
     tuples of one arity, which every constraint built over it shares along
-    with its support masks."""
+    with what its filter reads of it, built on first use: the adjacency of
+    a binary ``Table``'s relation, and the support masks of any other."""
 
     @cached_property
     def _support_masks(self) -> tuple[int, list[dict[int, int]]]:
         """Bitmasks over the tuples in sorted order, tuple k being bit k:
         the mask of all tuples, and per position a dict from each value to
         the mask of the tuples holding it there (none for an empty
-        relation).  Built on the first filter call of any constraint over
-        this relation, and once for all of them."""
+        relation).  Built on the first filter call of any ``Slide``, or
+        ``Table`` of other than two variables, over this relation, and once
+        for all of them."""
         masks: list[dict[int, int]] = [{} for _ in next(iter(self), ())]
         for k, t in enumerate(sorted(self)):
             for m, v in zip(masks, t):
                 m[v] = m.get(v, 0) | 1 << k
         return (1 << len(self)) - 1, masks
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict[int, frozenset[int]],
+                                  dict[int, frozenset[int]]]:
+        """Of a relation of pairs: a dict from each first value to the
+        set of its second values, and one from each second value to the
+        set of its first values.  Built on the first filter call of any
+        binary ``Table`` over this relation, and once for all of them."""
+        fwd: dict[int, set[int]] = {}
+        bwd: dict[int, set[int]] = {}
+        for a, b in self:
+            fwd.setdefault(a, set()).add(b)
+            bwd.setdefault(b, set()).add(a)
+        return ({a: frozenset(bs) for a, bs in fwd.items()},
+                {b: frozenset(as_) for b, as_ in bwd.items()})
 
 
 def _relation(tuples: Iterable[Sequence[int]], arity: int,
@@ -591,20 +608,25 @@ def _relation(tuples: Iterable[Sequence[int]], arity: int,
     built in C-level passes, with ``_ints`` applied only when some value is
     not an exact int already; a relation built here before is kept as it
     is, so the constraints over it share it."""
-    if tuples.__class__ is not _Relation:
+    if tuples.__class__ is _Relation:
+        # every relation is checked whole at one arity when it is built,
+        # here or by the parser, so one of its tuples tells that arity
+        lengths = map(len, islice(tuples, 1))
+    else:
         rows = list(map(tuple, tuples))
         if not {int}.issuperset(map(type, chain.from_iterable(rows))):
             rows = [_ints(row, f"{what}: tuples") for row in rows]
         tuples = _Relation(rows)
-    if not {arity}.issuperset(map(len, tuples)):
+        lengths = map(len, tuples)
+    if not {arity}.issuperset(lengths):
         raise ValueError(f"{what}: tuple arity mismatch")
     return tuples
 
 
-def _shared_masks(con) -> tuple[int, list[dict[int, int]]]:
-    """The support masks of ``con``'s relation, cached on ``con`` so that a
-    filter call reads them as one attribute."""
-    return con.tuples._support_masks
+def _of_relation(name: str) -> cached_property:
+    """A constraint's cached copy of its relation's property ``name``, so
+    that a filter call reads it as one attribute."""
+    return cached_property(lambda con: getattr(con.tuples, name))
 
 
 def _supports(masks, doms) -> tuple[int, list[set[int]]]:
@@ -626,20 +648,23 @@ def _supports(masks, doms) -> tuple[int, list[set[int]]]:
 @dataclass(frozen=True, eq=True)
 class Table(_Whole):
     """Extensional constraint: the variables' tuple must be in ``tuples``;
-    GAC through bitset support masks, built once per relation and shared by
-    every constraint over it.
+    GAC through the relation's adjacency for two variables (the binary
+    arc-consistency case of Bessière, Régin, Yap & Zhang, AIJ 2005), and
+    through bitset support masks for any other number.  Either is built
+    once per relation and shared by every constraint over it.
 
-    Unlike a ``Slide`` window, the scan is not memoised, because its keys
-    are large.  In one pass of both counts over the self-avoiding walks
-    (``bench`` workload ``saw``, seed 7), about half of the 4,966 scans
-    repeat a key, but the 2,320 distinct keys hold 1.7 MB of domains of up
-    to 225 values, while all ``Table`` filtering takes about 0.05 s a
-    round.
+    Unlike a ``Slide`` window, the filter is not memoised, because its
+    keys are large.  In one pass of both counts over the self-avoiding
+    walks (``bench`` workload ``saw``, seed 7), about half of the 4,966
+    calls repeat a key, but the 2,320 distinct keys hold 1.7 MB of domains
+    of up to 225 values, while all ``Table`` filtering takes about 0.03 s
+    a round.
     """
 
     vars: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
-    _masks = cached_property(_shared_masks)
+    _masks = _of_relation("_support_masks")
+    _adjacency = _of_relation("_adjacency")
 
     def __init__(self, vars: Sequence[int], tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Table")
@@ -647,6 +672,22 @@ class Table(_Whole):
         object.__setattr__(self, "tuples", _relation(tuples, len(vs), "Table"))
 
     def filter(self, state) -> PropagationResult:
+        if len(self.vars) == 2:
+            # the supports of y's values are x's values' partners, and back
+            x, y = self.vars
+            dx, dy = state.domains[x], state.domains[y]
+            fwd, bwd = self._adjacency
+            sy = dy.intersection(chain.from_iterable(
+                map(fwd.get, dx, repeat(()))))
+            if not sy:
+                return FAILED
+            sx = dx.intersection(chain.from_iterable(map(bwd.__getitem__, sy)))
+            if len(sx) != len(dx):
+                state.narrow(x, sx)
+            if len(sy) != len(dy):
+                state.narrow(y, sy)
+            return ENTAILED if all(map(sy.issubset, map(fwd.__getitem__, sx))) \
+                else STABLE
         doms = [state.domains[x] for x in self.vars]
         valid, support = _supports(self._masks, doms)
         if valid == 0:
@@ -833,15 +874,16 @@ class Slide(_Runs):
 
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
-    Every window is filtered with the same bitset support masks as ``Table``,
-    through ``_scan``, which is memoised per ``Slide`` in ``_scans`` on the
-    window's domains and serves the misses of the outcome memo.
+    Every window is filtered with the bitset support masks that a ``Table``
+    of other than two variables uses, through ``_scan``, which is memoised
+    per ``Slide`` in ``_scans`` on the window's domains and serves the
+    misses of the outcome memo.
     """
 
     vars: tuple[int, ...]
     width: int
     tuples: frozenset[tuple[int, ...]]
-    _masks = cached_property(_shared_masks)
+    _masks = _of_relation("_support_masks")
 
     def __init__(self, vars: Sequence[int], width: int, tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Slide")

@@ -7,15 +7,15 @@ deep or large inputs live here, outside tier-1 (the file's name is not
 ``test_*.py``): 3-value ``Neq`` chains of 5,000 variables and of 2,000
 under each heuristic, 1,000-position ``Slide`` and ``Regular`` rows, a
 250-variable permutation, ``fdsolve count`` on 10^6-value ``Linear`` and
-40- and 60-monomer ``gen-saw`` models, and one ``propagate`` in which a
-Hall set prunes a 10^6-value domain.  Every row pins its results and
+40-, 60- and 80-monomer ``gen-saw`` models, and one ``propagate`` in which
+a Hall set prunes a 10^6-value domain.  Every row pins its results and
 peaks under its RSS bound, 1 GB unless the row sets a lower one (the
-60-monomer rows: 400 MB, in under 15 s), a row with a cut-off must be
-stopped by it, and some rows bound their time.  Each row runs in a child
-process of its own, whose peak RSS ``os.wait4`` reads: a CLI row's child
-is ``python -m fdsolve.cli``, timed whole, and a library row's child is
-this file, which times the run alone and imports no pytest, so its RSS
-compares with ROADMAP.md's numbers.
+60-monomer rows: 200 MB, and the 80-monomer rows: 300 MB, each in under
+5 s), a row with a cut-off must be stopped by it, and some rows bound
+their time.  Each row runs in a child process of its own, whose peak RSS
+``os.wait4`` reads: a CLI row's child is ``python -m fdsolve.cli``, timed
+whole, and a library row's child is this file, which times the run alone
+and imports no pytest, so its RSS compares with ROADMAP.md's numbers.
 """
 import json
 import os
@@ -127,9 +127,10 @@ ROWS = {"-".join(filter(None, (row.build.__name__, str(row.size),
     *(Row(saw_model, 40, f"fdsolve {engine}", pins={"count": count},
           seconds=30, timeout=120)
       for engine, count in (("dfs", "11"), ("dds", "12"))),
-    *(Row(saw_model, 60, f"fdsolve {engine}",
-          pins={"count": count, "exact": False}, seconds=15, mb=400,
+    *(Row(saw_model, size, f"fdsolve {engine}",
+          pins={"count": count, "exact": False}, seconds=5, mb=mb,
           timeout=120)
+      for size, mb in ((60, 200), (80, 300))
       for engine, count in (("dfs", "11"), ("dds", "12"))),
     Row(hall_set, 1000, "propagate", limit=None,
         pins={"status": "BRANCHABLE", "events": 1000, "left": 999000},

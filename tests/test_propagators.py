@@ -14,7 +14,8 @@ from fdsolve import (EQ, LEQ, AllDifferent, Dfa, Heuristic, Linear, Neq,
                      ProblemState, Regular, Slide, StateStatus, Table,
                      dds_count, dfs_count, new_problem, propagators)
 from fdsolve.propagators import (ENTAILED, FAILED, STABLE, PropagationResult,
-                                 _max_matching, _Memo, _regin, _tarjan)
+                                 _max_matching, _Memo, _regin, _supports,
+                                 _tarjan)
 
 from randcsp import (product_structure_ok, random_state,
                      random_state_with_slide, support_filtered_domains)
@@ -606,6 +607,45 @@ def test_constraints_over_one_relation_share_it_and_its_masks():
     apart = Table((0, 1), [(0, 1), (1, 0)])
     assert apart.tuples == first.tuples and apart._masks is not first._masks
     assert apart._masks == first._masks
+    # a binary Table filters through its relation's adjacency, shared by
+    # every Table over it, and builds no masks
+    pair = Table((0, 1), [(0, 1), (1, 0)])
+    again = Table((1, 2), pair.tuples)
+    assert pair.filter(new_problem([{0, 1}] * 2)) is STABLE
+    assert again._adjacency is pair._adjacency
+    assert pair._adjacency is pair.tuples._adjacency
+    assert "_support_masks" not in vars(pair.tuples)
+    assert pair._adjacency == ({0: {1}, 1: {0}}, {0: {1}, 1: {0}})
+
+
+@st.composite
+def binary_table_cases(draw):
+    # domains and tuple values over -3..12, wider than table_cases': some
+    # tuples hold values outside the domains, some domain values have no
+    # tuple, and a relation may be empty
+    values = st.integers(-3, 12)
+    doms = draw(st.lists(st.sets(values, min_size=1), min_size=2, max_size=2))
+    tuples = draw(st.sets(st.tuples(values, values), max_size=40))
+    return doms, tuples
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_table_cases())
+def test_binary_table_filter_matches_compact_table(case):
+    # the adjacency kernel keeps what Compact-Table's scan over the same
+    # relation's masks keeps, and reports the same outcome
+    doms, tuples = case
+    state = new_problem(doms)
+    table = Table((0, 1), tuples)
+    before = list(state.domains)
+    valid, support = _supports(table._masks, before)
+    result = table.filter(state)
+    if not valid:
+        assert result is FAILED and state.domains == before
+        return
+    assert state.domains == support
+    assert result is (ENTAILED if valid == math.prod(map(len, support))
+                      else STABLE)
 
 
 @st.composite
