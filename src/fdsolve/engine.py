@@ -66,11 +66,19 @@ class ProblemState:
                  "_changed", "_fresh", "_failed", "_unfixed")
 
     def __init__(self, domains: Iterable[Iterable[int]]):
-        # equal domains share one frozenset, as the clones of a state do
-        built: dict[frozenset[int], frozenset[int]] = {}
-        self.domains: list[frozenset[int]] = [
-            built.setdefault(d, d) for d in
-            (frozenset(_ints(d, "new_problem: domains")) for d in domains)]
+        # a domain object given for several variables is converted once,
+        # and they share its frozenset, as the clones of a state do; the
+        # object is kept with its set, so its id is not reused meanwhile
+        built: dict[int, tuple[object, frozenset[int]]] = {}
+
+        def convert(d) -> frozenset[int]:
+            hit = built.get(id(d))
+            if hit is None:
+                hit = built[id(d)] = (
+                    d, frozenset(_ints(d, "new_problem: domains")))
+            return hit[1]
+
+        self.domains: list[frozenset[int]] = [convert(d) for d in domains]
         self.propagators: dict[int, object] = {}
         self._subs: list[list[int]] = [[] for _ in self.domains]
         self._handles = itertools.count()

@@ -43,7 +43,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, combinations
 from typing import Iterable
 
@@ -100,11 +99,16 @@ def _all_ints(values: Iterable) -> bool:
     return {int}.issuperset(map(type, values))
 
 
-def _parse_domain(raw, where: str) -> tuple[int, ...]:
+def _parse_domain(raw, where: str, known: dict) -> tuple[int, ...]:
+    """The domain ``raw`` as sorted values.  ``known`` holds each distinct
+    domain parsed so far under its values, and a range also under
+    ``("range", lo, hi)``, so equal domains are one tuple and a range met
+    again is neither expanded nor hashed again."""
     if isinstance(raw, list):
         if not _all_ints(raw):
             raise ModelError(f"{where}: domain values must be integers")
-        return tuple(sorted(set(raw)))
+        values = tuple(sorted(set(raw)))
+        return known.setdefault(values, values)
     if isinstance(raw, dict) and set(raw) == {"range"}:
         rng = raw["range"]
         if (not isinstance(rng, list) or len(rng) != 2
@@ -114,7 +118,11 @@ def _parse_domain(raw, where: str) -> tuple[int, ...]:
         if hi - lo + 1 > MAX_RANGE_VALUES:
             raise ModelError(f"{where}: range [{lo}, {hi}] has {hi - lo + 1} "
                              f"values, more than {MAX_RANGE_VALUES}")
-        return tuple(range(lo, hi + 1))
+        key = ("range", lo, hi)
+        if key not in known:
+            values = tuple(range(lo, hi + 1))
+            known[key] = known.setdefault(values, values)
+        return known[key]
     raise ModelError(f"{where}: domain must be a value list or {{\"range\": [lo, hi]}}")
 
 
@@ -235,8 +243,7 @@ def parse_model(text: str) -> ModelDocument:
         raise ModelError("'variables' must be a list")
     decls = []
     names: dict[str, int] = {}
-    # each distinct domain once, so equal domains are one tuple
-    domains: dict[tuple[int, ...], tuple[int, ...]] = {}
+    domains: dict[tuple, tuple[int, ...]] = {}
     for i, rv in enumerate(raw_vars):
         where = f"variables[{i}]"
         if not isinstance(rv, dict) or "name" not in rv or "domain" not in rv:
@@ -247,8 +254,8 @@ def parse_model(text: str) -> ModelDocument:
         if name in names:
             raise ModelError(f"{where}: duplicate variable name {name!r}")
         names[name] = i
-        values = _parse_domain(rv["domain"], where)
-        decls.append(VariableDecl(name, domains.setdefault(values, values)))
+        decls.append(VariableDecl(name, _parse_domain(rv["domain"], where,
+                                                      domains)))
 
     # each distinct automaton and tuple set once, so the Regular
     # constraints over an automaton share its step memo, and the Table and
@@ -311,11 +318,18 @@ def parse_model(text: str) -> ModelDocument:
 def _domain_entry(values: tuple[int, ...]) -> list[int] | dict:
     """A domain as ``serialize_model`` writes it: a run of consecutive
     values as ``{"range": [lo, hi]}`` where that text is shorter than the
-    value list, and the list otherwise."""
+    value list, and the list otherwise.  A run of more than
+    ``MAX_RANGE_VALUES`` values stays a list, which the parser takes at any
+    length; the run test compares the values with a range only when the
+    two lengths agree, so a wide sparse domain builds nothing."""
     listed = list(values)
-    if values and values == tuple(range(values[0], values[-1] + 1)):
+    if (values and values[-1] - values[0] + 1 == len(values)
+            <= MAX_RANGE_VALUES
+            and values == tuple(range(values[0], values[-1] + 1))):
         run = {"range": [values[0], values[-1]]}
-        if len(json.dumps(run)) < len(json.dumps(listed)):
+        # the reprs of this dict and of an int list are as long as their
+        # JSON texts, and quicker to make
+        if len(repr(run)) < len(repr(listed)):
             return run
     return listed
 
@@ -324,10 +338,11 @@ def serialize_model(doc: ModelDocument) -> str:
     """Canonical JSON text, one line per variable, per named relation and
     per constraint; parse(serialize(doc)) == doc."""
     names = doc.names
-    # each distinct domain written once, and shared by the entries of the
-    # variables that declare it
-    domain = cache(_domain_entry)
-    raw_vars = [{"name": v.name, "domain": domain(v.values)}
+    # each distinct domain object written once, and shared by the entries
+    # of the variables that declare it
+    written = {id(v.values): v.values for v in doc.variables}
+    written = {key: _domain_entry(values) for key, values in written.items()}
+    raw_vars = [{"name": v.name, "domain": written[id(v.values)]}
                 for v in doc.variables]
     # a tuple set two or more constraints hold, equal ones counted as one,
     # is written and sorted once, under a name, r0, r1, ... in order of

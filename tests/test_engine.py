@@ -27,6 +27,15 @@ def test_new_problem_zero_vars():
     assert state.solution() == {}
 
 
+def test_a_domain_given_for_several_variables_is_one_set():
+    # one object given three times is converted once; an equal object is
+    # converted apart, to an equal set
+    dom = [2, 0, 1]
+    state = new_problem([dom, dom, (x for x in (0, 1, 2)), dom])
+    a, b, c, d = state.domains
+    assert a is b is d and a == c == {0, 1, 2} and c is not a
+
+
 def test_new_problem_empty_domain_fails():
     state = new_problem([set()])
     assert state.propagate() is StateStatus.FAILED

@@ -130,6 +130,19 @@ def test_equal_domains_are_one_tuple_and_one_set():
     assert len({id(dom) for dom in walk.domains[1:]}) == 1
 
 
+def test_a_range_is_expanded_once_and_apart_from_its_ends():
+    # a range met again is the first one's tuple, and a two-value list
+    # whose values are a range's ends is not that range
+    domains = [{"range": [3, 7]}, [3, 7], {"range": [3, 7]}, [7, 3]]
+    doc = parse_model(json.dumps({
+        "variables": [{"name": f"v{i}", "domain": dom}
+                      for i, dom in enumerate(domains)],
+        "constraints": []}))
+    a, b, c, d = (v.values for v in doc.variables)
+    assert a == (3, 4, 5, 6, 7) and a is c
+    assert b == (3, 7) and b is d
+
+
 def test_range_domains_roundtrip():
     # a run is written as a range only where that text is the shorter: not
     # for two values, nor for a gap, nor for five one-digit values
@@ -146,6 +159,19 @@ def test_range_domains_roundtrip():
         {"range": [0, 5]}, [7]]
     assert parse_model(written) == doc
     assert serialize_model(parse_model(written)) == written
+
+
+def test_domains_the_parser_bounds_are_written_as_lists():
+    # a run longer than the parser takes as a range, and two values far
+    # apart, stay value lists, and the texts read back
+    run = model_io.MAX_RANGE_VALUES + 1
+    doc = ModelDocument((model_io.VariableDecl("long", tuple(range(run))),
+                         model_io.VariableDecl("wide", (0, 10**12))), ())
+    written = serialize_model(doc)
+    long, wide = (v["domain"] for v in json.loads(written)["variables"])
+    assert isinstance(long, list) and len(long) == run
+    assert wide == [0, 10**12]
+    assert parse_model(written) == doc
 
 
 @pytest.mark.parametrize("make, digest", [
