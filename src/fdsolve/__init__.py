@@ -8,8 +8,7 @@ re-solving them under every branch.
 """
 
 from .engine import ProblemState, StateStatus, new_problem
-from .graph import (DecompositionAnalysis, build_constraint_graph,
-                    components, decompose_analysis)
+from .graph import DecompositionAnalysis, decompose_analysis
 from .model_io import (ModelDocument, ModelError, VariableDecl,
                        coloring_document, parse_model, saw_document,
                        serialize_model)
@@ -31,9 +30,9 @@ __all__ = [
     "ModelDocument", "ModelError", "Neq", "Or", "ProblemState", "Regular",
     "SearchStats", "SearchTrace", "Slide", "SolutionTree", "StateStatus",
     "Table", "TreeResult", "UGraph", "VariableDecl", "WalkSpec",
-    "build_constraint_graph", "chromatic_oracle", "coloring_document",
-    "components", "dds_count", "dds_tree", "decompose_analysis", "dfs_count",
-    "dfs_enumerate", "erdos_renyi", "lattice_point", "maximal_cliques",
-    "new_problem", "parse_model", "saw_document", "saw_walk_count",
-    "serialize_model", "trace_dot", "tree_count", "tree_expand",
+    "chromatic_oracle", "coloring_document", "dds_count", "dds_tree",
+    "decompose_analysis", "dfs_count", "dfs_enumerate", "erdos_renyi",
+    "lattice_point", "maximal_cliques", "new_problem", "parse_model",
+    "saw_document", "saw_walk_count", "serialize_model", "trace_dot",
+    "tree_count", "tree_expand",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
@@ -279,7 +280,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a reader that has closed the pipe shows here, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone, as under ``| head``: say nothing, and let
+        # the interpreter's flush at exit write to devnull; 128 + SIGPIPE,
+        # as a shell reports a process killed by a closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ModelError, OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

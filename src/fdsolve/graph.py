@@ -5,7 +5,7 @@ pass: ``decompose_analysis`` lists the scope's unassigned variables once
 and answers from them whether the scope is solved (none is open), which
 variables are isolated, which parts are linked and each linked
 variable's degree.  Below two open variables no edge of two or more can
-exist, so the pass asks no propagator.  Otherwise it builds the
+exist, so the pass asks no propagator.  Otherwise it reflects the
 hypergraph of the scope: nodes are its unassigned variables, and
 hyperedges come from the scope split of each active propagator on one of
 them.  Those propagators are reached through the subscription lists of
@@ -20,22 +20,15 @@ that is most nodes of a search that seldom splits.  Plain DFS builds no
 graph: its branching reads the degrees off the same scope splits
 directly.
 
-``build_constraint_graph`` gives a ``ConstraintGraph`` of nodes and plain
-frozenset edges, ``components`` the tuple of its connected node sets, and
-``decompose_analysis`` runs the first and, unless one edge holds every
-node, the second, looking them up as module globals.
+The pass hands the frozenset of open variables it has listed to two
+helpers: ``build_constraint_graph`` gives the edges over those nodes,
+``components`` the connected node sets.  They stay separate functions,
+looked up as module globals, because the benchmark's traced runs patch
+and time each of them there.
 """
 from __future__ import annotations
 
 from typing import NamedTuple
-
-
-class ConstraintGraph(NamedTuple):
-    """Hypergraph over unassigned variables; edges of size < 2 are dropped
-    at build time."""
-
-    nodes: frozenset[int]
-    edges: tuple[frozenset[int], ...]
 
 
 class DecompositionAnalysis(NamedTuple):
@@ -50,21 +43,13 @@ class DecompositionAnalysis(NamedTuple):
     degree: dict[int, int]
 
 
-def build_constraint_graph(state, scope=None) -> ConstraintGraph:
-    """Reflect the current store into an explicit hypergraph.
-
-    ``scope`` restricts the graph to a variable subset (used by component
-    sub-searches); by default all variables are considered.  The
-    propagators are reached through the subscription lists of the scope's
-    unassigned variables, so the work follows the scope, not the store;
-    one whose unassigned variables all lie outside the scope has no edge
-    to give.  Entailed propagators contribute nothing because the store
-    no longer holds them.
-    """
-    domains = state.domains
-    if scope is None:
-        scope = range(len(domains))
-    nodes = frozenset([x for x in scope if len(domains[x]) != 1])
+def build_constraint_graph(state, nodes: frozenset[int]
+                           ) -> tuple[frozenset[int], ...]:
+    """The edges over ``nodes``, the open variables the caller has
+    listed: each stored propagator's split, reached through the nodes'
+    subscription lists and cut down to them, if two or more remain.  No
+    domain is read here; entailed propagators, no longer stored, give
+    none."""
     edges = []
     for prop in state.propagators_on(nodes).values():
         for edge in prop.hyperedges(state):
@@ -72,18 +57,19 @@ def build_constraint_graph(state, scope=None) -> ConstraintGraph:
                 edge &= nodes
             if len(edge) >= 2:
                 edges.append(edge)
-    return ConstraintGraph(nodes, tuple(edges))
+    return tuple(edges)
 
 
-def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
-    """Maximal connected node sets; isolated nodes are singleton components.
+def components(nodes: frozenset[int], edges) -> tuple[frozenset[int], ...]:
+    """Maximal connected sets of ``nodes`` under ``edges``; a node in no
+    edge is a singleton component.
 
     Components are ordered by their lowest contained variable index.  Only
     the nodes of an edge are joined: each maps to the list of its group,
     and a merge moves the smaller group into the larger.
     """
     group_of: dict[int, list[int]] = {}
-    for edge in graph.edges:
+    for edge in edges:
         it = iter(edge)
         first = next(it)
         group = group_of.get(first)
@@ -102,7 +88,7 @@ def components(graph: ConstraintGraph) -> tuple[frozenset[int], ...]:
                     group_of[y] = group
     comps = [frozenset(g) for g in
              {id(g): g for g in group_of.values()}.values()]
-    comps.extend(frozenset((x,)) for x in graph.nodes if x not in group_of)
+    comps.extend(frozenset((x,)) for x in nodes if x not in group_of)
     comps.sort(key=min)
     return tuple(comps)
 
@@ -125,19 +111,19 @@ def decompose_analysis(state, scope=None) -> DecompositionAnalysis:
     free.sort()
     if len(free) < 2:
         return DecompositionAnalysis((), tuple(free), {})
-    graph = build_constraint_graph(state, free)
-    edges = graph.edges
+    nodes = frozenset(free)
+    edges = build_constraint_graph(state, nodes)
     degree = dict.fromkeys(free, 0)
     if len(free) in map(len, edges):
         # an edge is cut down to the nodes, so one of their size holds
         # them all
-        linked, isolated = (graph.nodes,), ()
+        linked, isolated = (nodes,), ()
     else:
         linked = []
         isolated = []
         # singletons in ascending order: the components are sorted by
         # their lowest variable
-        for comp in components(graph):
+        for comp in components(nodes, edges):
             if len(comp) >= 2:
                 linked.append(comp)
             else:

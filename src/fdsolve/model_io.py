@@ -126,6 +126,17 @@ def _parse_domain(raw, where: str, known: dict) -> tuple[int, ...]:
     raise ModelError(f"{where}: domain must be a value list or {{\"range\": [lo, hi]}}")
 
 
+def _declare(names: dict[str, int], name, i: int) -> None:
+    """Enter ``name`` in ``names`` as variable ``i``, refusing a name that
+    is not a string or is there already: the one rule for reading and for
+    writing a document."""
+    if not isinstance(name, str):
+        raise ModelError(f"variables[{i}]: name must be a string")
+    if name in names:
+        raise ModelError(f"variables[{i}]: duplicate variable name {name!r}")
+    names[name] = i
+
+
 def _resolve(names: dict[str, int], raw_vars, where: str) -> tuple[int, ...]:
     if not isinstance(raw_vars, list) or not raw_vars:
         raise ModelError(f"{where}: 'vars' must be a non-empty list")
@@ -249,11 +260,7 @@ def parse_model(text: str) -> ModelDocument:
         if not isinstance(rv, dict) or "name" not in rv or "domain" not in rv:
             raise ModelError(f"{where}: need 'name' and 'domain'")
         name = rv["name"]
-        if not isinstance(name, str):
-            raise ModelError(f"{where}: name must be a string")
-        if name in names:
-            raise ModelError(f"{where}: duplicate variable name {name!r}")
-        names[name] = i
+        _declare(names, name, i)
         decls.append(VariableDecl(name, _parse_domain(rv["domain"], where,
                                                       domains)))
 
@@ -336,8 +343,19 @@ def _domain_entry(values: tuple[int, ...]) -> list[int] | dict:
 
 def serialize_model(doc: ModelDocument) -> str:
     """Canonical JSON text, one line per variable, per named relation and
-    per constraint; parse(serialize(doc)) == doc."""
+    per constraint; parse(serialize(doc)) == doc.  A document
+    ``parse_model`` would refuse, with a name that is not a string or is
+    declared twice, or a constraint over an undeclared index, raises a
+    located ``ModelError``."""
     names = doc.names
+    if (not all(isinstance(name, str) for name in names)
+            or len(set(names)) < len(names)):
+        # locate the first name parse_model would refuse
+        declared: dict[str, int] = {}
+        for i, name in enumerate(names):
+            _declare(declared, name, i)
+    # by key, so that an index no variable has, negative ones too, misses
+    names = dict(enumerate(names))
     # each distinct domain object written once, and shared by the entries
     # of the variables that declare it
     written = {id(v.values): v.values for v in doc.variables}
@@ -360,36 +378,42 @@ def serialize_model(doc: ModelDocument) -> str:
         return named.setdefault(rel, f"r{len(named)}")
 
     raw_cons = []
-    for c in doc.constraints:
-        if isinstance(c, Neq):
-            raw_cons.append({"type": "neq", "vars": [names[c.x], names[c.y]]})
-        elif isinstance(c, Linear):
-            raw_cons.append({"type": "linear", "coeffs": list(c.coeffs),
-                             "vars": [names[x] for x in c.vars],
-                             "rel": c.rel, "rhs": c.rhs})
-        elif isinstance(c, AllDifferent):
-            raw_cons.append({"type": "alldifferent",
-                             "vars": [names[x] for x in c.vars]})
-        elif isinstance(c, Table):
-            raw_cons.append({"type": "table",
-                             "vars": [names[x] for x in c.vars],
-                             "tuples": tuples(c.tuples)})
-        elif isinstance(c, Regular):
-            raw_cons.append({"type": "regular",
-                             "vars": [names[x] for x in c.vars],
-                             "dfa": {"states": c.dfa.state_count,
-                                     "start": c.dfa.start,
-                                     "finals": sorted(c.dfa.finals),
-                                     "transitions": sorted(
-                                         [q, s, r] for (q, s), r
-                                         in c.dfa.transitions.items())}})
-        elif isinstance(c, Slide):
-            raw_cons.append({"type": "slide",
-                             "vars": [names[x] for x in c.vars],
-                             "width": c.width,
-                             "tuples": tuples(c.tuples)})
-        else:
-            raise ModelError(f"cannot serialize constraint {c!r}")
+    try:
+        for j, c in enumerate(doc.constraints):
+            if isinstance(c, Neq):
+                raw_cons.append({"type": "neq",
+                                 "vars": [names[c.x], names[c.y]]})
+            elif isinstance(c, Linear):
+                raw_cons.append({"type": "linear", "coeffs": list(c.coeffs),
+                                 "vars": [names[x] for x in c.vars],
+                                 "rel": c.rel, "rhs": c.rhs})
+            elif isinstance(c, AllDifferent):
+                raw_cons.append({"type": "alldifferent",
+                                 "vars": [names[x] for x in c.vars]})
+            elif isinstance(c, Table):
+                raw_cons.append({"type": "table",
+                                 "vars": [names[x] for x in c.vars],
+                                 "tuples": tuples(c.tuples)})
+            elif isinstance(c, Regular):
+                raw_cons.append({"type": "regular",
+                                 "vars": [names[x] for x in c.vars],
+                                 "dfa": {"states": c.dfa.state_count,
+                                         "start": c.dfa.start,
+                                         "finals": sorted(c.dfa.finals),
+                                         "transitions": sorted(
+                                             [q, s, r] for (q, s), r
+                                             in c.dfa.transitions.items())}})
+            elif isinstance(c, Slide):
+                raw_cons.append({"type": "slide",
+                                 "vars": [names[x] for x in c.vars],
+                                 "width": c.width,
+                                 "tuples": tuples(c.tuples)})
+            else:
+                raise ModelError(f"cannot serialize constraint {c!r}")
+    except KeyError as exc:
+        # only the names are looked up by key in this loop
+        raise ModelError(f"constraints[{j}]: unknown variable index "
+                         f"{exc.args[0]}") from None
     # one compact line per entry: readable, and dumped by the C encoder
     # (indent= would switch json to its pure-Python one)
     def entries(items: list) -> str:

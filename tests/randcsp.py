@@ -133,6 +133,14 @@ class Decomposition(NamedTuple):
     isolated: tuple
 
 
+def open_variables(state, scope=None) -> frozenset[int]:
+    """The unassigned variables of ``scope``, by default every variable:
+    the nodes ``decompose_analysis`` hands the graph helpers."""
+    if scope is None:
+        scope = range(state.num_vars)
+    return frozenset(x for x in scope if len(state.domains[x]) != 1)
+
+
 @contextmanager
 def watched_decompositions():
     """Yield a list that gets a ``Decomposition`` for each decomposition

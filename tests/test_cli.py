@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,30 @@ def test_interrupt_exits_130(intro_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: interrupted\n"
     assert captured.out == ""
+
+
+def test_closed_pipe_exits_141(tmp_path, capsys):
+    # the reader closes the pipe after the first of the 8-monomer walks
+    # (about 120 KB of output), as ``| head -n 1`` does: no error line and
+    # no "Exception ignored" from the flush at exit, and 128 + SIGPIPE
+    model = tmp_path / "saw8.json"
+    assert main(["gen-saw", "--length", "8", "--output", str(model)]) == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fdsolve.cli", "enumerate", "--model",
+         str(model)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert child.stdout.readline().startswith(b"p0=")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141
+    finally:
+        child.kill()
+        child.wait()
+    assert err == b""
 
 
 def test_bench_harness(capsys):

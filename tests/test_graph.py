@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from math import prod
 from unittest import mock
 
@@ -5,68 +6,75 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdsolve import (EQ, AllDifferent, Linear, Neq, ProblemState,
-                     StateStatus, build_constraint_graph, components,
-                     dds_count, new_problem)
+                     StateStatus, dds_count, new_problem)
 from fdsolve import graph as graph_module
-from fdsolve.graph import (ConstraintGraph, DecompositionAnalysis,
-                           decompose_analysis)
+from fdsolve import search
+from fdsolve.graph import (DecompositionAnalysis, build_constraint_graph,
+                           components, decompose_analysis)
 
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
-                     random_clustered_state, random_state,
+                     open_variables, random_clustered_state, random_state,
                      random_state_with_slide, watched_decompositions)
 
 GENERATORS = st.sampled_from([random_state, random_clustered_state,
                               random_state_with_slide])
 
 
+def open_graph(state, scope=None):
+    """The open variables of ``scope`` (by default every variable) and the
+    edges ``build_constraint_graph`` gives over them."""
+    nodes = open_variables(state, scope)
+    return nodes, build_constraint_graph(state, nodes)
+
+
 def test_intro_graph_after_root_propagation():
     state = intro_state()
     assert state.propagate() is StateStatus.BRANCHABLE
-    g = build_constraint_graph(state)
-    assert g.nodes == frozenset({0, 1, 2, 3})
-    assert sorted(sorted(e) for e in g.edges) == [[0, 1], [2, 3]]
+    nodes, edges = open_graph(state)
+    assert nodes == frozenset({0, 1, 2, 3})
+    assert sorted(sorted(e) for e in edges) == [[0, 1], [2, 3]]
 
 
 def test_alldiff_graph_decomposed():
     state = new_problem([{0, 1}, {0, 1}, {2, 3}, {2, 3}])
     state.post(AllDifferent([0, 1, 2, 3]))
     state.propagate()
-    g = build_constraint_graph(state)
-    assert sorted(sorted(e) for e in g.edges) == [[0, 1], [2, 3]]
+    _nodes, edges = open_graph(state)
+    assert sorted(sorted(e) for e in edges) == [[0, 1], [2, 3]]
 
 
 def test_linear_graph_single_edge():
     state = new_problem([{0, 1, 2}] * 3)
     state.post(Linear((1, 1, 1), (0, 1, 2), EQ, 3))
     state.propagate()
-    g = build_constraint_graph(state)
-    assert [sorted(e) for e in g.edges] == [[0, 1, 2]]
+    _nodes, edges = open_graph(state)
+    assert [sorted(e) for e in edges] == [[0, 1, 2]]
 
 
 def test_components_examples():
     state = intro_state()
     state.propagate()
-    comps = components(build_constraint_graph(state))
+    comps = components(*open_graph(state))
     assert [sorted(c) for c in comps] == [[0, 1], [2, 3]]
 
     chain = new_problem([{0, 1}] * 3)
     chain.post(Neq(0, 1))
     chain.post(Neq(1, 2))
     chain.propagate()
-    comps = components(build_constraint_graph(chain))
+    comps = components(*open_graph(chain))
     assert [sorted(c) for c in comps] == [[0, 1, 2]]
 
     bare = new_problem([{0, 1}] * 3)
-    comps = components(build_constraint_graph(bare))
+    comps = components(*open_graph(bare))
     assert [sorted(c) for c in comps] == [[0], [1], [2]]
 
     # one edge and a free variable: the edge's nodes form one group
     single = new_problem([{0, 1}] * 3)
     single.post(Neq(0, 2))
     single.propagate()
-    graph = build_constraint_graph(single)
-    assert len(graph.edges) == 1
-    comps = components(graph)
+    nodes, edges = open_graph(single)
+    assert len(edges) == 1
+    comps = components(nodes, edges)
     assert [sorted(c) for c in comps] == [[0, 2], [1]]
 
 
@@ -99,7 +107,7 @@ def test_components_match_reference_union_find(data):
     if len(nodes) >= 2:
         edges = data.draw(st.lists(st.frozensets(
             st.sampled_from(sorted(nodes)), min_size=2), max_size=20))
-    got = components(ConstraintGraph(nodes=nodes, edges=tuple(edges)))
+    got = components(nodes, tuple(edges))
     assert type(got) is tuple
     assert all(type(c) is frozenset for c in got)
     assert list(got) == reference_components(nodes, edges)
@@ -193,17 +201,16 @@ def test_determinism():
         a.propagate()
         b.propagate()
         assert decompose_analysis(a) == decompose_analysis(b)
-        ga, gb = build_constraint_graph(a), build_constraint_graph(b)
-        assert sorted(sorted(e) for e in ga.edges) == \
-            sorted(sorted(e) for e in gb.edges)
+        (_na, ea), (_nb, eb) = open_graph(a), open_graph(b)
+        assert sorted(sorted(e) for e in ea) == sorted(sorted(e) for e in eb)
 
 
 def test_scope_restricted_graph():
     state = intro_state()
     state.propagate()
-    g = build_constraint_graph(state, scope={0, 1})
-    assert g.nodes == frozenset({0, 1})
-    assert [sorted(e) for e in g.edges] == [[0, 1]]
+    nodes, edges = open_graph(state, {0, 1})
+    assert nodes == frozenset({0, 1})
+    assert [sorted(e) for e in edges] == [[0, 1]]
 
 
 def test_analysis_classifies_isolated():
@@ -218,7 +225,7 @@ def test_analysis_classifies_isolated():
 def full_scan_graph(state, scope):
     """The graph of ``scope`` from every stored propagator's split: its
     nodes and its sorted edge multiset."""
-    nodes = frozenset(x for x in scope if len(state.domains[x]) != 1)
+    nodes = open_variables(state, scope)
     edges = []
     for prop in state.propagators.values():
         for edge in prop.hyperedges(state):
@@ -254,18 +261,70 @@ def drawn_scopes(state, parts, data):
     return [None, every, *parts, data.draw(st.sets(st.sampled_from(every)))]
 
 
+@contextmanager
+def handed_nodes():
+    """Yield a list that gets the ``nodes`` argument of each call to the
+    graph helpers inside the block, patched where ``decompose_analysis``
+    looks them up."""
+    seen = []
+    build, join = graph_module.build_constraint_graph, graph_module.components
+
+    def spy_build(state, nodes):
+        seen.append(nodes)
+        return build(state, nodes)
+
+    def spy_components(nodes, edges):
+        seen.append(nodes)
+        return join(nodes, edges)
+
+    with mock.patch.object(graph_module, "build_constraint_graph", spy_build), \
+            mock.patch.object(graph_module, "components", spy_components):
+        yield seen
+
+
+def assert_one_node_set(seen, nodes):
+    """Both helpers got one frozenset, ``nodes``, at a scope pass over two
+    or more open variables, and neither ran below two."""
+    if len(nodes) < 2:
+        assert seen == []
+    else:
+        assert seen and all(got is seen[0] for got in seen)
+        assert type(seen[0]) is frozenset and seen[0] == nodes
+
+
+@contextmanager
+def checked_scope_passes():
+    """At each decomposing-search node's scope pass inside the block,
+    assert that the graph helpers got the node's open scope variables as
+    one frozenset."""
+    analyse = search.decompose_analysis
+    with handed_nodes() as seen:
+        def check(state, scope):
+            seen.clear()
+            analysis = analyse(state, scope)
+            assert_one_node_set(seen, open_variables(state, scope))
+            return analysis
+
+        with mock.patch.object(search, "decompose_analysis", check):
+            yield
+
+
 @settings(max_examples=200, deadline=None)
 @given(GENERATORS, st.integers(0, 10 ** 6), st.data())
 def test_scope_graph_equals_full_store_scan(make, seed, data):
-    parts = watched_scopes(make(seed))
+    with checked_scope_passes():
+        parts = watched_scopes(make(seed))
     for state in search_states(make, seed, data):
         every = range(state.num_vars)
         for scope in drawn_scopes(state, parts, data):
-            graph = build_constraint_graph(state, scope)
             nodes, edges = full_scan_graph(state,
                                            every if scope is None else scope)
-            assert graph.nodes == nodes
-            assert sorted(sorted(e) for e in graph.edges) == edges
+            with handed_nodes() as seen:
+                decompose_analysis(state, scope)
+            assert_one_node_set(seen, nodes)
+            got = build_constraint_graph(state, nodes)
+            assert type(got) is tuple
+            assert sorted(sorted(e) for e in got) == edges
 
 
 def reference_analysis(state, scope):
@@ -312,11 +371,12 @@ def graph_analysis(state, scope):
     free = sorted(x for x in scope if len(state.domains[x]) != 1)
     if len(free) < 2:
         return (), tuple(free), []
-    graph = build_constraint_graph(state, free)
-    comps = components(graph)
+    nodes = frozenset(free)
+    edges = build_constraint_graph(state, nodes)
+    comps = components(nodes, edges)
     linked = tuple(c for c in comps if len(c) >= 2)
     isolated = tuple(x for c in comps if len(c) == 1 for x in c)
-    degree = [(x, sum(x in e for e in graph.edges))
+    degree = [(x, sum(x in e for e in edges))
               for x in free if x not in isolated]
     return linked, isolated, degree
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdsolve import (ColoringSpec, ModelError, Table, UGraph, WalkSpec,
+from fdsolve import (ColoringSpec, ModelError, Neq, Table, UGraph, WalkSpec,
                      dds_count, dfs_count, parse_model, serialize_model)
 from fdsolve import model_io
 from fdsolve.model_io import ModelDocument, coloring_document, saw_document
@@ -172,6 +172,23 @@ def test_domains_the_parser_bounds_are_written_as_lists():
     assert isinstance(long, list) and len(long) == run
     assert wide == [0, 10**12]
     assert parse_model(written) == doc
+
+
+@pytest.mark.parametrize("variables, constraints, message", [
+    (("a", "a"), (), "variables[1]: duplicate variable name 'a'"),
+    (("a", 7), (), "variables[1]: name must be a string"),
+    (("a", "b"), (Neq(0, 1), Neq(1, 2)),
+     "constraints[1]: unknown variable index 2"),
+], ids=["duplicate-name", "non-string-name", "undeclared-index"])
+def test_serialize_refuses_what_parse_refuses(variables, constraints,
+                                              message):
+    # a document built through the library that parse_model would not
+    # read back is refused before any text is written
+    doc = ModelDocument(tuple(model_io.VariableDecl(name, (0, 1))
+                              for name in variables), constraints)
+    with pytest.raises(ModelError) as err:
+        serialize_model(doc)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("make, digest", [

@@ -19,7 +19,7 @@ from fdsolve.search import choose, order_components
 
 from deep_gates import neq_chain
 from randcsp import (brute_force_count, enumerate_solutions, intro_state,
-                     permuted,
+                     open_variables, permuted,
                      random_clustered_state, random_state,
                      random_state_with_slide, relabelled, table_as_regular)
 
@@ -91,12 +91,13 @@ def test_choose_degrees_match_reflected_graph(make, seed, data):
     # splits (no degrees given) and the graph DDS reflects
     state = search_state(make, seed, data)
     cands = [x for x in range(state.num_vars) if len(state.domains[x]) > 1]
-    degree = edge_degrees(cands, build_constraint_graph(state).edges)
+    degree = edge_degrees(cands, build_constraint_graph(state,
+                                                     frozenset(cands)))
     for h in ALL_HEURISTICS:
         assert choose(state, h, cands) == choose(state, h, cands, degree)
 
 
-def reference_choose(state, heuristic, scope, graph=None):
+def reference_choose(state, heuristic, scope, edges=None):
     """``choose`` without its short-cuts: every candidate sorted, every
     degree counted, ties broken by an explicit index key."""
     domains = state.domains
@@ -105,7 +106,7 @@ def reference_choose(state, heuristic, scope, graph=None):
         raise ValueError("choose() needs at least one unassigned variable in scope")
     if heuristic in (Heuristic.MAX_DEGREE, Heuristic.MAX_DEGREE_FIRST_FAIL):
         degree = dict.fromkeys(cands, 0)
-        if graph is None:
+        if edges is None:
             for prop in state.propagators.values():
                 for edge in prop.hyperedges(state):
                     inside = [x for x in edge if x in degree]
@@ -113,7 +114,7 @@ def reference_choose(state, heuristic, scope, graph=None):
                         for x in inside:
                             degree[x] += 1
         else:
-            for edge in graph.edges:
+            for edge in edges:
                 for x in edge:
                     if x in degree:
                         degree[x] += 1
@@ -159,15 +160,15 @@ def test_choose_matches_reference(make, seed, data):
             scope = {keep} | data.draw(st.sets(st.sampled_from(fixed))
                                        if fixed else st.just(set()))
     cands = sorted(x for x in scope if len(state.domains[x]) > 1)
-    graphs = [build_constraint_graph(state, scope)]
+    edge_sources = [build_constraint_graph(state, frozenset(cands))]
     if len(cands) == sum(len(d) > 1 for d in state.domains):
         # the store's splits are the edges over every open variable only
-        graphs.append(None)
-    for graph in graphs:
-        degree = None if graph is None else edge_degrees(cands, graph.edges)
+        edge_sources.append(None)
+    for edges in edge_sources:
+        degree = None if edges is None else edge_degrees(cands, edges)
         for h in ALL_HEURISTICS:
             assert (choose(state, h, cands, degree)
-                    == reference_choose(state, h, scope, graph=graph))
+                    == reference_choose(state, h, scope, edges=edges))
 
 
 def reference_dfs(root, heuristic, limit):
@@ -481,29 +482,35 @@ def test_order_components_moves_selected_first():
     for x in (0, 2, 4):
         state.post(Neq(x, x + 1))
     state.propagate()
-    graph = build_constraint_graph(state)
-    parts = components(graph)
+    nodes = open_variables(state)
+    edges = build_constraint_graph(state, nodes)
+    parts = components(nodes, edges)
     assert parts == (frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5}))
     # first-fail selects variable 2 (domain size 2): its part leads, and
     # the others keep their order
-    x, _v = choose(state, Heuristic.FIRST_FAIL, sorted(graph.nodes),
-                   graph.edges)
+    cands = sorted(nodes)
+    x, _v = choose(state, Heuristic.FIRST_FAIL, cands,
+                   edge_degrees(cands, edges))
     assert x == 2
     assert order_components(parts, x) == [parts[1], parts[0], parts[2]]
 
 
 def test_order_components_keeps_order_when_first_selected():
-    parts = components(build_constraint_graph(build_two_components()))
+    state = build_two_components()
+    nodes = open_variables(state)
+    parts = components(nodes, build_constraint_graph(state, nodes))
     assert order_components(parts, 1) == list(parts)
 
 
 def test_order_components_input_order_picks_lowest_variable():
     state = build_two_components()
-    graph = build_constraint_graph(state)
-    x, _v = choose(state, Heuristic.INPUT_ORDER, sorted(graph.nodes),
-                   graph.edges)
-    assert order_components(components(graph), x) == [frozenset({0, 1}),
-                                                      frozenset({2, 3})]
+    nodes = open_variables(state)
+    edges = build_constraint_graph(state, nodes)
+    cands = sorted(nodes)
+    x, _v = choose(state, Heuristic.INPUT_ORDER, cands,
+                   edge_degrees(cands, edges))
+    assert order_components(components(nodes, edges), x) == [
+        frozenset({0, 1}), frozenset({2, 3})]
 
 
 # -- solution trees -----------------------------------------------------------------
