@@ -44,6 +44,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import index
 from typing import Iterable
 
 from .engine import ProblemState, new_problem
@@ -87,15 +88,11 @@ class ModelDocument:
         return state
 
 
-def _is_int(v) -> bool:
-    # JSON true/false parse to bool, which Python counts as an int
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _all_ints(values: Iterable) -> bool:
     """Whether every value parsed from JSON is an integer, in one C-level
     pass: ``json.loads`` yields ``int``, ``bool`` and ``float`` numbers and
-    never an ``int`` subclass, so ``type(v) is int`` is ``_is_int(v)``."""
+    never another ``int`` subclass, so ``type(v) is int`` refuses exactly
+    the JSON ``true``, ``false`` and non-integers."""
     return {int}.issuperset(map(type, values))
 
 
@@ -216,7 +213,7 @@ def _parse_dfa(raw, where: str, built: dict) -> Dfa:
         transitions = raw["transitions"]
     except KeyError as missing:
         raise ModelError(f"{where}: dfa is missing field {missing}") from None
-    if not (_is_int(states) and _is_int(start) and isinstance(finals, list)
+    if not (_all_ints((states, start)) and isinstance(finals, list)
             and _all_ints(finals)):
         raise ModelError(
             f"{where}: dfa states, start and finals must be integers")
@@ -266,8 +263,8 @@ def parse_model(text: str) -> ModelDocument:
 
     # each distinct automaton and tuple set once, so the Regular
     # constraints over an automaton share its step memo, and the Table and
-    # Slide constraints over a tuple set share what their filters build of
-    # it: its adjacency or its support masks
+    # Slide constraints over a tuple set share it, and the binary Tables
+    # its adjacency
     automata: dict = {}
     relations: dict = {}
     named = _parse_relations(raw.get("relations", {}), relations)
@@ -296,7 +293,7 @@ def parse_model(text: str) -> ModelDocument:
                 if rel not in (EQ, LEQ):
                     raise ModelError(f"{where}: 'rel' must be 'eq' or 'leq'")
                 rhs = rc.get("rhs")
-                if not _is_int(rhs):
+                if not _all_ints((rhs,)):
                     raise ModelError(f"{where}: 'rhs' must be an integer")
                 constraints.append(Linear(tuple(coeffs), vs, rel, rhs))
             elif kind == "alldifferent":
@@ -310,7 +307,7 @@ def parse_model(text: str) -> ModelDocument:
                 constraints.append(Regular(vs, dfa))
             else:  # slide
                 width = rc.get("width")
-                if not _is_int(width):
+                if not _all_ints((width,)):
                     raise ModelError(f"{where}: 'width' must be an integer")
                 tuples = _parse_tuples(rc.get("tuples"), width, where,
                                        named, relations)
@@ -322,18 +319,24 @@ def parse_model(text: str) -> ModelDocument:
     return ModelDocument(tuple(decls), tuple(constraints))
 
 
-def _domain_entry(values: tuple[int, ...]) -> list[int] | dict:
-    """A domain as ``serialize_model`` writes it: a run of consecutive
-    values as ``{"range": [lo, hi]}`` where that text is shorter than the
-    value list, and the list otherwise.  A run of more than
-    ``MAX_RANGE_VALUES`` values stays a list, which the parser takes at any
-    length; the run test compares the values with a range only when the
-    two lengths agree, so a wide sparse domain builds nothing."""
-    listed = list(values)
-    if (values and values[-1] - values[0] + 1 == len(values)
+def _domain_entry(values: tuple[int, ...], where: str) -> list[int] | dict:
+    """A domain as ``serialize_model`` writes it: its values as ints, as
+    ``build_state`` takes them (a bool or an ``IntEnum`` as its int, and a
+    value with no ``__index__`` refused with a ``ModelError`` located at
+    ``where``); a run of consecutive values as ``{"range": [lo, hi]}``
+    where that text is shorter than the value list, and the list otherwise.
+    A run of more than ``MAX_RANGE_VALUES`` values stays a list, which the
+    parser takes at any length; the run test compares the values with a
+    range only when the two lengths agree, so a wide sparse domain builds
+    nothing."""
+    try:
+        listed = list(map(index, values))
+    except TypeError:
+        raise ModelError(f"{where}: domain values must be integers") from None
+    if (listed and listed[-1] - listed[0] + 1 == len(listed)
             <= MAX_RANGE_VALUES
-            and values == tuple(range(values[0], values[-1] + 1))):
-        run = {"range": [values[0], values[-1]]}
+            and listed == list(range(listed[0], listed[-1] + 1))):
+        run = {"range": [listed[0], listed[-1]]}
         # the reprs of this dict and of an int list are as long as their
         # JSON texts, and quicker to make
         if len(repr(run)) < len(repr(listed)):
@@ -345,8 +348,9 @@ def serialize_model(doc: ModelDocument) -> str:
     """Canonical JSON text, one line per variable, per named relation and
     per constraint; parse(serialize(doc)) == doc.  A document
     ``parse_model`` would refuse, with a name that is not a string or is
-    declared twice, or a constraint over an undeclared index, raises a
-    located ``ModelError``."""
+    declared twice, a domain value that is not an integer, or a constraint
+    over an undeclared index or over no variables, raises a located
+    ``ModelError``."""
     names = doc.names
     if (not all(isinstance(name, str) for name in names)
             or len(set(names)) < len(names)):
@@ -356,10 +360,12 @@ def serialize_model(doc: ModelDocument) -> str:
             _declare(declared, name, i)
     # by key, so that an index no variable has, negative ones too, misses
     names = dict(enumerate(names))
-    # each distinct domain object written once, and shared by the entries
-    # of the variables that declare it
-    written = {id(v.values): v.values for v in doc.variables}
-    written = {key: _domain_entry(values) for key, values in written.items()}
+    # each distinct domain object written once, located at the first
+    # variable that declares it, and shared by the entries of all of them
+    written: dict[int, list[int] | dict] = {}
+    for i, v in enumerate(doc.variables):
+        if id(v.values) not in written:
+            written[id(v.values)] = _domain_entry(v.values, f"variables[{i}]")
     raw_vars = [{"name": v.name, "domain": written[id(v.values)]}
                 for v in doc.variables]
     # a tuple set two or more constraints hold, equal ones counted as one,
@@ -410,6 +416,9 @@ def serialize_model(doc: ModelDocument) -> str:
                                  "tuples": tuples(c.tuples)})
             else:
                 raise ModelError(f"cannot serialize constraint {c!r}")
+            if not raw_cons[-1]["vars"]:
+                raise ModelError(
+                    f"constraints[{j}]: 'vars' must be a non-empty list")
     except KeyError as exc:
         # only the names are looked up by key in this loop
         raise ModelError(f"constraints[{j}]: unknown variable index "

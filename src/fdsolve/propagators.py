@@ -568,23 +568,11 @@ def _tarjan(succ: list[list[int]], nodes: list[int]) -> list[int]:
 
 class _Relation(frozenset):
     """The tuple set of a ``Table`` or ``Slide``: a frozenset of exact int
-    tuples of one arity, which every constraint built over it shares along
-    with what its filter reads of it, built on first use: the adjacency of
-    a binary ``Table``'s relation, and the support masks of any other."""
-
-    @cached_property
-    def _support_masks(self) -> tuple[int, list[dict[int, int]]]:
-        """Bitmasks over the tuples in sorted order, tuple k being bit k:
-        the mask of all tuples, and per position a dict from each value to
-        the mask of the tuples holding it there (none for an empty
-        relation).  Built on the first filter call of any ``Slide``, or
-        ``Table`` of other than two variables, over this relation, and once
-        for all of them."""
-        masks: list[dict[int, int]] = [{} for _ in next(iter(self), ())]
-        for k, t in enumerate(sorted(self)):
-            for m, v in zip(masks, t):
-                m[v] = m.get(v, 0) | 1 << k
-        return (1 << len(self)) - 1, masks
+    tuples of one arity, which every constraint built over it shares.  A
+    binary ``Table`` filters through the relation's adjacency, built on
+    first use and shared too; any other ``Table`` and every ``Slide``
+    window scans the tuples themselves (``_supports``) and caches nothing
+    here."""
 
     @cached_property
     def _adjacency(self) -> tuple[dict[int, frozenset[int]],
@@ -623,35 +611,25 @@ def _relation(tuples: Iterable[Sequence[int]], arity: int,
     return tuples
 
 
-def _of_relation(name: str) -> cached_property:
-    """A constraint's cached copy of its relation's property ``name``, so
-    that a filter call reads it as one attribute."""
-    return cached_property(lambda con: getattr(con.tuples, name))
-
-
-def _supports(masks, doms) -> tuple[int, list[set[int]]]:
-    """Compact-Table's support scan (Demeulenaere et al., CP 2016): live
-    tuples = AND over positions of the OR of the domain values' masks.
-    Returns their number and per position the values they hold, if any."""
-    live, by_pos = masks
-    for m, d in zip(by_pos, doms):
-        col = 0
-        for v in d:
-            col |= m.get(v, 0)
-        live &= col
-        if not live:
-            return 0, []
-    return live.bit_count(), [{v for v in d if m.get(v, 0) & live}
-                              for m, d in zip(by_pos, doms)]
+def _supports(tuples, doms) -> tuple[int, list[set[int]]]:
+    """The live tuples of ``tuples``, those whose every value is in the
+    domain ``doms`` holds at its position: their number, and per position
+    the set of values they hold there (none if no tuple is live).  The
+    tuples are filtered one position at a time, so each later pass reads
+    only the tuples still live."""
+    live = tuples
+    for i, d in enumerate(doms):
+        live = [t for t in live if t[i] in d]
+    return len(live), list(map(set, zip(*live)))
 
 
 @dataclass(frozen=True, eq=True)
 class Table(_Whole):
     """Extensional constraint: the variables' tuple must be in ``tuples``;
     GAC through the relation's adjacency for two variables (the binary
-    arc-consistency case of Bessière, Régin, Yap & Zhang, AIJ 2005), and
-    through bitset support masks for any other number.  Either is built
-    once per relation and shared by every constraint over it.
+    arc-consistency case of Bessière, Régin, Yap & Zhang, AIJ 2005), built
+    once per relation and shared by every constraint over it, and by a scan
+    of the relation's live tuples (``_supports``) for any other number.
 
     Unlike a ``Slide`` window, the filter is not memoised, because its
     keys are large.  In one pass of both counts over the self-avoiding
@@ -663,8 +641,9 @@ class Table(_Whole):
 
     vars: tuple[int, ...]
     tuples: frozenset[tuple[int, ...]]
-    _masks = _of_relation("_support_masks")
-    _adjacency = _of_relation("_adjacency")
+    # the relation's adjacency, cached on the constraint so that a filter
+    # call reads it as one attribute
+    _adjacency = cached_property(lambda con: con.tuples._adjacency)
 
     def __init__(self, vars: Sequence[int], tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Table")
@@ -689,7 +668,7 @@ class Table(_Whole):
             return ENTAILED if all(map(sy.issubset, map(fwd.__getitem__, sx))) \
                 else STABLE
         doms = [state.domains[x] for x in self.vars]
-        valid, support = _supports(self._masks, doms)
+        valid, support = _supports(self.tuples, doms)
         if valid == 0:
             return FAILED
         for x, d, sup in zip(self.vars, doms, support):
@@ -874,16 +853,15 @@ class Slide(_Runs):
 
     Kept monolithic (not desugared into separate table constraints) so the
     scope can split at positions whose covering windows are all entailed.
-    Every window is filtered with the bitset support masks that a ``Table``
-    of other than two variables uses, through ``_scan``, which is memoised
-    per ``Slide`` in ``_scans`` on the window's domains and serves the
-    misses of the outcome memo.
+    Every window is filtered by the scan of the relation's live tuples that
+    a ``Table`` of other than two variables uses, through ``_scan``, which
+    is memoised per ``Slide`` in ``_scans`` on the window's domains and
+    serves the misses of the outcome memo.
     """
 
     vars: tuple[int, ...]
     width: int
     tuples: frozenset[tuple[int, ...]]
-    _masks = _of_relation("_support_masks")
 
     def __init__(self, vars: Sequence[int], width: int, tuples: Iterable[Sequence[int]]):
         vs = _check_distinct(vars, "Slide")
@@ -912,7 +890,7 @@ class Slide(_Runs):
         the cut: None if every value of ``doms`` has a support, else each
         domain cut down to its supports, the domain itself where the cut
         drops nothing."""
-        valid, support = _supports(self._masks, doms)
+        valid, support = _supports(self.tuples, doms)
         if not valid:
             return None
         cut = None

@@ -6,7 +6,8 @@ The benchmark's jobs go about 20 levels deep, so the ROADMAP's gates on
 deep or large inputs live here, outside tier-1 (the file's name is not
 ``test_*.py``): 3-value ``Neq`` chains of 5,000 variables and of 2,000
 under each heuristic, 1,000-position ``Slide`` and ``Regular`` rows, a
-250-variable permutation, ``fdsolve count`` on 10^6-value ``Linear`` and
+300-variable chain of ternary ``Table`` windows, a 250-variable
+permutation, ``fdsolve count`` on 10^6-value ``Linear`` and
 40-, 60- and 80-monomer ``gen-saw`` models, and one ``propagate`` in which
 a Hall set prunes a 10^6-value domain.  Every row pins its results and
 peaks under its RSS bound, 1 GB unless the row sets a lower one (the
@@ -17,6 +18,7 @@ their time.  Each row runs in a child process of its own, whose peak RSS
 whole, and a library row's child is this file, which times the run alone
 and imports no pytest, so its RSS compares with ROADMAP.md's numbers.
 """
+import itertools
 import json
 import os
 import subprocess
@@ -27,7 +29,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 import fdsolve
-from fdsolve import AllDifferent, Dfa, Neq, Regular, Slide, new_problem
+from fdsolve import (AllDifferent, Dfa, Neq, Regular, Slide, Table,
+                     new_problem)
 from fdsolve.model_io import saw_document, serialize_model
 from fdsolve.models import WalkSpec
 
@@ -53,6 +56,16 @@ def slide_row(n):
     triples = [(a, b, c) for a in range(3) for b in range(3)
                for c in range(3) if (a, b, c) != (1, 1, 1)]
     return problem([{0, 1, 2}] * n, Slide(range(n), 3, triples))
+
+
+def table3_chain(n):
+    # every three consecutive variables pairwise distinct over 0..9, one
+    # ternary Table per window over one relation of the 720 such triples
+    first = Table((0, 1, 2), [t for t in itertools.product(range(10), repeat=3)
+                              if len(set(t)) == 3])
+    return problem([range(10)] * n, first,
+                   *(Table((i, i + 1, i + 2), first.tuples)
+                     for i in range(1, n - 2)))
 
 
 def regular_row(n):
@@ -118,6 +131,11 @@ ROWS = {"-".join(filter(None, (row.build.__name__, str(row.size),
     *(Row(build, 1000, engine, pins=pins) for build in (slide_row, regular_row)
       for engine, pins in zip(ENGINES, ({"count": 11, "nodes": 1021},
                                         {"count": 12, "nodes": 1002}))),
+    # a non-binary Table's filter scans its relation's live tuples; the
+    # time is printed, not bounded.  DFS only: DDS must count each part it
+    # splits off exactly before the cut-off can stop it, and on this chain
+    # it had not finished after 100 s
+    Row(table3_chain, 300, "dfs_count", pins={"count": 11, "nodes": 321}),
     *(Row(permutation, 250, engine,
           pins={"count": 11, "nodes": 269, "max_depth": 251})
       for engine in ENGINES),

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import re
@@ -98,12 +99,13 @@ def test_named_canonical_parses_as_its_inline_form():
 
 def test_equal_tuple_sets_are_parsed_once():
     # the rows of one document share a relation object, and with it the
-    # relation's support masks; a different tuple set stays apart
+    # relation's adjacency; a different tuple set stays apart
     doc = parse_model(shared_relations_text())
     table, slide = doc.constraints[3], doc.constraints[5]
     reordered, slid, other = doc.constraints[6:]
     assert reordered.tuples is table.tuples and slid.tuples is table.tuples
-    assert reordered._masks is table._masks
+    assert reordered._adjacency is table._adjacency
+    assert table._adjacency is table.tuples._adjacency
     assert other.tuples != table.tuples and other.tuples is not table.tuples
     assert slide.tuples is not table.tuples
 
@@ -189,6 +191,54 @@ def test_serialize_refuses_what_parse_refuses(variables, constraints,
     with pytest.raises(ModelError) as err:
         serialize_model(doc)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("domains, constraints, message", [
+    (((0, 1), (0.5, 1)), (), "variables[1]: domain values must be integers"),
+    (((0, 1), ("x",)), (), "variables[1]: domain values must be integers"),
+    (((0, 1), (0, 1)), (Neq(0, 1), Table((), [()])),
+     "constraints[1]: 'vars' must be a non-empty list"),
+], ids=["float-value", "string-value", "empty-scope"])
+def test_serialize_refuses_values_and_scopes_parse_refuses(domains,
+                                                           constraints,
+                                                           message):
+    # a domain value with no integer reading, and a constraint over no
+    # variables, which the library takes but a document cannot hold
+    doc = ModelDocument(tuple(model_io.VariableDecl(f"v{i}", values)
+                              for i, values in enumerate(domains)),
+                        constraints)
+    with pytest.raises(ModelError) as err:
+        serialize_model(doc)
+    assert str(err.value) == message
+
+
+def test_a_shared_bad_domain_is_located_at_its_first_variable():
+    bad = (0, 0.5)
+    doc = ModelDocument((model_io.VariableDecl("a", (0, 1)),
+                         model_io.VariableDecl("b", bad),
+                         model_io.VariableDecl("c", bad)), ())
+    with pytest.raises(ModelError, match=re.escape(
+            "variables[1]: domain values must be integers")):
+        serialize_model(doc)
+
+
+class Shade(enum.IntEnum):
+    DARK = 3
+    LIGHT = 4
+
+
+def test_bool_and_enum_domain_values_are_written_as_ints():
+    # as build_state takes them, so the text reads back into an equal
+    # document with the same domains
+    doc = ModelDocument((model_io.VariableDecl("a", (True, 2)),
+                         model_io.VariableDecl("b", (Shade.DARK, Shade.LIGHT))),
+                        ())
+    written = serialize_model(doc)
+    assert [v["domain"] for v in json.loads(written)["variables"]] == [
+        [1, 2], [3, 4]]
+    assert parse_model(written) == doc
+    assert parse_model(written).build_state().domains == \
+        doc.build_state().domains
 
 
 @pytest.mark.parametrize("make, digest", [
@@ -287,8 +337,11 @@ def test_inline_and_named_equal_rows_are_one_relation():
              "tuples": "swap"}]}))
     named, inline, slid = doc.constraints
     assert inline.tuples is named.tuples and slid.tuples is named.tuples
-    assert inline._masks is named._masks
+    assert inline._adjacency is named._adjacency
     assert dds_count(doc.build_state()).count == 2
+    # the slide scanned the shared tuples and cached nothing beside the
+    # tables' adjacency on them
+    assert set(vars(named.tuples)) == {"_adjacency"}
 
 
 def test_an_empty_named_relation_has_any_arity():
@@ -489,8 +542,9 @@ def test_booleans_are_not_integers(doc, where):
     ([[0, 1], [0, 1, 1], [1.5, 0]], "tuple arity mismatch (expected 2)"),
 ])
 def test_first_defective_row_sets_the_message(tuples, message):
-    # the value check reads type(v) is int, which here is _is_int(v):
-    # json.loads yields int, bool and float numbers, never an int subclass
+    # the value check reads type(v) is int, which refuses bools and floats:
+    # json.loads yields int, bool and float numbers, never another int
+    # subclass
     doc = two_var_doc(constraint={"type": "table", "vars": ["x", "y"],
                                   "tuples": tuples})
     with pytest.raises(ModelError, match=re.escape(

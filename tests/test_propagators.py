@@ -597,25 +597,33 @@ def test_table_arity_validation(make, error, message):
     assert str(raised.value) == message
 
 
-def test_constraints_over_one_relation_share_it_and_its_masks():
+def test_constraints_over_one_relation_share_it_and_its_adjacency():
     first = Table((0, 1), [(0, 1), (1, 0)])
     second = Table((2, 3), first.tuples)
     row = Slide((4, 5, 6), 2, first.tuples)
     assert second.tuples is first.tuples and row.tuples is first.tuples
-    assert second._masks is first._masks and row._masks is first._masks
-    # an equal relation built apart has masks of its own
+    assert second._adjacency is first._adjacency
+    # an equal relation built apart has an adjacency of its own
     apart = Table((0, 1), [(0, 1), (1, 0)])
-    assert apart.tuples == first.tuples and apart._masks is not first._masks
-    assert apart._masks == first._masks
+    assert apart.tuples == first.tuples
+    assert apart._adjacency is not first._adjacency
+    assert apart._adjacency == first._adjacency
     # a binary Table filters through its relation's adjacency, shared by
-    # every Table over it, and builds no masks
+    # every Table over it, and caches nothing else on the relation
     pair = Table((0, 1), [(0, 1), (1, 0)])
     again = Table((1, 2), pair.tuples)
     assert pair.filter(new_problem([{0, 1}] * 2)) is STABLE
     assert again._adjacency is pair._adjacency
     assert pair._adjacency is pair.tuples._adjacency
-    assert "_support_masks" not in vars(pair.tuples)
+    assert set(vars(pair.tuples)) == {"_adjacency"}
     assert pair._adjacency == ({0: {1}, 1: {0}}, {0: {1}, 1: {0}})
+    # a Table of other than two variables and a Slide scan the tuples and
+    # cache nothing on the relation
+    triple = Table((0, 1, 2), [(0, 1, 0), (1, 0, 1)])
+    assert triple.filter(new_problem([{0, 1}] * 3)) is STABLE
+    slide = Slide((0, 1, 2), 2, [(0, 1), (1, 0)])
+    assert slide.filter(new_problem([{0, 1}] * 3)) is STABLE
+    assert vars(triple.tuples) == {} and vars(slide.tuples) == {}
 
 
 @st.composite
@@ -631,14 +639,14 @@ def binary_table_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(binary_table_cases())
-def test_binary_table_filter_matches_compact_table(case):
-    # the adjacency kernel keeps what Compact-Table's scan over the same
-    # relation's masks keeps, and reports the same outcome
+def test_binary_table_filter_matches_tuple_scan(case):
+    # the adjacency kernel keeps what the scan of the same relation's live
+    # tuples keeps, and reports the same outcome
     doms, tuples = case
     state = new_problem(doms)
     table = Table((0, 1), tuples)
     before = list(state.domains)
-    valid, support = _supports(table._masks, before)
+    valid, support = _supports(table.tuples, before)
     result = table.filter(state)
     if not valid:
         assert result is FAILED and state.domains == before
@@ -651,15 +659,17 @@ def test_binary_table_filter_matches_compact_table(case):
 @st.composite
 def table_cases(draw):
     # domains over 0..4 and tuple values over -1..5: some tuples hold values
-    # outside the domains, and some domain values have no tuple
-    arity = draw(st.sampled_from([1, 2, 3]))
+    # outside the domains, and some domain values have no tuple; a table
+    # over no variables holds the empty tuple or nothing, and takes no tells
+    arity = draw(st.sampled_from([0, 1, 2, 3]))
     doms = draw(st.lists(st.sets(st.integers(0, 4), min_size=1),
                          min_size=arity, max_size=arity))
     tuples = draw(st.lists(st.tuples(*[st.integers(-1, 5)] * arity),
                            max_size=25))
     tells = draw(st.lists(st.tuples(st.sampled_from(["eq", "neq"]),
-                                    st.integers(0, arity - 1),
-                                    st.integers(0, 4)), max_size=4))
+                                    st.integers(0, max(arity - 1, 0)),
+                                    st.integers(0, 4)),
+                          max_size=4 if arity else 0))
     return doms, tuples, tells
 
 
